@@ -29,7 +29,7 @@ import urllib.request
 
 from . import effects, meta, ordering, report, score_agreement, stats
 from .effectiveness import MeasureConfig, parse_measure_spec, score_run
-from .errors import ConfigError, ReprokitError
+from .errors import ConfigError, DegenerateTiesError, OverlapTooSmallError, ReprokitError
 from .trec_io import Qrels, Run, load_qrels, load_run, topic_intersection
 
 DEFAULT_MEASURES = "P@10,AP@1000,nDCG@1000"
@@ -106,7 +106,7 @@ def build_replicate_report(
             tau_i, ov = ordering.tau_intersection(run_orig.doc_ids(topic), run_rpl.doc_ids(topic))
             inter_vals[topic] = tau_i
             overlaps.append(ov)
-        except (ReprokitError, ValueError):
+        except (DegenerateTiesError, OverlapTooSmallError):
             inter_vals[topic] = None
     try:
         tau_inter_mean, inter_excluded = ordering.mean_over_topics(inter_vals)

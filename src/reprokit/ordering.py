@@ -2,9 +2,10 @@
 
 Kendall's tau (tie-aware), its union and intersection constructions for
 rankings over different document sets, and rank-biased overlap (RBO).
-All per-topic kernels are pure; per-topic results average via
-:func:`mean_over_topics`, which excludes degenerate-tie topics explicitly
-instead of silently biasing the mean.
+The tau kernel runs in O(n log n) time and O(n) memory (Knight's method),
+so run depth costs no quadratic memory. All per-topic kernels are pure;
+per-topic results average via :func:`mean_over_topics`, which excludes
+degenerate-tie topics explicitly instead of silently biasing the mean.
 """
 
 from __future__ import annotations
@@ -31,12 +32,64 @@ class RboParams:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
 
 
+# Strict inversions are counted by direct comparison inside blocks of this
+# many items (O(_BLOCK * n) memory), then by merging sorted blocks pairwise.
+_BLOCK = 128
+_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), k=1)
+
+
+def _tied_pairs(change: np.ndarray) -> int:
+    """Pairs of equal items in a sorted array; ``change[i]`` is item i+1 != item i."""
+    if change.all():
+        return 0
+    bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [len(change) + 1]))
+    runs = np.diff(bounds)
+    return int(np.dot(runs, runs - 1)) // 2
+
+
+def _strict_inversions(a: np.ndarray) -> int:
+    """Pairs i < j with a[i] > a[j], for integer ranks 0 <= a[i] < len(a).
+
+    Blocks are counted directly, sorted, then merged bottom-up: at each
+    level one searchsorted over block-keyed values counts, for every item
+    of a right block, the larger items of its left partner.
+    """
+    n = len(a)
+    width = min(n, _BLOCK)
+    blocks = np.full((-(-n // width), width), n, dtype=a.dtype)  # pad n ranks above all
+    blocks.ravel()[:n] = a
+    greater = blocks[:, :, None] > blocks[:, None, :]
+    greater &= _UPPER[:width, :width]
+    inv = int(np.count_nonzero(greater))
+    del greater
+    if n <= width:
+        return inv
+    blocks.sort(axis=1)
+    a = blocks.ravel()[:n].astype(np.int64)  # the pads sort to the end
+    pos = np.arange(n)
+    while width < n:
+        pair = pos // (2 * width)
+        right = (pos // width) % 2 == 1
+        keyed = a + pair * n
+        # a left block with a right partner is full, so pair p's ends at (p+1)*width
+        not_greater = np.searchsorted(keyed[~right], keyed[right], side="right")
+        inv += int(((pair[right] + 1) * width - not_greater).sum())
+        a = np.sort(keyed, kind="stable") - pair * n
+        width *= 2
+    return inv
+
+
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
     """Tie-aware Kendall correlation over all index pairs.
 
     (P - Q) / sqrt((P + Q + U) (P + Q + V)) with P/Q concordant/discordant
     pairs and U/V pairs tied in x only / y only; pairs tied in both lists
     enter neither factor.
+
+    Knight's method: after sorting by (x, y), Q is the number of strict
+    inversions of y and the tie counts come from runs of equal values, so
+    the kernel takes O(n log n) time and O(n) memory. The counts are exact
+    integers, so the result does not depend on how they were obtained.
     """
     if len(x) != len(y):
         raise ValueError(f"paired lists differ in length: {len(x)} vs {len(y)}")
@@ -45,14 +98,25 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError("need at least 2 paired items")
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
-    iu = np.triu_indices(n, k=1)
-    dx = np.sign(xa[:, None] - xa[None, :])[iu]
-    dy = np.sign(ya[:, None] - ya[None, :])[iu]
-    prod = dx * dy
-    p = int(np.count_nonzero(prod > 0))
-    q = int(np.count_nonzero(prod < 0))
-    u = int(np.count_nonzero((dx == 0) & (dy != 0)))
-    v = int(np.count_nonzero((dy == 0) & (dx != 0)))
+    if np.isnan(xa).any() or np.isnan(ya).any():
+        raise ValueError("NaN has no order; tau undefined")
+    order = np.lexsort((ya, xa))
+    xs = xa[order]
+    ys = ya[order]
+    x_change = xs[1:] != xs[:-1]
+    by_y = np.argsort(ys, kind="stable")
+    y_sorted = ys[by_y]
+    y_change = y_sorted[1:] != y_sorted[:-1]
+    y_rank = np.empty(n, dtype=np.min_scalar_type(n))
+    y_rank[by_y[0]] = 0
+    y_rank[by_y[1:]] = np.cumsum(y_change)
+    tied_x = _tied_pairs(x_change)
+    tied_y = _tied_pairs(y_change)
+    tied_xy = _tied_pairs(x_change | (ys[1:] != ys[:-1]))
+    q = _strict_inversions(y_rank)
+    p = n * (n - 1) // 2 - tied_x - tied_y + tied_xy - q
+    u = tied_x - tied_xy
+    v = tied_y - tied_xy
     denom = math.sqrt((p + q + u) * (p + q + v))
     if denom == 0:
         raise DegenerateTiesError("all pairs tied in one list; tau undefined")
@@ -100,13 +164,10 @@ def tau_intersection(r_docs: Sequence[str], s_docs: Sequence[str]) -> tuple[floa
     return kendall_tau(x, y), len(shared)
 
 
-def rbo(r_docs: Sequence[str], s_docs: Sequence[str], params: RboParams) -> float:
-    """Truncated rank-biased overlap: (1-phi) * sum phi^(i-1) * A_i.
-
-    A_i is the prefix-overlap proportion at depth i. Evaluated to
-    d = min(depth, max(|r|, |s|)) with no extrapolation; at phi = 0.8 and
-    depth >= 1000 the neglected tail is below 0.8**1000.
-    """
+def _rbo_sums(r_docs: Sequence[str], s_docs: Sequence[str],
+              params: RboParams) -> list[float]:
+    """Running sums of phi^(i-1) * A_i for i = 1..min(depth, max(|r|, |s|)),
+    where A_i is the prefix-overlap proportion at depth i."""
     if not r_docs or not s_docs:
         raise ValueError("rankings must be nonempty")
     d = min(params.depth, max(len(r_docs), len(s_docs)))
@@ -115,6 +176,7 @@ def rbo(r_docs: Sequence[str], s_docs: Sequence[str], params: RboParams) -> floa
     overlap = 0
     total = 0.0
     weight = 1.0  # phi^(i-1)
+    sums = []
     for i in range(1, d + 1):
         # add r's doc first so an identical doc at depth i counts exactly once
         if i <= len(r_docs):
@@ -128,8 +190,19 @@ def rbo(r_docs: Sequence[str], s_docs: Sequence[str], params: RboParams) -> floa
                 overlap += 1
             seen_s.add(doc)
         total += weight * (overlap / i)
+        sums.append(total)
         weight *= params.phi
-    return (1.0 - params.phi) * total
+    return sums
+
+
+def rbo(r_docs: Sequence[str], s_docs: Sequence[str], params: RboParams) -> float:
+    """Truncated rank-biased overlap: (1-phi) * sum phi^(i-1) * A_i.
+
+    A_i is the prefix-overlap proportion at depth i. Evaluated to
+    d = min(depth, max(|r|, |s|)) with no extrapolation; at phi = 0.8 and
+    depth >= 1000 the neglected tail is below 0.8**1000.
+    """
+    return (1.0 - params.phi) * _rbo_sums(r_docs, s_docs, params)[-1]
 
 
 def mean_over_topics(per_topic: Mapping[str, float | None]) -> tuple[float, int]:
@@ -146,45 +219,67 @@ def mean_over_topics(per_topic: Mapping[str, float | None]) -> tuple[float, int]
     return sum(vals) / len(vals), excluded
 
 
-def _per_topic(fn, r: Run, s: Run, topics: TopicSet, cutoff: int | None = None):
-    out: dict[str, float | None] = {}
+def _truncated(r: Run, s: Run, topics: TopicSet, cutoff: int | None):
     for topic in topics:
         r_docs = r.doc_ids(topic)
         s_docs = s.doc_ids(topic)
         if cutoff is not None:
             r_docs = r_docs[:cutoff]
             s_docs = s_docs[:cutoff]
-        try:
-            out[topic] = fn(r_docs, s_docs)
-        except DegenerateTiesError:
-            out[topic] = None
-        except ValueError:
-            # tau undefined on single-item pairings (e.g. cutoff 1)
-            out[topic] = None
-    return out
+        yield topic, r_docs, s_docs
 
 
 def tau_union_over_topics(r: Run, s: Run, topics: TopicSet,
                           cutoff: int | None = None) -> dict[str, float | None]:
-    return _per_topic(tau_union, r, s, topics, cutoff)
+    """Per-topic tau-union; None where tau is undefined: fewer than 2 paired
+    items (e.g. at cutoff 1) or degenerate ties. Any other error propagates."""
+    out: dict[str, float | None] = {}
+    for topic, r_docs, s_docs in _truncated(r, s, topics, cutoff):
+        if min(len(r_docs), len(s_docs)) < 2:
+            out[topic] = None
+            continue
+        try:
+            out[topic] = tau_union(r_docs, s_docs)
+        except DegenerateTiesError:
+            out[topic] = None
+    return out
 
 
 def rbo_over_topics(r: Run, s: Run, topics: TopicSet, params: RboParams,
-                    cutoff: int | None = None) -> dict[str, float | None]:
-    return _per_topic(lambda a, b: rbo(a, b, params), r, s, topics, cutoff)
+                    cutoff: int | None = None) -> dict[str, float]:
+    return {topic: rbo(r_docs, s_docs, params)
+            for topic, r_docs, s_docs in _truncated(r, s, topics, cutoff)}
 
 
 def ordering_at_cutoffs(r: Run, s: Run, topics: TopicSet, cutoffs: Sequence[int],
                         params: RboParams) -> dict[int, tuple[float, float]]:
-    """Mean tau-union and mean RBO after truncating both runs to each cutoff."""
+    """Mean tau-union and mean RBO after truncating both runs to each cutoff.
+
+    RBO over the first k documents of each run is the running sum of the
+    full lists at depth min(depth, max(|r[:k]|, |s[:k]|)), so each topic's
+    sums are computed once, to the deepest cutoff.
+    """
     if list(cutoffs) != sorted(cutoffs):
         raise ConfigError("cutoffs must be ascending")
+    if not cutoffs:
+        return {}
+    if cutoffs[0] < 1:
+        raise ConfigError(f"cutoffs must be >= 1, got {cutoffs[0]}")
+    prefixes = {
+        topic: (len(r_docs), len(s_docs), _rbo_sums(r_docs, s_docs, params))
+        for topic, r_docs, s_docs in _truncated(r, s, topics, cutoffs[-1])
+    }
     out: dict[int, tuple[float | None, float]] = {}
     for k in cutoffs:
         try:
             tau_mean, _ = mean_over_topics(tau_union_over_topics(r, s, topics, cutoff=k))
         except DegenerateTiesError:
             tau_mean = None  # tau undefined everywhere, e.g. at cutoff 1
-        rbo_mean, _ = mean_over_topics(rbo_over_topics(r, s, topics, params, cutoff=k))
+        rbo_at_k = {
+            topic: (1.0 - params.phi)
+            * sums[min(params.depth, max(min(k, r_len), min(k, s_len))) - 1]
+            for topic, (r_len, s_len, sums) in prefixes.items()
+        }
+        rbo_mean, _ = mean_over_topics(rbo_at_k)
         out[k] = (tau_mean, rbo_mean)
     return out

@@ -87,14 +87,14 @@ def _topic_sort_key(topic: str):
 
 
 def _iter_lines(source: TextSource) -> Iterator[tuple[int, str]]:
-    """Yield (line_no, stripped_line), skipping blank lines."""
+    """Yield (line_no, stripped_line), skipping blank lines and a UTF-8 BOM."""
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = source.decode("utf-8-sig")
     if isinstance(source, str):
-        source = io.StringIO(source)
+        source = io.StringIO(source.removeprefix("\ufeff"))
     for i, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+            raw = raw.decode("utf-8-sig")
         line = raw.strip()
         if line:
             yield i, line
@@ -186,7 +186,7 @@ def parse_qrels(source: TextSource) -> Qrels:
 
 
 def load_run(path: str, mode: str = "strict") -> Run:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         try:
             return parse_run(f, mode=mode)
         except TrecParseError as e:
@@ -194,7 +194,7 @@ def load_run(path: str, mode: str = "strict") -> Run:
 
 
 def load_qrels(path: str) -> Qrels:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         try:
             return parse_qrels(f)
         except TrecParseError as e:

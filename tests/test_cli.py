@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from reprokit.cli import main
+from reprokit import ordering
+from reprokit.cli import build_replicate_report, main
+from reprokit.effectiveness import parse_measure_spec
 from reprokit.trec_io import Run
 
-from conftest import random_qrels, random_run
+from conftest import make_qrels, make_run, random_qrels, random_run
 
 
 def write_run(path, run: Run):
@@ -152,6 +154,25 @@ class TestReplicate:
             "--run-b-orig", str(paths["orig"]),
         ])
         assert code == 2
+
+
+    def test_tau_intersection_undefined_topic_is_excluded(self):
+        orig = make_run("orig", {"1": ["a", "b", "c"], "2": ["p", "q", "r"]})
+        rpl = make_run("rpl", {"1": ["c", "b", "a"], "2": ["x", "y", "p"]})
+        qrels = make_qrels({"1": {"a": 1}, "2": {"p": 1}})
+        rep = build_replicate_report(orig, rpl, qrels, [parse_measure_spec("P@2")])
+        assert rep["ordering"]["tau_intersection_mean"] == -1.0
+        assert any("tau-intersection unavailable on 1 topic" in w for w in rep["warnings"])
+
+    def test_tau_intersection_kernel_errors_propagate(self, monkeypatch):
+        def broken(r_docs, s_docs):
+            raise ValueError("kernel bug")
+
+        monkeypatch.setattr(ordering, "tau_intersection", broken)
+        run = make_run("orig", {"1": ["a", "b", "c"]})
+        qrels = make_qrels({"1": {"a": 1}})
+        with pytest.raises(ValueError, match="kernel bug"):
+            build_replicate_report(run, run, qrels, [parse_measure_spec("P@2")])
 
 
 class TestReproduce:

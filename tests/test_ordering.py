@@ -1,8 +1,13 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reprokit.errors import DegenerateTiesError, OverlapTooSmallError
+from reprokit import ordering
+from reprokit.errors import ConfigError, DegenerateTiesError, OverlapTooSmallError
 from reprokit.ordering import (
     RboParams,
     kendall_tau,
@@ -11,6 +16,7 @@ from reprokit.ordering import (
     rbo,
     tau_intersection,
     tau_union,
+    tau_union_over_topics,
 )
 from reprokit.trec_io import TopicSet
 
@@ -43,6 +49,58 @@ class TestKendallTau:
                     kendall_tau(x, y)
             else:
                 assert kendall_tau(x, y) == pytest.approx(expected, abs=1e-12)
+
+    @staticmethod
+    def _assert_matches_oracle(x, y):
+        expected = oracles.brute_kendall_tau(x, y)
+        if expected is None:
+            with pytest.raises(DegenerateTiesError):
+                kendall_tau(x, y)
+        else:
+            assert kendall_tau(x, y) == expected
+
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n))))
+    def test_equals_oracle_exactly_with_many_ties(self, xy):
+        self._assert_matches_oracle(*xy)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 600).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, n), min_size=n, max_size=n),
+        st.lists(st.integers(0, n), min_size=n, max_size=n))))
+    def test_equals_oracle_exactly_across_blocks(self, xy):
+        self._assert_matches_oracle(*xy)
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            kendall_tau([1.0, float("nan"), 3.0], [1, 2, 3])
+
+    def test_matches_scipy_tau_b(self, rng):
+        stats = pytest.importorskip("scipy.stats")
+        for _ in range(200):
+            n = rng.randint(2, 700)
+            hi = rng.choice([2, 5, n])
+            x = [rng.randint(0, hi) for _ in range(n)]
+            y = [rng.randint(0, hi) for _ in range(n)]
+            try:
+                ours = kendall_tau(x, y)
+            except DegenerateTiesError:
+                continue
+            assert ours == pytest.approx(stats.kendalltau(x, y).statistic, abs=1e-12)
+
+    def test_memory_is_linear(self):
+        n = 20000
+        x = np.arange(n)
+        y = np.random.default_rng(7).permutation(n)
+        tracemalloc.start()
+        try:
+            kendall_tau(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense n x n sign matrix alone would take several GB
+        assert peak < 16 * 2**20
 
 
 class TestTauUnion:
@@ -172,6 +230,27 @@ class TestOrderingAtCutoffs:
         # tau degenerate at depth 1 is excluded upstream; RBO = (1-phi) * A_1
         assert out[1][1] == pytest.approx(0.2, abs=1e-12)
 
+    def test_cutoff_rbo_equals_rbo_on_truncated_lists(self, rng):
+        pool = [f"d{i}" for i in range(80)]
+        topic_docs_a = {str(t): rng.sample(pool, rng.randint(1, 40)) for t in range(1, 7)}
+        topic_docs_b = {str(t): rng.sample(pool, rng.randint(1, 40)) for t in range(1, 7)}
+        a = make_run("a", topic_docs_a)
+        b = make_run("b", topic_docs_b)
+        topics = TopicSet(tuple(a.topics))
+        cutoffs = [1, 2, 5, 13, 30, 60]
+        for params in (RboParams(0.8, 1000), RboParams(0.9, 7), RboParams(0.5, 1)):
+            out = ordering_at_cutoffs(a, b, topics, cutoffs, params)
+            for k in cutoffs:
+                per_topic = {t: rbo(topic_docs_a[t][:k], topic_docs_b[t][:k], params)
+                             for t in topics}
+                assert out[k][1] == mean_over_topics(per_topic)[0]
+
+    def test_cutoff_below_one_is_config_error(self, rng):
+        run = random_run(rng, "r", 2, 10)
+        topics = TopicSet(tuple(run.topics))
+        with pytest.raises(ConfigError):
+            ordering_at_cutoffs(run, run, topics, [0, 5], RboParams(0.8, 1000))
+
     def test_cutoff_beyond_length_is_noop(self, rng):
         a = random_run(rng, "a", 3, 10)
         b = random_run(rng, "b", 3, 10)
@@ -180,3 +259,23 @@ class TestOrderingAtCutoffs:
         full = ordering_at_cutoffs(a, b, topics, [10], params)[10]
         huge = ordering_at_cutoffs(a, b, topics, [999], params)[999]
         assert full == huge
+
+
+class TestPerTopicUndefinedCases:
+    def test_single_item_rankings_give_none(self):
+        a = make_run("a", {"1": ["top", "x"], "2": ["p", "q", "r"]})
+        b = make_run("b", {"1": ["top", "y"], "2": ["q", "p", "r"]})
+        topics = TopicSet(("1", "2"))
+        out = tau_union_over_topics(a, b, topics, cutoff=1)
+        assert out == {"1": None, "2": None}
+        assert tau_union_over_topics(a, b, topics)["2"] == pytest.approx(1 / 3)
+
+    def test_other_kernel_errors_propagate(self, monkeypatch):
+        def broken(r_docs, s_docs, strict_lengths=False):
+            raise ValueError("kernel bug")
+
+        monkeypatch.setattr(ordering, "tau_union", broken)
+        a = make_run("a", {"1": ["p", "q", "r"]})
+        topics = TopicSet(("1",))
+        with pytest.raises(ValueError, match="kernel bug"):
+            tau_union_over_topics(a, a, topics)

@@ -2,6 +2,8 @@ import pytest
 
 from reprokit.errors import NoComparableTopicsError, TrecParseError
 from reprokit.trec_io import (
+    load_qrels,
+    load_run,
     parse_qrels,
     parse_run,
     serialize_run,
@@ -65,6 +67,21 @@ def test_malformed_line_errors():
 def test_parse_accepts_bytes():
     run = parse_run(b"301 Q0 NYT1 1 12.5 sys\n")
     assert run.doc_ids("301") == ["NYT1"]
+
+
+def test_utf8_bom_does_not_split_a_topic(tmp_path):
+    run_text = "301 Q0 A 1 2.0 sys\n301 Q0 B 2 1.0 sys\n"
+    qrels_text = "301 0 A 1\n301 0 B 0\n"
+    run_path = tmp_path / "run.txt"
+    qrels_path = tmp_path / "qrels.txt"
+    run_path.write_bytes(b"\xef\xbb\xbf" + run_text.encode())
+    qrels_path.write_bytes(b"\xef\xbb\xbf" + qrels_text.encode())
+    expected_run = parse_run(run_text)
+    for run in (load_run(str(run_path)), parse_run(run_path.read_bytes()),
+                parse_run("\ufeff" + run_text)):
+        assert run.topics == expected_run.topics
+    for qrels in (load_qrels(str(qrels_path)), parse_qrels(qrels_path.read_bytes())):
+        assert qrels.topics == {"301": {"A": 1, "B": 0}}
 
 
 def test_permuting_lines_gives_identical_run(rng):
