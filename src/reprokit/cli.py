@@ -10,9 +10,6 @@ Subcommands:
                  retrieve from different collections.
   correlate      rank a set of candidate runs under every measure and emit
                  the cross-measure Kendall correlation matrix.
-  fetch-dataset  download the public companion run archive used for the
-                 optional integration fixtures (qrels must be supplied by
-                 the user for licensing reasons).
 
 Exit code 0 means no errors (warnings permitted); failures print a
 machine-readable JSON error record to stderr.
@@ -25,7 +22,6 @@ import hashlib
 import json
 import os
 import sys
-import urllib.request
 
 from . import effects, meta, ordering, report, score_agreement, stats
 from .effectiveness import MeasureConfig, parse_measure_spec, score_run
@@ -33,10 +29,6 @@ from .errors import ConfigError, DegenerateTiesError, OverlapTooSmallError, Repr
 from .trec_io import Qrels, Run, load_qrels, load_run, topic_intersection
 
 DEFAULT_MEASURES = "P@10,AP@1000,nDCG@1000"
-DATASET_URL = (
-    "https://github.com/irgroup/sigir2020-measure-reproducibility"
-    "/archive/refs/heads/master.tar.gz"
-)
 
 _EXIT_CODES = {
     "config": 2,
@@ -378,11 +370,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--phi", type=float, default=0.8)
     p_cor.add_argument("--depth", type=int, default=1000)
     _add_common(p_cor)
-
-    p_fetch = sub.add_parser("fetch-dataset", help="download the companion run archive")
-    p_fetch.add_argument("--url", default=DATASET_URL)
-    p_fetch.add_argument("--dest", default=None,
-                         help="defaults to $REPROKIT_CACHE or ~/.cache/reprokit")
     return parser
 
 
@@ -470,18 +457,6 @@ def _cmd_correlate(args) -> int:
     return 0
 
 
-def _cmd_fetch_dataset(args) -> int:
-    dest_dir = args.dest or os.environ.get(
-        "REPROKIT_CACHE", os.path.expanduser("~/.cache/reprokit")
-    )
-    os.makedirs(dest_dir, exist_ok=True)
-    dest = os.path.join(dest_dir, os.path.basename(args.url.rstrip("/")) or "dataset.tar.gz")
-    sys.stderr.write(f"downloading {args.url} -> {dest}\n")
-    urllib.request.urlretrieve(args.url, dest)
-    sys.stdout.write(dest + "\n")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -489,7 +464,6 @@ def main(argv: list[str] | None = None) -> int:
         "replicate": _cmd_replicate,
         "reproduce": _cmd_reproduce,
         "correlate": _cmd_correlate,
-        "fetch-dataset": _cmd_fetch_dataset,
     }
     try:
         return handlers[args.command](args)

@@ -93,12 +93,22 @@ class TopicScoreVector:
             )
 
 
+def _judged_hits(ranking: Sequence[str], grades: Mapping[str, int],
+                 k: int | None) -> list[tuple[int, int]]:
+    """(rank, grade) of each top-k document with a nonzero grade, in rank order.
+
+    An unjudged or grade-0 document adds no term, or a +0.0 term, to every
+    sum below, so leaving it out changes no score.
+    """
+    return [(i, g) for i, g in enumerate(map(grades.get, ranking[:k]), start=1) if g]
+
+
 def precision_at_k(ranking: Sequence[str], grades: Mapping[str, int], k: int,
                    threshold: int = 1) -> float:
     """Fraction of the top-k that is relevant; short lists pad as non-relevant."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    hits = sum(1 for d in ranking[:k] if grades.get(d, 0) >= threshold)
+    hits = sum(1 for _, g in _judged_hits(ranking, grades, k) if g >= threshold)
     return hits / k
 
 
@@ -112,11 +122,10 @@ def average_precision(ranking: Sequence[str], grades: Mapping[str, int],
     n_rel = sum(1 for g in grades.values() if g >= threshold)
     if n_rel == 0:
         raise ValueError("topic has no relevant documents; filter upstream")
-    considered = ranking if cutoff is None else ranking[:cutoff]
     hits = 0
     total = 0.0
-    for i, doc in enumerate(considered, start=1):
-        if grades.get(doc, 0) >= threshold:
+    for i, g in _judged_hits(ranking, grades, cutoff):
+        if g >= threshold:
             hits += 1
             total += hits / i
     return total / n_rel
@@ -124,18 +133,18 @@ def average_precision(ranking: Sequence[str], grades: Mapping[str, int],
 
 def ndcg_at_k(ranking: Sequence[str], grades: Mapping[str, int], k: int,
               exponential_gain: bool = False) -> float:
-    """DCG@k over ideal DCG@k; ideal ranking sorts the judged grades descending."""
+    """DCG@k over ideal DCG@k; ideal ranking sorts the positive grades descending.
+
+    Grades are >= 0, so grade-0 documents add nothing to either sum.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
     def gain(g: int) -> float:
         return (2.0 ** g - 1.0) if exponential_gain else float(g)
 
-    dcg = sum(
-        gain(grades.get(doc, 0)) / math.log2(i + 1)
-        for i, doc in enumerate(ranking[:k], start=1)
-    )
-    ideal = sorted(grades.values(), reverse=True)[:k]
+    dcg = sum(gain(g) / math.log2(i + 1) for i, g in _judged_hits(ranking, grades, k))
+    ideal = sorted((g for g in grades.values() if g > 0), reverse=True)[:k]
     idcg = sum(gain(g) / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
     if idcg == 0:
         raise ValueError("topic has no relevant documents; filter upstream")
@@ -167,5 +176,5 @@ def score_run(run: Run, qrels: Qrels, topics: TopicSet, cfg: MeasureConfig,
                 warnings.append(f"run {run.tag!r} missing topic {topic}, scored 0")
             scores[topic] = 0.0
             continue
-        scores[topic] = score_topic(run.doc_ids(topic), qrels.topics.get(topic, {}), cfg)
+        scores[topic] = score_topic(run.topics[topic].doc_ids, qrels.topics.get(topic, {}), cfg)
     return TopicScoreVector(measure=cfg.label, run_tag=run.tag, scores=scores)

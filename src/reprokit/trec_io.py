@@ -12,14 +12,15 @@ Parsed structures are canonicalized: within a topic, documents are ordered
 by (score descending, doc-id descending) and re-ranked consecutively from 1.
 File ranks are ignored since they are frequently inconsistent in the wild;
 only scores define order. The doc-id tie-break mirrors the de-facto
-trec_eval convention.
+trec_eval convention. Each topic is held as one :class:`Ranking` of parallel
+doc-id and score tuples, not as one object per document.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterator, Union
 
 from .errors import NoComparableTopicsError, TrecParseError
 
@@ -27,22 +28,23 @@ TextSource = Union[str, bytes, IO]
 
 
 @dataclass(frozen=True)
-class ScoredDoc:
-    doc_id: str
-    rank: int
-    score: float
+class Ranking:
+    """One topic in canonical order: the document at index i has rank i + 1."""
+
+    doc_ids: tuple[str, ...]
+    scores: tuple[float, ...]
 
 
 @dataclass
 class Run:
-    """One system's output: per-topic ranked document lists with scores."""
+    """One system's output: a canonical :class:`Ranking` per topic."""
 
     tag: str
-    topics: dict[str, list[ScoredDoc]]
+    topics: dict[str, Ranking]
     warnings: list[str] = field(default_factory=list)
 
     def doc_ids(self, topic: str) -> list[str]:
-        return [d.doc_id for d in self.topics[topic]]
+        return list(self.topics[topic].doc_ids)
 
     def topic_ids(self) -> list[str]:
         return list(self.topics)
@@ -100,25 +102,25 @@ def _iter_lines(source: TextSource) -> Iterator[tuple[int, str]]:
             yield i, line
 
 
-def _canonical_order(docs: Iterable[ScoredDoc]) -> list[ScoredDoc]:
-    """Score descending, doc-id descending, ranks rewritten from 1."""
-    ordered = sorted(docs, key=lambda d: d.doc_id, reverse=True)
-    ordered.sort(key=lambda d: d.score, reverse=True)
-    return [ScoredDoc(d.doc_id, i, d.score) for i, d in enumerate(ordered, start=1)]
+def _canonical_ranking(scores: dict[str, float]) -> Ranking:
+    """Score descending, doc-id descending (ids are unique within a topic)."""
+    doc_ids = sorted(scores, reverse=True)
+    doc_ids.sort(key=scores.__getitem__, reverse=True)
+    return Ranking(tuple(doc_ids), tuple(map(scores.__getitem__, doc_ids)))
 
 
 def parse_run(source: TextSource, mode: str = "strict") -> Run:
     """Parse a TREC run file into a canonical :class:`Run`.
 
     In strict mode a duplicate doc-id within a topic is an error; in lenient
-    mode the higher-scored instance wins and a warning is recorded.
+    mode the strictly higher-scored instance wins and a warning is recorded.
+    A NaN score is rejected, since it has no place in a score order.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown mode {mode!r}")
     tag = None
-    by_topic: dict[str, dict[str, ScoredDoc]] = {}
+    by_topic: dict[str, dict[str, float]] = {}
     warnings: list[str] = []
-    n_lines = 0
     for line_no, line in _iter_lines(source):
         parts = line.split()
         if len(parts) != 6:
@@ -132,22 +134,23 @@ def parse_run(source: TextSource, mode: str = "strict") -> Run:
             score = float(score_str)
         except ValueError as e:
             raise TrecParseError(f"line {line_no}: non-numeric score {score_str!r}") from e
+        if score != score:
+            raise TrecParseError(f"line {line_no}: non-numeric score {score_str!r}")
         if tag is None:
             tag = line_tag
         docs = by_topic.setdefault(topic, {})
         if doc_id in docs:
             if mode == "strict":
                 raise TrecParseError(f"line {line_no}: duplicate doc {doc_id!r} in topic {topic}")
-            if score > docs[doc_id].score:
-                docs[doc_id] = ScoredDoc(doc_id, 0, score)
+            if score > docs[doc_id]:
+                docs[doc_id] = score
             warnings.append(f"line {line_no}: duplicate doc {doc_id!r} in topic {topic}, kept higher score")
         else:
-            docs[doc_id] = ScoredDoc(doc_id, 0, score)
-        n_lines += 1
-    if n_lines == 0:
+            docs[doc_id] = score
+    if tag is None:
         raise TrecParseError("empty run input")
     topics = {
-        t: _canonical_order(by_topic[t].values())
+        t: _canonical_ranking(by_topic[t])
         for t in sorted(by_topic, key=_topic_sort_key)
     }
     return Run(tag=tag, topics=topics, warnings=warnings)
@@ -204,9 +207,9 @@ def load_qrels(path: str) -> Qrels:
 def serialize_run(run: Run) -> str:
     """Render a canonical run back to 6-column text (round-trip stable)."""
     lines = []
-    for topic, docs in run.topics.items():
-        for d in docs:
-            lines.append(f"{topic} Q0 {d.doc_id} {d.rank} {d.score:.6f} {run.tag}")
+    for topic, ranking in run.topics.items():
+        for rank, (doc_id, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1):
+            lines.append(f"{topic} Q0 {doc_id} {rank} {score:.6f} {run.tag}")
     return "\n".join(lines) + "\n"
 
 

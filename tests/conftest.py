@@ -7,7 +7,7 @@ import random
 import pytest
 
 from reprokit.effectiveness import TopicScoreVector
-from reprokit.trec_io import Qrels, Run, ScoredDoc
+from reprokit.trec_io import Qrels, Ranking, Run
 
 
 def make_run(tag: str, topic_docs: dict[str, list[str]]) -> Run:
@@ -15,9 +15,7 @@ def make_run(tag: str, topic_docs: dict[str, list[str]]) -> Run:
     topics = {}
     for topic, docs in topic_docs.items():
         n = len(docs)
-        topics[topic] = [
-            ScoredDoc(doc, i + 1, float(n - i)) for i, doc in enumerate(docs)
-        ]
+        topics[topic] = Ranking(tuple(docs), tuple(float(n - i) for i in range(n)))
     return Run(tag=tag, topics=topics)
 
 
@@ -50,10 +48,10 @@ def random_run(rng: random.Random, tag: str, n_topics: int, n_docs: int,
 def random_qrels(rng: random.Random, run: Run, max_grade: int = 3) -> Qrels:
     """Judge every retrieved doc, guaranteeing >= 1 relevant doc per topic."""
     grades = {}
-    for topic, docs in run.topics.items():
-        judged = {d.doc_id: rng.randint(0, max_grade) for d in docs}
+    for topic, ranking in run.topics.items():
+        judged = {d: rng.randint(0, max_grade) for d in ranking.doc_ids}
         if not any(g > 0 for g in judged.values()):
-            judged[docs[0].doc_id] = 1
+            judged[ranking.doc_ids[0]] = 1
         grades[topic] = judged
     return make_qrels(grades)
 

@@ -49,6 +49,59 @@ def brute_ndcg_at_k(ranking, grades, k, exponential=False):
     return dcg / idcg
 
 
+def brute_parse_run(text, mode="strict"):
+    """Parse TREC run text with a plain line loop.
+
+    Returns ``(tag, topics, warnings)``, where ``topics`` is a list of
+    ``(topic, [(doc_id, score), ...])`` in canonical order: numeric topic ids
+    ascending, then the others lexicographically; within a topic score
+    descending, ties by doc id descending. Bad input raises ``ValueError``
+    carrying the message the package's parse error should carry.
+    """
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    tag = None
+    by_topic = {}
+    warnings = []
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        cols = raw.split()
+        if not cols:
+            continue
+        if len(cols) != 6:
+            raise ValueError(f"line {line_no}: expected 6 columns, got {len(cols)}: {raw.strip()!r}")
+        topic, _q0, doc, rank_text, score_text, run_tag = cols
+        try:
+            int(rank_text)
+        except ValueError:
+            raise ValueError(f"line {line_no}: non-integer rank {rank_text!r}") from None
+        try:
+            score = float(score_text)
+        except ValueError:
+            score = math.nan
+        if math.isnan(score):
+            raise ValueError(f"line {line_no}: non-numeric score {score_text!r}")
+        if tag is None:
+            tag = run_tag
+        docs = by_topic.setdefault(topic, {})
+        if doc in docs:
+            if mode == "strict":
+                raise ValueError(f"line {line_no}: duplicate doc {doc!r} in topic {topic}")
+            warnings.append(f"line {line_no}: duplicate doc {doc!r} in topic {topic}, kept higher score")
+            if score > docs[doc]:
+                docs[doc] = score
+        else:
+            docs[doc] = score
+    if tag is None:
+        raise ValueError("empty run input")
+    numeric = sorted((t for t in by_topic if t.isdigit()), key=int)
+    other = sorted(t for t in by_topic if not t.isdigit())
+    topics = []
+    for topic in numeric + other:
+        ranked = sorted(by_topic[topic].items(), key=lambda item: (item[1], item[0]), reverse=True)
+        topics.append((topic, ranked))
+    return tag, topics, warnings
+
+
 def brute_kendall_tau(x, y):
     """Exhaustive pair enumeration of concordant/discordant/tied pairs."""
     n = len(x)

@@ -2,7 +2,7 @@
 
 Each test covers one numbered acceptance criterion and prints a PASS line
 on success (visible with ``pytest -s`` or in the captured-output summary).
-Criterion 7 needs the fetched companion run archive plus NIST qrels and is
+Criterion 7 needs the unpacked companion run archive plus NIST qrels and is
 skipped unless REPROKIT_DATASET / REPROKIT_QRELS_CORE17 point at them;
 criteria 1-6 and 8 stand alone.
 """
@@ -142,8 +142,8 @@ def _demote_relevant(run, qrels, shift, tag):
     from conftest import make_run
 
     topic_docs = {}
-    for topic, docs in run.topics.items():
-        ids = [d.doc_id for d in docs]
+    for topic in run.topics:
+        ids = run.doc_ids(topic)
         relevant = [d for d in ids if qrels.grade(topic, d) > 0]
         for doc in reversed(relevant):
             pos = ids.index(doc)
@@ -178,6 +178,8 @@ def test_criterion_6_degradation_monotonicity():
                f"RMSE non-decreasing {['%.3f' % v for v in rmses]} ({elapsed:.2f}s)")
 
 
+DATASET_URL = ("https://github.com/irgroup/sigir2020-measure-reproducibility"
+               "/archive/refs/heads/master.tar.gz")
 DATASET_DIR = os.environ.get("REPROKIT_DATASET", "")
 QRELS_CORE17 = os.environ.get("REPROKIT_QRELS_CORE17", "")
 
@@ -193,7 +195,8 @@ def _find(pattern):
 @pytest.mark.skipif(
     not (DATASET_DIR and os.path.isdir(DATASET_DIR) and QRELS_CORE17
          and os.path.isfile(QRELS_CORE17)),
-    reason="set REPROKIT_DATASET (fetched archive) and REPROKIT_QRELS_CORE17 (NIST qrels)",
+    reason=f"set REPROKIT_DATASET (the unpacked archive {DATASET_URL}) "
+           "and REPROKIT_QRELS_CORE17 (NIST qrels)",
 )
 def test_criterion_7_dataset_fixtures():
     from reprokit.cli import build_replicate_report

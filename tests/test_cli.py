@@ -13,9 +13,9 @@ from conftest import make_qrels, make_run, random_qrels, random_run
 
 def write_run(path, run: Run):
     lines = []
-    for topic, docs in run.topics.items():
-        for d in docs:
-            lines.append(f"{topic} Q0 {d.doc_id} {d.rank} {d.score:.4f} {run.tag}")
+    for topic, ranking in run.topics.items():
+        for rank, (doc_id, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1):
+            lines.append(f"{topic} Q0 {doc_id} {rank} {score:.4f} {run.tag}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -143,6 +143,20 @@ class TestReplicate:
         assert code != 0
         err = json.loads(capsys.readouterr().err)
         assert "error" in err
+
+    def test_nan_score_is_a_parse_error(self, workspace, capsys):
+        tmp, paths = workspace
+        bad = tmp / "nan.run"
+        bad.write_text("301 Q0 A 1 2.0 sys\n301 Q0 Z 2 nan sys\n")
+        code = main([
+            "replicate",
+            "--run-orig", str(paths["orig"]),
+            "--run-rpl", str(bad),
+            "--qrels", str(paths["qrels"]),
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "parse", "message": f"{bad}: line 2: non-numeric score 'nan'"}
 
     def test_baseline_flags_must_pair(self, workspace, capsys):
         tmp, paths = workspace

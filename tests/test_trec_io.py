@@ -1,4 +1,8 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reprokit.errors import NoComparableTopicsError, TrecParseError
 from reprokit.trec_io import (
@@ -10,6 +14,7 @@ from reprokit.trec_io import (
     topic_intersection,
 )
 
+import oracles
 from conftest import make_qrels, make_run
 
 RUN_TEXT = """\
@@ -20,15 +25,15 @@ RUN_TEXT = """\
 def test_parse_single_line():
     run = parse_run(RUN_TEXT)
     assert run.tag == "sys"
-    assert run.topics["301"][0].doc_id == "NYT1"
-    assert run.topics["301"][0].rank == 1
-    assert run.topics["301"][0].score == 12.5
+    assert run.topics["301"].doc_ids[0] == "NYT1"
+    assert serialize_run(run).split()[3] == "1"
+    assert run.topics["301"].scores[0] == 12.5
 
 
 def test_canonical_order_puts_higher_score_first():
     run = parse_run("301 Q0 A 1 1.0 sys\n301 Q0 B 2 2.0 sys\n")
     assert run.doc_ids("301") == ["B", "A"]
-    assert [d.rank for d in run.topics["301"]] == [1, 2]
+    assert [line.split()[3] for line in serialize_run(run).splitlines()] == ["1", "2"]
 
 
 def test_tie_break_docid_descending():
@@ -51,7 +56,7 @@ def test_duplicate_doc_lenient_keeps_higher_score():
     text = "301 Q0 A 1 1.0 sys\n301 Q0 A 2 3.0 sys\n301 Q0 B 3 2.0 sys\n"
     run = parse_run(text, mode="lenient")
     assert run.doc_ids("301") == ["A", "B"]
-    assert run.topics["301"][0].score == 3.0
+    assert run.topics["301"].scores[0] == 3.0
     assert len(run.warnings) == 1
 
 
@@ -62,6 +67,84 @@ def test_malformed_line_errors():
         parse_run("301 Q0 A 1 abc sys\n")
     with pytest.raises(TrecParseError, match="empty"):
         parse_run("")
+
+
+def test_nan_score_is_rejected_infinities_are_kept():
+    text = "301 Q0 A 1 2.0 sys\n301 Q0 Z 2 nan sys\n301 Q0 BB 3 1.0 sys\n"
+    with pytest.raises(TrecParseError, match="line 2: non-numeric score 'nan'"):
+        parse_run(text, mode="lenient")
+    with pytest.raises(TrecParseError, match="line 1: non-numeric score 'NaN'"):
+        parse_run("301 Q0 A 1 NaN sys\n")
+    run = parse_run("301 Q0 A 1 -inf sys\n301 Q0 B 2 1.0 sys\n301 Q0 C 3 inf sys\n")
+    assert run.doc_ids("301") == ["C", "B", "A"]
+    assert run.topics["301"].scores == (float("inf"), 1.0, float("-inf"))
+
+
+def test_parsed_run_holds_little_memory():
+    # 50 topics x 1000 docs; with one object per document this run held about 10 MB
+    text = "".join(f"{t} Q0 LA{t:04d}89-{d:04d} {d + 1} {(1000 - d) / 8:.3f} sys\n"
+                   for t in range(301, 351) for d in range(1000))
+    tracemalloc.start()
+    try:
+        run = parse_run(text)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(run.topics) == 50 and len(run.topics["350"].doc_ids) == 1000
+    assert held < 7 * 2**20, f"parsed run holds {held / 2**20:.1f} MB"
+
+
+_TOPICS = ("301", "302", "2", "10", "q7")
+_DOCS = ("A", "B", "BB", "Z", "d10", "d9")
+# "1", "1.0" and "1e0" tie, as do "0" and "-0.0"
+_SCORES = ("1", "1.0", "1e0", "2.5", "0", "-0.0", "-3", "inf", "-inf")
+_BAD = {
+    "rank": ("x", "1.5", "r1"),
+    "score": ("abc", "nan", "-NaN", "1,5"),
+}
+
+
+@st.composite
+def _run_texts(draw):
+    def row():
+        return [draw(st.sampled_from(_TOPICS)), "Q0", draw(st.sampled_from(_DOCS)),
+                str(draw(st.integers(-3, 1500))), draw(st.sampled_from(_SCORES)),
+                draw(st.sampled_from(("tagA", "tagB")))]
+
+    rows = [row() for _ in range(draw(st.integers(0, 25)))]
+    lines = [draw(st.sampled_from((" ", "\t", "  "))).join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", "  ", "\t"))))
+    fault = draw(st.sampled_from((None, "columns", "rank", "score")))
+    if fault is not None:
+        bad = row()
+        if fault == "columns":
+            n = draw(st.sampled_from((1, 2, 3, 4, 5, 7)))
+            bad = (bad + ["extra"])[:n]
+        else:
+            bad[3 if fault == "rank" else 4] = draw(st.sampled_from(_BAD[fault]))
+        lines.insert(draw(st.integers(0, len(lines))), " ".join(bad))
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    text = eol.join(lines) + draw(st.sampled_from(("", eol)))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_run_texts(), mode=st.sampled_from(("strict", "lenient")), as_bytes=st.booleans())
+def test_parse_run_matches_brute_force_parser(text, mode, as_bytes):
+    source = text.encode() if as_bytes else text
+    try:
+        expected = oracles.brute_parse_run(text, mode)
+    except ValueError as e:
+        with pytest.raises(TrecParseError) as info:
+            parse_run(source, mode=mode)
+        assert str(info.value) == str(e)
+        return
+    run = parse_run(source, mode=mode)
+    got = [(t, list(zip(r.doc_ids, r.scores))) for t, r in run.topics.items()]
+    assert (run.tag, got, run.warnings) == expected
 
 
 def test_parse_accepts_bytes():
