@@ -51,8 +51,6 @@ class EffectSummary:
     run_id: str
     measure: str
     mode: str
-    delta_orig: tuple[float, ...]
-    delta_rep: tuple[float, ...]
     er: float
     ri: float
     ri_prime: float
@@ -120,8 +118,6 @@ def classify_region(er: float, dri: float) -> str:
 
 
 def summarize_effect(inp: EffectInput, run_id: str = "", measure: str = "") -> EffectSummary:
-    delta_orig = per_topic_improvements(inp.b, inp.a)
-    delta_rep = per_topic_improvements(inp.b_prime, inp.a_prime)
     er = effect_ratio(inp)
     ri = relative_improvement(inp.b, inp.a)
     ri_prime = relative_improvement(inp.b_prime, inp.a_prime)
@@ -130,8 +126,6 @@ def summarize_effect(inp: EffectInput, run_id: str = "", measure: str = "") -> E
         run_id=run_id or inp.a_prime.run_tag,
         measure=measure or inp.a.measure,
         mode=inp.mode,
-        delta_orig=tuple(delta_orig),
-        delta_rep=tuple(delta_rep),
         er=er,
         ri=ri,
         ri_prime=ri_prime,

@@ -46,9 +46,6 @@ class Run:
     def doc_ids(self, topic: str) -> list[str]:
         return list(self.topics[topic].doc_ids)
 
-    def topic_ids(self) -> list[str]:
-        return list(self.topics)
-
 
 @dataclass
 class Qrels:
@@ -85,7 +82,7 @@ class TopicSet:
 
 def _topic_sort_key(topic: str):
     # numeric topic ids sort numerically, anything else lexicographically after
-    return (0, int(topic), "") if topic.isdigit() else (1, 0, topic)
+    return (0, int(topic), "") if topic.isdecimal() else (1, 0, topic)
 
 
 def _iter_lines(source: TextSource) -> Iterator[tuple[int, str]]:

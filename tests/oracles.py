@@ -93,8 +93,8 @@ def brute_parse_run(text, mode="strict"):
             docs[doc] = score
     if tag is None:
         raise ValueError("empty run input")
-    numeric = sorted((t for t in by_topic if t.isdigit()), key=int)
-    other = sorted(t for t in by_topic if not t.isdigit())
+    numeric = sorted((t for t in by_topic if t.isdecimal()), key=int)
+    other = sorted(t for t in by_topic if not t.isdecimal())
     topics = []
     for topic in numeric + other:
         ranked = sorted(by_topic[topic].items(), key=lambda item: (item[1], item[0]), reverse=True)

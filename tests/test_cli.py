@@ -1,12 +1,14 @@
+import hashlib
 import json
+import os
 import random
 
 import pytest
 
-from reprokit import ordering
+from reprokit import meta, ordering
 from reprokit.cli import build_replicate_report, main
 from reprokit.effectiveness import parse_measure_spec
-from reprokit.trec_io import Run
+from reprokit.trec_io import Run, load_qrels, load_run
 
 from conftest import make_qrels, make_run, random_qrels, random_run
 
@@ -169,6 +171,38 @@ class TestReplicate:
         ])
         assert code == 2
 
+    def test_non_integer_cutoff_is_a_config_error(self, workspace, capsys):
+        tmp, paths = workspace
+        code = main([
+            "replicate",
+            "--run-orig", str(paths["orig"]),
+            "--run-rpl", str(paths["rpl"]),
+            "--qrels", str(paths["qrels"]),
+            "--cutoffs", "10,abc",
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "10,abc" in err["message"]
+
+    def test_non_decimal_digit_topic_is_compared(self, tmp_path, capsys):
+        # '\u00b2'.isdigit() is true but int() rejects it: it must sort as a name
+        (tmp_path / "a.run").write_text(
+            "\u00b2 Q0 A 1 2.0 a\n\u00b2 Q0 B 2 1.0 a\n301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n",
+            encoding="utf-8")
+        (tmp_path / "q.txt").write_text("\u00b2 0 A 1\n301 0 B 1\n", encoding="utf-8")
+        code = main([
+            "replicate",
+            "--run-orig", str(tmp_path / "a.run"),
+            "--run-rpl", str(tmp_path / "a.run"),
+            "--qrels", str(tmp_path / "q.txt"),
+            "--measures", "P@2",
+            "--format", "json",
+        ])
+        assert code == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["topics"] == 2
+        assert rep["measures"]["P@2"]["arp_orig"] == 0.5
 
     def test_tau_intersection_undefined_topic_is_excluded(self):
         orig = make_run("orig", {"1": ["a", "b", "c"], "2": ["p", "q", "r"]})
@@ -249,6 +283,91 @@ class TestCorrelate:
         mpath = tmp / "manifest.json"
         mpath.write_text(json.dumps(manifest))
         return mpath
+
+    def _manifest_with_baselines(self, tmp, paths, rng):
+        """Four candidates, each with a baseline; cand2 lacks topic 303."""
+        write_run(tmp / "b_orig.run", random_run(rng, "b_orig", 6, 20))
+        candidates = []
+        for i in range(4):
+            run = random_run(rng, f"cand{i}", 6, 20)
+            if i == 2:
+                del run.topics["303"]
+            write_run(tmp / f"cand{i}.run", run)
+            write_run(tmp / f"base{i}.run", random_run(rng, f"base{i}", 6, 20))
+            candidates.append({"run": f"cand{i}.run", "run_b": f"base{i}.run"})
+        mpath = tmp / "manifest.json"
+        mpath.write_text(json.dumps({
+            "qrels": paths["qrels"].name,
+            "run_orig": paths["orig"].name,
+            "run_b_orig": "b_orig.run",
+            "candidates": candidates,
+        }))
+        return mpath, candidates
+
+    def test_values_match_replicate_per_candidate(self, workspace, rng, capsys):
+        tmp, paths = workspace
+        mpath, candidates = self._manifest_with_baselines(tmp, paths, rng)
+        argv = ["correlate", "--manifest", str(mpath)]
+        assert main(argv + ["--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        labels = ["P@10", "AP@1000", "nDCG@1000"]
+        assert rep["measure_ids"] == (
+            ["tau", "rbo"]
+            + [f"{key}_{label}" for label in labels for key in ("delta_arp", "rmse", "p_value")]
+            + [f"er_{label}" for label in labels]
+        )
+
+        def load(name):
+            return load_run(str(tmp / name), mode="lenient")
+
+        orig, b_orig = load(paths["orig"].name), load("b_orig.run")
+        qrels = load_qrels(str(paths["qrels"]))
+        raw, topic_counts = {}, []
+        for cand in candidates:
+            r = build_replicate_report(
+                orig, load(cand["run"]), qrels, [parse_measure_spec(x) for x in labels],
+                baseline_orig=b_orig, baseline_rpl=load(cand["run_b"]),
+            )
+            topic_counts.append(r["topics"])
+            values = {"tau": r["ordering"]["tau_union_mean"], "rbo": r["ordering"]["rbo_mean"]}
+            for label in labels:
+                for key in ("delta_arp", "rmse", "p_value"):
+                    values[f"{key}_{label}"] = r["measures"][label][key]
+                values[f"er_{label}"] = r["effects"][label]["er"]
+            for mid, value in values.items():
+                raw.setdefault(mid, {})[cand["run"]] = value
+        assert topic_counts == [6, 6, 5, 6]
+        for mid in rep["measure_ids"]:
+            got = dict(zip(rep["rankings"][mid]["runs"], rep["rankings"][mid]["badness"]))
+            assert got == {run: meta.consistency_transform(mid, v) for run, v in raw[mid].items()}
+        rankings = [meta.rank_runs(mid, raw[mid]) for mid in rep["measure_ids"]]
+        assert rep["matrix_csv"] == meta.matrix_to_csv(
+            meta.correlation_matrix(rankings), rep["measure_ids"])
+
+        assert main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out == rep["matrix_csv"]
+        assert main(argv) == 0
+        flags = [f"{f['a']} vs {f['b']}: tau={f['tau']:.4f} ({f['label']})" for f in rep["flags"]]
+        assert capsys.readouterr().out == rep["matrix_csv"] + "\n" + "\n".join(flags) + "\n"
+
+    def test_provenance_digests_every_input(self, workspace, rng, capsys):
+        tmp, paths = workspace
+        mpath, _ = self._manifest_with_baselines(tmp, paths, rng)
+        argv = ["correlate", "--manifest", str(mpath), "--format", "json"]
+        assert main(argv + ["--provenance"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        inputs = rep.pop("provenance")["inputs"]
+        assert {role: os.path.basename(v["path"]) for role, v in inputs.items()} == {
+            "manifest": "manifest.json", "qrels": "qrels.txt", "run_orig": "orig.run",
+            "run_b_orig": "b_orig.run",
+            **{f"candidates[{i}].run": f"cand{i}.run" for i in range(4)},
+            **{f"candidates[{i}].run_b": f"base{i}.run" for i in range(4)},
+        }
+        for v in inputs.values():
+            with open(v["path"], "rb") as f:
+                assert v["sha256"] == hashlib.sha256(f.read()).hexdigest()
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == rep
 
     def test_two_candidates_matrix(self, workspace, rng, capsys):
         tmp, paths = workspace

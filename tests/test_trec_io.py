@@ -94,7 +94,7 @@ def test_parsed_run_holds_little_memory():
     assert held < 7 * 2**20, f"parsed run holds {held / 2**20:.1f} MB"
 
 
-_TOPICS = ("301", "302", "2", "10", "q7")
+_TOPICS = ("301", "302", "2", "10", "q7", "\u00b2")
 _DOCS = ("A", "B", "BB", "Z", "d10", "d9")
 # "1", "1.0" and "1e0" tie, as do "0" and "-0.0"
 _SCORES = ("1", "1.0", "1e0", "2.5", "0", "-0.0", "-3", "inf", "-inf")
@@ -231,3 +231,8 @@ def test_topic_order_numeric_ascending():
     a = make_run("a", {"10": ["d"], "2": ["d"], "301": ["d"]})
     q = make_qrels({t: {"d": 1} for t in ("10", "2", "301")})
     assert topic_intersection(a, a, q).ids == ("2", "10", "301")
+
+
+def test_non_decimal_digit_topic_sorts_after_numeric_ones():
+    run = parse_run("\u00b2 Q0 A 1 1 t\n10 Q0 A 1 1 t\n2 Q0 A 1 1 t\n")
+    assert list(run.topics) == ["2", "10", "\u00b2"]
