@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateTiesError
 from .ordering import kendall_tau
 
 # transform family by measure-id prefix; longest prefixes checked first
@@ -73,7 +73,9 @@ def correlation_matrix(rankings: Sequence[MeasureRanking]) -> np.ndarray:
     """Pairwise Kendall tau between measures over per-run badness values.
 
     Correlations pair badness values per run (ties handled by the tau
-    kernel's tie terms), so equal-badness runs do not inject noise.
+    kernel's tie terms), so equal-badness runs do not inject noise. A pair
+    with no defined tau (one measure gives every run the same badness) is NaN:
+    a blank cell in :func:`matrix_to_csv` and no flag.
     """
     if len(rankings) < 2:
         raise ConfigError("need at least 2 measure rankings")
@@ -92,7 +94,10 @@ def correlation_matrix(rankings: Sequence[MeasureRanking]) -> np.ndarray:
     mat = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
-            mat[i, j] = mat[j, i] = kendall_tau(vectors[i], vectors[j])
+            try:
+                mat[i, j] = mat[j, i] = kendall_tau(vectors[i], vectors[j])
+            except DegenerateTiesError:
+                mat[i, j] = mat[j, i] = np.nan
     return mat
 
 
@@ -104,6 +109,8 @@ def flag_equivalences(matrix: np.ndarray,
     for i in range(len(measure_ids)):
         for j in range(i + 1, len(measure_ids)):
             tau = float(matrix[i, j])
+            if tau != tau:
+                continue
             if tau > EQUIVALENT_THRESHOLD:
                 label = "equivalent"
             elif tau < DIFFERENT_THRESHOLD:
@@ -117,5 +124,5 @@ def flag_equivalences(matrix: np.ndarray,
 def matrix_to_csv(matrix: np.ndarray, measure_ids: Sequence[str]) -> str:
     lines = ["measure," + ",".join(measure_ids)]
     for i, mid in enumerate(measure_ids):
-        lines.append(mid + "," + ",".join(f"{matrix[i, j]:.4f}" for j in range(len(measure_ids))))
+        lines.append(mid + "," + ",".join("" if v != v else f"{v:.4f}" for v in matrix[i]))
     return "\n".join(lines) + "\n"

@@ -14,11 +14,15 @@ File ranks are ignored since they are frequently inconsistent in the wild;
 only scores define order. The doc-id tie-break mirrors the de-facto
 trec_eval convention. Each topic is held as one :class:`Ranking` of parallel
 doc-id and score tuples, not as one object per document.
+
+Files are read one line at a time in a single pass and never whole, so memory
+grows with the parsed run, not with the file text.
 """
 
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import IO, Iterator, Union
 
@@ -85,25 +89,28 @@ def _topic_sort_key(topic: str):
     return (0, int(topic), "") if topic.isdecimal() else (1, 0, topic)
 
 
-def _iter_lines(source: TextSource) -> Iterator[tuple[int, str]]:
-    """Yield (line_no, stripped_line), skipping blank lines and a UTF-8 BOM."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8-sig")
+@contextmanager
+def _text_lines(source: TextSource) -> Iterator[IO[str]]:
+    """Text lines of the source, read one at a time. ``str``, ``bytes`` and binary
+    streams are UTF-8 less a leading BOM; a binary stream is left open for the caller."""
     if isinstance(source, str):
         source = io.StringIO(source.removeprefix("\ufeff"))
-    for i, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8-sig")
-        line = raw.strip()
-        if line:
-            yield i, line
+    elif isinstance(source, bytes):
+        source = io.BytesIO(source)
+    if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        yield source
+        return
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
+    try:
+        yield text
+    finally:
+        text.detach()
 
 
 def _canonical_ranking(scores: dict[str, float]) -> Ranking:
     """Score descending, doc-id descending (ids are unique within a topic)."""
-    doc_ids = sorted(scores, reverse=True)
-    doc_ids.sort(key=scores.__getitem__, reverse=True)
-    return Ranking(tuple(doc_ids), tuple(map(scores.__getitem__, doc_ids)))
+    ranked_scores, doc_ids = zip(*sorted(zip(scores.values(), scores), reverse=True))
+    return Ranking(doc_ids, ranked_scores)
 
 
 def parse_run(source: TextSource, mode: str = "strict") -> Run:
@@ -115,41 +122,44 @@ def parse_run(source: TextSource, mode: str = "strict") -> Run:
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown mode {mode!r}")
-    tag = None
+    tag = topic = docs = None
     by_topic: dict[str, dict[str, float]] = {}
     warnings: list[str] = []
-    for line_no, line in _iter_lines(source):
-        parts = line.split()
-        if len(parts) != 6:
-            raise TrecParseError(f"line {line_no}: expected 6 columns, got {len(parts)}: {line!r}")
-        topic, _q0, doc_id, rank_str, score_str, line_tag = parts
-        try:
-            int(rank_str)
-        except ValueError as e:
-            raise TrecParseError(f"line {line_no}: non-integer rank {rank_str!r}") from e
-        try:
-            score = float(score_str)
-        except ValueError as e:
-            raise TrecParseError(f"line {line_no}: non-numeric score {score_str!r}") from e
-        if score != score:
-            raise TrecParseError(f"line {line_no}: non-numeric score {score_str!r}")
-        if tag is None:
-            tag = line_tag
-        docs = by_topic.setdefault(topic, {})
-        if doc_id in docs:
-            if mode == "strict":
-                raise TrecParseError(f"line {line_no}: duplicate doc {doc_id!r} in topic {topic}")
-            if score > docs[doc_id]:
+    with _text_lines(source) as lines:
+        for line_no, line in enumerate(lines, start=1):
+            parts = line.split()
+            if len(parts) != 6:
+                if not parts:
+                    continue
+                raise TrecParseError(f"line {line_no}: expected 6 columns, got {len(parts)}: {line.strip()!r}")
+            line_topic, _q0, doc_id, rank_str, score_str, line_tag = parts
+            if not rank_str.isdecimal():
+                try:
+                    int(rank_str)
+                except ValueError as e:
+                    raise TrecParseError(f"line {line_no}: non-integer rank {rank_str!r}") from e
+            try:
+                score = float(score_str)
+            except ValueError as e:
+                raise TrecParseError(f"line {line_no}: non-numeric score {score_str!r}") from e
+            if score != score:
+                raise TrecParseError(f"line {line_no}: non-numeric score {score_str!r}")
+            if line_topic != topic:  # runs list a topic's lines together, so this is rare
+                topic = line_topic
+                docs = by_topic.setdefault(topic, {})
+                if tag is None:
+                    tag = line_tag
+            if doc_id in docs:
+                if mode == "strict":
+                    raise TrecParseError(f"line {line_no}: duplicate doc {doc_id!r} in topic {topic}")
+                if score > docs[doc_id]:
+                    docs[doc_id] = score
+                warnings.append(f"line {line_no}: duplicate doc {doc_id!r} in topic {topic}, kept higher score")
+            else:
                 docs[doc_id] = score
-            warnings.append(f"line {line_no}: duplicate doc {doc_id!r} in topic {topic}, kept higher score")
-        else:
-            docs[doc_id] = score
     if tag is None:
         raise TrecParseError("empty run input")
-    topics = {
-        t: _canonical_ranking(by_topic[t])
-        for t in sorted(by_topic, key=_topic_sort_key)
-    }
+    topics = {t: _canonical_ranking(by_topic.pop(t)) for t in sorted(by_topic, key=_topic_sort_key)}
     return Run(tag=tag, topics=topics, warnings=warnings)
 
 
@@ -159,27 +169,31 @@ def parse_qrels(source: TextSource) -> Qrels:
     Repeated (topic, doc) pairs take the last value with a warning; negative
     grades clamp to 0 (some TREC qrels use -1 for "not relevant").
     """
+    topic = docs = None
     topics: dict[str, dict[str, int]] = {}
     warnings: list[str] = []
-    n_lines = 0
-    for line_no, line in _iter_lines(source):
-        parts = line.split()
-        if len(parts) != 4:
-            raise TrecParseError(f"line {line_no}: expected 4 columns, got {len(parts)}: {line!r}")
-        topic, _it, doc_id, grade_str = parts
-        try:
-            grade = int(grade_str)
-        except ValueError as e:
-            raise TrecParseError(f"line {line_no}: non-integer grade {grade_str!r}") from e
-        if grade < 0:
-            warnings.append(f"line {line_no}: negative grade {grade} for doc {doc_id!r}, clamped to 0")
-            grade = 0
-        docs = topics.setdefault(topic, {})
-        if doc_id in docs:
-            warnings.append(f"line {line_no}: repeated judgment for doc {doc_id!r} in topic {topic}, kept last")
-        docs[doc_id] = grade
-        n_lines += 1
-    if n_lines == 0:
+    with _text_lines(source) as lines:
+        for line_no, line in enumerate(lines, start=1):
+            parts = line.split()
+            if len(parts) != 4:
+                if not parts:
+                    continue
+                raise TrecParseError(f"line {line_no}: expected 4 columns, got {len(parts)}: {line.strip()!r}")
+            line_topic, _it, doc_id, grade_str = parts
+            try:
+                grade = int(grade_str)
+            except ValueError as e:
+                raise TrecParseError(f"line {line_no}: non-integer grade {grade_str!r}") from e
+            if grade < 0:
+                warnings.append(f"line {line_no}: negative grade {grade} for doc {doc_id!r}, clamped to 0")
+                grade = 0
+            if line_topic != topic:
+                topic = line_topic
+                docs = topics.setdefault(topic, {})
+            if doc_id in docs:
+                warnings.append(f"line {line_no}: repeated judgment for doc {doc_id!r} in topic {topic}, kept last")
+            docs[doc_id] = grade
+    if not topics:
         raise TrecParseError("empty qrels input")
     ordered = {t: topics[t] for t in sorted(topics, key=_topic_sort_key)}
     return Qrels(topics=ordered, warnings=warnings)

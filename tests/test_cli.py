@@ -379,6 +379,44 @@ class TestCorrelate:
         assert rep["matrix_csv"].startswith("measure,")
         assert rep["flags"]
 
+    def test_measure_with_equal_badness_leaves_its_cells_blank(self, workspace, rng, capsys):
+        # both candidates keep the original top document of every topic, so at
+        # depth 1 their RBO is equal and tau against the RBO ranking is undefined
+        tmp, paths = workspace
+        orig = load_run(str(paths["orig"]))
+        candidates = []
+        for i in range(2):
+            topic_docs = {}
+            for topic in orig.topics:
+                top, *rest = orig.doc_ids(topic)
+                rng.shuffle(rest)
+                topic_docs[topic] = [top] + rest
+            write_run(tmp / f"cand{i}.run", make_run(f"cand{i}", topic_docs))
+            candidates.append(f"cand{i}.run")
+        mpath = tmp / "manifest.json"
+        mpath.write_text(json.dumps({
+            "qrels": paths["qrels"].name, "run_orig": paths["orig"].name, "candidates": candidates,
+        }))
+        argv = ["correlate", "--manifest", str(mpath), "--depth", "1", "--measures", "AP@1000,P@10"]
+        assert main(argv + ["--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        ids = rep["measure_ids"]
+        constant = {mid for mid in ids if len(set(rep["rankings"][mid]["badness"])) == 1}
+        assert "rbo" in constant and constant != set(ids)
+        header, *rows = rep["matrix_csv"].splitlines()
+        assert header == "measure," + ",".join(ids)
+        for a, row in zip(ids, rows):
+            name, *cells = row.split(",")
+            assert name == a
+            for b, cell in zip(ids, cells):
+                undefined = a != b and (a in constant or b in constant)
+                assert (cell == "") == undefined, (a, b, cell)
+        assert {(f["a"], f["b"]) for f in rep["flags"]} == {
+            (a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+            if a not in constant and b not in constant}
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(rep["matrix_csv"])
+
     def test_missing_candidate_errors(self, workspace, capsys):
         tmp, paths = workspace
         mpath = tmp / "manifest.json"

@@ -74,6 +74,23 @@ class TestCorrelationMatrix:
         assert mat[0, 1] == pytest.approx(1.0)
         assert mat[0, 2] == pytest.approx(1.0)
 
+    def test_measure_with_equal_badness_is_undefined(self):
+        a = rank_runs("rmse_AP@1000", {"r1": 0.1, "r2": 0.2, "r3": 0.3})
+        b = rank_runs("rbo", {"r1": 0.5, "r2": 0.5, "r3": 0.5})
+        c = rank_runs("rmse_P@10", {"r1": 0.3, "r2": 0.2, "r3": 0.1})
+        mat = correlation_matrix([a, b, c])
+        assert np.isnan(mat[0, 1]) and np.isnan(mat[1, 0])
+        assert np.isnan(mat[1, 2]) and np.isnan(mat[2, 1])
+        assert mat[0, 2] == pytest.approx(-1.0)
+        assert list(np.diag(mat)) == [1.0, 1.0, 1.0]
+        ids = ["rmse_AP@1000", "rbo", "rmse_P@10"]
+        assert matrix_to_csv(mat, ids).splitlines()[1:] == [
+            "rmse_AP@1000,1.0000,,-1.0000",
+            "rbo,,1.0000,",
+            "rmse_P@10,-1.0000,,1.0000",
+        ]
+        assert [(x, y) for x, y, _, _ in flag_equivalences(mat, ids)] == [("rmse_AP@1000", "rmse_P@10")]
+
     def test_run_set_mismatch_errors(self):
         a = rank_runs("rmse_AP@1000", {"r1": 0.1, "r2": 0.2})
         b = rank_runs("rmse_P@10", {"r1": 0.1, "r3": 0.2})

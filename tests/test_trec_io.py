@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import pytest
@@ -94,12 +95,32 @@ def test_parsed_run_holds_little_memory():
     assert held < 7 * 2**20, f"parsed run holds {held / 2**20:.1f} MB"
 
 
+def test_load_run_streams_the_file(tmp_path):
+    # 200 topics x 1000 docs, about 7.2 MB of text; reading the file whole would add all of it
+    path = tmp_path / "run.txt"
+    with open(path, "w") as f:
+        for t in range(301, 501):
+            f.writelines(f"{t} Q0 LA{t:04d}89-{d:04d} {d + 1} {(1000 - d) / 8:.3f} sys\n" for d in range(1000))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        run = load_run(str(path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(run.topics) == 200 and len(run.topics["500"].doc_ids) == 1000
+    assert peak - held < size / 2, f"peak {(peak - held) / 2**20:.1f} MB above the parsed run"
+
+
 _TOPICS = ("301", "302", "2", "10", "q7", "\u00b2")
 _DOCS = ("A", "B", "BB", "Z", "d10", "d9")
 # "1", "1.0" and "1e0" tie, as do "0" and "-0.0"
 _SCORES = ("1", "1.0", "1e0", "2.5", "0", "-0.0", "-3", "inf", "-inf")
+# int() accepts these ranks although they are not plain ASCII digits
+_ODD_RANKS = ("+7", "1_000", "\u0661\u0662", "\uff11\uff12")
 _BAD = {
-    "rank": ("x", "1.5", "r1"),
+    # "\u00b2" and "\u066b" look numeric, but int() rejects them
+    "rank": ("x", "1.5", "r1", "\u00b2", "\u066b"),
     "score": ("abc", "nan", "-NaN", "1,5"),
 }
 
@@ -108,7 +129,8 @@ _BAD = {
 def _run_texts(draw):
     def row():
         return [draw(st.sampled_from(_TOPICS)), "Q0", draw(st.sampled_from(_DOCS)),
-                str(draw(st.integers(-3, 1500))), draw(st.sampled_from(_SCORES)),
+                draw(st.one_of(st.integers(-3, 1500).map(str), st.sampled_from(_ODD_RANKS))),
+                draw(st.sampled_from(_SCORES)),
                 draw(st.sampled_from(("tagA", "tagB")))]
 
     rows = [row() for _ in range(draw(st.integers(0, 25)))]
@@ -132,9 +154,10 @@ def _run_texts(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=_run_texts(), mode=st.sampled_from(("strict", "lenient")), as_bytes=st.booleans())
-def test_parse_run_matches_brute_force_parser(text, mode, as_bytes):
-    source = text.encode() if as_bytes else text
+@given(text=_run_texts(), mode=st.sampled_from(("strict", "lenient")),
+       kind=st.sampled_from(("str", "bytes", "binary stream")))
+def test_parse_run_matches_brute_force_parser(text, mode, kind):
+    source = {"str": text, "bytes": text.encode(), "binary stream": io.BytesIO(text.encode())}[kind]
     try:
         expected = oracles.brute_parse_run(text, mode)
     except ValueError as e:
@@ -150,6 +173,22 @@ def test_parse_run_matches_brute_force_parser(text, mode, as_bytes):
 def test_parse_accepts_bytes():
     run = parse_run(b"301 Q0 NYT1 1 12.5 sys\n")
     assert run.doc_ids("301") == ["NYT1"]
+
+
+def test_parse_reads_binary_and_text_streams():
+    run_text = "302 Q0 A 1 2.0 sys\r\n\r\n301 Q0 B 1 1.0 sys\r\n302 Q0 C 2 3.0 sys\r\n"
+    expected = parse_run(run_text)
+    binary = io.BytesIO(b"\xef\xbb\xbf" + run_text.encode())
+    assert parse_run(binary).topics == expected.topics
+    assert not binary.closed
+    assert parse_run(io.StringIO(run_text)).topics == expected.topics
+    bad = io.BytesIO("301 Q0 A 1 2.0 sys\n301 Q0 B 1 \u00bd sys\n".encode())
+    with pytest.raises(TrecParseError, match="line 2: non-numeric score '\u00bd'"):
+        parse_run(bad)
+    assert not bad.closed
+    qrels_text = "301 0 A 1\r\n\r\n301 0 C 0\n"
+    for source in (io.BytesIO(b"\xef\xbb\xbf" + qrels_text.encode()), io.StringIO(qrels_text)):
+        assert parse_qrels(source).topics == {"301": {"A": 1, "C": 0}}
 
 
 def test_utf8_bom_does_not_split_a_topic(tmp_path):
