@@ -10,10 +10,9 @@ equivalent, below 0.8 noticeably different.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .errors import ConfigError, DegenerateTiesError
 from .ordering import kendall_tau
@@ -69,13 +68,14 @@ def rank_runs(measure_id: str, raw_by_run: Mapping[str, float]) -> MeasureRankin
     )
 
 
-def correlation_matrix(rankings: Sequence[MeasureRanking]) -> np.ndarray:
+def correlation_matrix(rankings: Sequence[MeasureRanking]) -> list[list[float]]:
     """Pairwise Kendall tau between measures over per-run badness values.
 
     Correlations pair badness values per run (ties handled by the tau
     kernel's tie terms), so equal-badness runs do not inject noise. A pair
     with no defined tau (one measure gives every run the same badness) is NaN:
-    a blank cell in :func:`matrix_to_csv` and no flag.
+    a blank cell in :func:`matrix_to_csv` and no flag. Rows are lists, indexed
+    ``matrix[i][j]``.
     """
     if len(rankings) < 2:
         raise ConfigError("need at least 2 measure rankings")
@@ -91,24 +91,24 @@ def correlation_matrix(rankings: Sequence[MeasureRanking]) -> np.ndarray:
         by_run = dict(zip(r.run_ids, r.badness))
         vectors.append([by_run[run] for run in order])
     k = len(rankings)
-    mat = np.eye(k)
+    mat = [[1.0 if i == j else math.nan for j in range(k)] for i in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
             try:
-                mat[i, j] = mat[j, i] = kendall_tau(vectors[i], vectors[j])
+                mat[i][j] = mat[j][i] = kendall_tau(vectors[i], vectors[j])
             except DegenerateTiesError:
-                mat[i, j] = mat[j, i] = np.nan
+                pass  # stays NaN
     return mat
 
 
-def flag_equivalences(matrix: np.ndarray,
+def flag_equivalences(matrix: Sequence[Sequence[float]],
                       measure_ids: Sequence[str]) -> list[tuple[str, str, float, str]]:
     """Label each measure pair equivalent (> 0.9), different (< 0.8), or
     intermediate."""
     out = []
     for i in range(len(measure_ids)):
         for j in range(i + 1, len(measure_ids)):
-            tau = float(matrix[i, j])
+            tau = float(matrix[i][j])
             if tau != tau:
                 continue
             if tau > EQUIVALENT_THRESHOLD:
@@ -121,7 +121,7 @@ def flag_equivalences(matrix: np.ndarray,
     return out
 
 
-def matrix_to_csv(matrix: np.ndarray, measure_ids: Sequence[str]) -> str:
+def matrix_to_csv(matrix: Sequence[Sequence[float]], measure_ids: Sequence[str]) -> str:
     lines = ["measure," + ",".join(measure_ids)]
     for i, mid in enumerate(measure_ids):
         lines.append(mid + "," + ",".join("" if v != v else f"{v:.4f}" for v in matrix[i]))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterator, Union
 
 from .errors import NoComparableTopicsError, TrecParseError
@@ -90,15 +91,16 @@ def _topic_sort_key(topic: str):
 
 
 @contextmanager
-def _text_lines(source: TextSource) -> Iterator[IO[str]]:
-    """Text lines of the source, read one at a time. ``str``, ``bytes`` and binary
-    streams are UTF-8 less a leading BOM; a binary stream is left open for the caller."""
+def _text_lines(source: TextSource) -> Iterator[Iterator[str]]:
+    """Text lines of the source, read one at a time, less one leading BOM.
+    ``bytes`` and binary streams are UTF-8; a binary stream is left open for the caller."""
     if isinstance(source, str):
-        source = io.StringIO(source.removeprefix("\ufeff"))
+        source = io.StringIO(source)
     elif isinstance(source, bytes):
         source = io.BytesIO(source)
     if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        yield source
+        lines = iter(source)
+        yield chain((next(lines, "").removeprefix("\ufeff"),), lines)
         return
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
     try:
@@ -108,9 +110,12 @@ def _text_lines(source: TextSource) -> Iterator[IO[str]]:
 
 
 def _canonical_ranking(scores: dict[str, float]) -> Ranking:
-    """Score descending, doc-id descending (ids are unique within a topic)."""
-    ranked_scores, doc_ids = zip(*sorted(zip(scores.values(), scores), reverse=True))
-    return Ranking(doc_ids, ranked_scores)
+    """Score descending, doc-id descending (ids are unique within a topic).
+
+    Two stable sorts, doc id then score, build no tuple per document."""
+    ids = sorted(scores, reverse=True)
+    ids.sort(key=scores.__getitem__, reverse=True)
+    return Ranking(tuple(ids), tuple(map(scores.__getitem__, ids)))
 
 
 def parse_run(source: TextSource, mode: str = "strict") -> Run:

@@ -126,6 +126,12 @@ def brute_kendall_tau(x, y):
     return (p - q) / denom
 
 
+def brute_inversions(values):
+    """Pairs i < j with values[i] > values[j], by comparing every pair."""
+    n = len(values)
+    return sum(values[i] > values[j] for i in range(n) for j in range(i + 1, n))
+
+
 def brute_rbo(r_docs, s_docs, phi, depth):
     """Direct summation with explicit prefix-set intersections at every depth."""
     d = min(depth, max(len(r_docs), len(s_docs)))

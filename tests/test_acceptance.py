@@ -241,9 +241,9 @@ def test_criterion_8_correlation_machinery():
     reverse = rank_runs("p_value_AP@1000", runs)  # p negated: order flips
     rankings = [same_a, same_b, reverse]
     mat = correlation_matrix(rankings)
-    assert mat[0, 1] == pytest.approx(1.0)
-    assert mat[0, 2] == pytest.approx(-1.0)
-    assert mat[1, 2] == pytest.approx(-1.0)
+    assert mat[0][1] == pytest.approx(1.0)
+    assert mat[0][2] == pytest.approx(-1.0)
+    assert mat[1][2] == pytest.approx(-1.0)
     assert np.allclose(np.diag(mat), 1.0)
     flags = {(a, b): label for a, b, _, label in
              flag_equivalences(mat, [r.measure_id for r in rankings])}

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import reprokit
 from reprokit import meta, ordering
 from reprokit.cli import build_replicate_report, main
 from reprokit.effectiveness import parse_measure_spec
@@ -439,3 +443,12 @@ class TestCorrelate:
             "candidates": [paths["rpl"].name],
         }))
         assert main(["correlate", "--manifest", str(mpath)]) == 2
+
+
+def test_cli_import_loads_no_numpy():
+    src = str(pathlib.Path(reprokit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, reprokit.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

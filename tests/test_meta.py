@@ -56,14 +56,14 @@ class TestCorrelationMatrix:
         return agree, agree2, reverse
 
     def test_diagonal_and_symmetry(self):
-        mat = correlation_matrix(self._rankings())
+        mat = np.asarray(correlation_matrix(self._rankings()))
         assert np.allclose(np.diag(mat), 1.0)
         assert np.allclose(mat, mat.T)
 
     def test_agreeing_and_reversed_orders(self):
         mat = correlation_matrix(self._rankings())
-        assert mat[0, 1] == pytest.approx(1.0)
-        assert mat[0, 2] == pytest.approx(-1.0)
+        assert mat[0][1] == pytest.approx(1.0)
+        assert mat[0][2] == pytest.approx(-1.0)
 
     def test_monotone_transform_leaves_row_unchanged(self):
         runs = {f"r{i}": random.Random(7).random() + i / 10 for i in range(8)}
@@ -71,17 +71,17 @@ class TestCorrelationMatrix:
         b = rank_runs("rmse_P@10", {k: v ** 3 + 1 for k, v in runs.items()})
         c = rank_runs("tau", {k: -v for k, v in runs.items()})
         mat = correlation_matrix([a, b, c])
-        assert mat[0, 1] == pytest.approx(1.0)
-        assert mat[0, 2] == pytest.approx(1.0)
+        assert mat[0][1] == pytest.approx(1.0)
+        assert mat[0][2] == pytest.approx(1.0)
 
     def test_measure_with_equal_badness_is_undefined(self):
         a = rank_runs("rmse_AP@1000", {"r1": 0.1, "r2": 0.2, "r3": 0.3})
         b = rank_runs("rbo", {"r1": 0.5, "r2": 0.5, "r3": 0.5})
         c = rank_runs("rmse_P@10", {"r1": 0.3, "r2": 0.2, "r3": 0.1})
         mat = correlation_matrix([a, b, c])
-        assert np.isnan(mat[0, 1]) and np.isnan(mat[1, 0])
-        assert np.isnan(mat[1, 2]) and np.isnan(mat[2, 1])
-        assert mat[0, 2] == pytest.approx(-1.0)
+        assert np.isnan(mat[0][1]) and np.isnan(mat[1][0])
+        assert np.isnan(mat[1][2]) and np.isnan(mat[2][1])
+        assert mat[0][2] == pytest.approx(-1.0)
         assert list(np.diag(mat)) == [1.0, 1.0, 1.0]
         ids = ["rmse_AP@1000", "rbo", "rmse_P@10"]
         assert matrix_to_csv(mat, ids).splitlines()[1:] == [

@@ -103,6 +103,76 @@ class TestKendallTau:
         assert peak < 16 * 2**20
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(0, 3000), unique=True, max_size=600),
+    st.integers(0, 600).flatmap(lambda n: st.permutations(range(n)))))
+def test_inversions_equal_brute_force_count(values):
+    assert ordering._inversions(values) == oracles.brute_inversions(values)
+
+
+def _union_positions(r_docs, s_docs):
+    """The paired positions tau-union compares, built as in its definition."""
+    pos = {doc: i for i, doc in enumerate(r_docs, start=1)}
+    unseen = [doc for doc in dict.fromkeys(s_docs) if doc not in pos]
+    pos.update((doc, len(r_docs) + i) for i, doc in enumerate(unseen, start=1))
+    m = min(len(r_docs), len(s_docs))
+    return [pos[d] for d in r_docs[:m]], [pos[d] for d in s_docs[:m]]
+
+
+def _intersection_positions(r_docs, s_docs):
+    shared = set(r_docs) & set(s_docs)
+    r_order = [d for d in r_docs if d in shared]
+    s_pos = {d: i for i, d in enumerate(s_docs, start=1) if d in shared}
+    return list(range(1, len(r_order) + 1)), [s_pos[d] for d in r_order]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, DegenerateTiesError) as e:
+        return type(e)
+
+
+_DOC_LISTS = st.lists(st.sampled_from("abcdefghijkl"), min_size=1, max_size=12)
+
+
+class TestPositionTauEqualsKendallTau:
+    @settings(max_examples=300, deadline=None)
+    @given(r_docs=_DOC_LISTS, s_docs=_DOC_LISTS)
+    def test_tau_union(self, r_docs, s_docs):
+        x, y = _union_positions(r_docs, s_docs)
+        assert _outcome(tau_union, r_docs, s_docs) == _outcome(kendall_tau, x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(r_docs=_DOC_LISTS, s_docs=_DOC_LISTS)
+    def test_tau_intersection(self, r_docs, s_docs):
+        if len(set(r_docs) & set(s_docs)) < 2:
+            return
+        x, y = _intersection_positions(r_docs, s_docs)
+        assert _outcome(lambda r, s: tau_intersection(r, s)[0], r_docs, s_docs) \
+            == _outcome(kendall_tau, x, y)
+
+    def test_duplicate_doc_ids_take_tied_positions(self):
+        r_docs, s_docs = ["a", "b", "a", "c"], ["b", "a", "c", "c"]
+        x, y = _union_positions(r_docs, s_docs)
+        assert x == [3, 2, 3, 4] and y == [2, 3, 4, 4]
+        assert tau_union(r_docs, s_docs) == kendall_tau(x, y)
+        x, y = _intersection_positions(r_docs, s_docs)
+        assert y == [2, 1, 2, 4]
+        assert tau_intersection(r_docs, s_docs)[0] == kendall_tau(x, y)
+
+    def test_deep_rankings(self, rng):
+        pool = [f"d{i}" for i in range(3000)]
+        for n in (100, 1000, 2000):
+            r_docs = rng.sample(pool, n)
+            s_docs = rng.sample(r_docs, n // 2) + rng.sample(pool, n - n // 2)
+            s_docs = list(dict.fromkeys(s_docs))
+            assert tau_union(r_docs, s_docs) == kendall_tau(*_union_positions(r_docs, s_docs))
+            assert tau_intersection(r_docs, s_docs)[0] \
+                == kendall_tau(*_intersection_positions(r_docs, s_docs))
+
+
 class TestTauUnion:
     def test_shared_prefix_worked_example(self):
         assert tau_union(["d1", "d2", "d3"], ["d1", "d2", "d4"]) == 1.0

@@ -155,9 +155,10 @@ def _run_texts(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(text=_run_texts(), mode=st.sampled_from(("strict", "lenient")),
-       kind=st.sampled_from(("str", "bytes", "binary stream")))
+       kind=st.sampled_from(("str", "bytes", "binary stream", "text stream")))
 def test_parse_run_matches_brute_force_parser(text, mode, kind):
-    source = {"str": text, "bytes": text.encode(), "binary stream": io.BytesIO(text.encode())}[kind]
+    source = {"str": text, "bytes": text.encode(), "binary stream": io.BytesIO(text.encode()),
+              "text stream": io.StringIO(text, newline="")}[kind]
     try:
         expected = oracles.brute_parse_run(text, mode)
     except ValueError as e:
@@ -199,10 +200,17 @@ def test_utf8_bom_does_not_split_a_topic(tmp_path):
     run_path.write_bytes(b"\xef\xbb\xbf" + run_text.encode())
     qrels_path.write_bytes(b"\xef\xbb\xbf" + qrels_text.encode())
     expected_run = parse_run(run_text)
+    with open(run_path, encoding="utf-8") as text_stream:
+        from_text_stream = parse_run(text_stream)
     for run in (load_run(str(run_path)), parse_run(run_path.read_bytes()),
-                parse_run("\ufeff" + run_text)):
+                parse_run("\ufeff" + run_text), parse_run(io.StringIO("\ufeff" + run_text)),
+                from_text_stream):
         assert run.topics == expected_run.topics
-    for qrels in (load_qrels(str(qrels_path)), parse_qrels(qrels_path.read_bytes())):
+    with open(qrels_path, encoding="utf-8") as text_stream:
+        from_text_stream = parse_qrels(text_stream)
+    for qrels in (load_qrels(str(qrels_path)), parse_qrels(qrels_path.read_bytes()),
+                  parse_qrels("\ufeff" + qrels_text), parse_qrels(io.StringIO("\ufeff" + qrels_text)),
+                  from_text_stream):
         assert qrels.topics == {"301": {"A": 1, "B": 0}}
 
 
