@@ -184,7 +184,10 @@ def _cmd_replicate(args, measures: list[MeasureConfig], mode: str) -> tuple[dict
         baseline_rpl=load_run(args.run_b_rpl, mode=mode) if args.run_b_rpl else None,
         strict=args.strict,
     )
-    return rep, {"run_orig": args.run_orig, "run_rpl": args.run_rpl, "qrels": args.qrels}
+    paths = {"run_orig": args.run_orig, "run_rpl": args.run_rpl, "qrels": args.qrels}
+    if args.run_b_orig:
+        paths.update(run_b_orig=args.run_b_orig, run_b_rpl=args.run_b_rpl)
+    return rep, paths
 
 
 def _cmd_reproduce(args, measures: list[MeasureConfig], mode: str) -> tuple[dict, dict]:

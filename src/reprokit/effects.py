@@ -21,14 +21,6 @@ from typing import Sequence
 from .effectiveness import TopicScoreVector
 from .errors import UndefinedEffectError
 
-REGION_MEANINGS = {
-    "1": "effect recovered, relative improvement smaller",
-    "2": "failure in effect and relative improvement",
-    "3": "effect failed, relative improvement larger",
-    "4": "effect recovered, relative improvement larger",
-}
-
-
 @dataclass(frozen=True)
 class EffectInput:
     b: TopicScoreVector
@@ -50,7 +42,6 @@ class EffectInput:
 class EffectSummary:
     run_id: str
     measure: str
-    mode: str
     er: float
     ri: float
     ri_prime: float
@@ -117,15 +108,16 @@ def classify_region(er: float, dri: float) -> str:
     return "boundary[1,4]" if er > 0 else "boundary[2,3]"
 
 
-def summarize_effect(inp: EffectInput, run_id: str = "", measure: str = "") -> EffectSummary:
+def summarize_effect(inp: EffectInput) -> EffectSummary:
+    """ER, RI, RI' and Delta RI of the re-created run ``inp.a_prime`` under
+    the measure of ``inp.a``."""
     er = effect_ratio(inp)
     ri = relative_improvement(inp.b, inp.a)
     ri_prime = relative_improvement(inp.b_prime, inp.a_prime)
     dri = ri - ri_prime
     return EffectSummary(
-        run_id=run_id or inp.a_prime.run_tag,
-        measure=measure or inp.a.measure,
-        mode=inp.mode,
+        run_id=inp.a_prime.run_tag,
+        measure=inp.a.measure,
         er=er,
         ri=ri,
         ri_prime=ri_prime,

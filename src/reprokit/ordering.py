@@ -102,20 +102,16 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
     return _tau(p, q, tied_x - tied_xy, tied_y - tied_xy)
 
 
-def tau_union(r_docs: Sequence[str], s_docs: Sequence[str],
-              strict_lengths: bool = False) -> float:
+def tau_union(r_docs: Sequence[str], s_docs: Sequence[str]) -> float:
     """Kendall's tau between rank positions taken in the union of two rankings.
 
     The union lists r's documents first, then s's unseen documents in s-order.
     The i-th document of r pairs with the i-th document of s; on unequal
-    lengths only the common prefix min(|r|, |s|) is paired (error instead
-    when ``strict_lengths``). Equals plain tau when both rankings hold the
-    same document set.
+    lengths only the common prefix min(|r|, |s|) is paired. Equals plain tau
+    when both rankings hold the same document set.
     """
     if not r_docs or not s_docs:
         raise ValueError("rankings must be nonempty")
-    if strict_lengths and len(r_docs) != len(s_docs):
-        raise ValueError(f"rankings differ in length: {len(r_docs)} vs {len(s_docs)}")
     pos = {doc: i for i, doc in enumerate(r_docs, start=1)}
     r_distinct = len(pos) == len(r_docs)
     nxt = len(r_docs) + 1
@@ -203,12 +199,7 @@ def mean_over_topics(per_topic: Mapping[str, float | None]) -> tuple[float, int]
 
 def _truncated(r: Run, s: Run, topics: TopicSet, cutoff: int | None):
     for topic in topics:
-        r_docs = r.doc_ids(topic)
-        s_docs = s.doc_ids(topic)
-        if cutoff is not None:
-            r_docs = r_docs[:cutoff]
-            s_docs = s_docs[:cutoff]
-        yield topic, r_docs, s_docs
+        yield topic, r.topics[topic].doc_ids[:cutoff], s.topics[topic].doc_ids[:cutoff]
 
 
 def tau_union_over_topics(r: Run, s: Run, topics: TopicSet,

@@ -44,8 +44,17 @@ def _paired_block(label: str, v_orig: TopicScoreVector, v_rpl: TopicScoreVector,
     }
 
 
-def _effect_block(inp: effects.EffectInput, run_id: str, label: str) -> dict:
-    summary = effects.summarize_effect(inp, run_id=run_id, measure=label)
+def _tau_union_mean(run_orig: Run, run_rpl: Run, topics: TopicSet,
+                    warnings: list[str]) -> float:
+    tau_mean, excluded = ordering.mean_over_topics(
+        ordering.tau_union_over_topics(run_orig, run_rpl, topics))
+    if excluded:
+        warnings.append(f"tau degenerate on {excluded} topic(s), excluded from mean")
+    return tau_mean
+
+
+def _effect_block(inp: effects.EffectInput) -> dict:
+    summary = effects.summarize_effect(inp)
     return {
         "er": summary.er,
         "ri": summary.ri,
@@ -72,10 +81,7 @@ def build_replicate_report(
     topics = topic_intersection(run_orig, run_rpl, qrels)
     params = ordering.RboParams(phi=phi, depth=depth)
 
-    tau_per_topic = ordering.tau_union_over_topics(run_orig, run_rpl, topics)
-    tau_mean, tau_excluded = ordering.mean_over_topics(tau_per_topic)
-    if tau_excluded:
-        warnings.append(f"tau degenerate on {tau_excluded} topic(s), excluded from mean")
+    tau_mean = _tau_union_mean(run_orig, run_rpl, topics, warnings)
     rbo_mean, _ = ordering.mean_over_topics(
         ordering.rbo_over_topics(run_orig, run_rpl, topics, params)
     )
@@ -83,7 +89,8 @@ def build_replicate_report(
     overlaps = []
     for topic in topics:
         try:
-            tau_i, ov = ordering.tau_intersection(run_orig.doc_ids(topic), run_rpl.doc_ids(topic))
+            tau_i, ov = ordering.tau_intersection(run_orig.topics[topic].doc_ids,
+                                                 run_rpl.topics[topic].doc_ids)
             inter_vals[topic] = tau_i
             overlaps.append(ov)
         except (DegenerateTiesError, OverlapTooSmallError):
@@ -109,8 +116,7 @@ def build_replicate_report(
         if baseline_orig is not None and baseline_rpl is not None:
             b = score_run(baseline_orig, qrels, topics, cfg, strict=strict, warnings=warnings)
             b_prime = score_run(baseline_rpl, qrels, topics, cfg, strict=strict, warnings=warnings)
-            effect_blocks[cfg.label] = _effect_block(
-                effects.EffectInput(b, v_orig, b_prime, v_rpl), run_rpl.tag, cfg.label)
+            effect_blocks[cfg.label] = _effect_block(effects.EffectInput(b, v_orig, b_prime, v_rpl))
         if cutoffs:
             sweep = score_agreement.rmse_at_cutoffs(run_orig, run_rpl, qrels, topics, cfg, cutoffs)
             for k, v in sweep.items():
@@ -168,6 +174,8 @@ def build_reproduce_report(
             if test.warning:
                 warnings.append(f"{cfg.label}: {test.warning}")
         measure_blocks[cfg.label] = {
+            "arp_orig": a.mean,
+            "arp_b_orig": b.mean,
             "arp_rpl": a_prime.mean,
             "arp_b_rpl": b_prime.mean,
             "t_stat": test_a.t_stat,
@@ -176,7 +184,7 @@ def build_reproduce_report(
             "p_value_baseline": test_b.p_value,
         }
         effect_blocks[cfg.label] = _effect_block(
-            effects.EffectInput(b, a, b_prime, a_prime, "reproducibility"), run_a_rpd.tag, cfg.label)
+            effects.EffectInput(b, a, b_prime, a_prime, "reproducibility"))
 
     return {
         "mode": "reproduce",
@@ -200,33 +208,46 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
                              measures: list[MeasureConfig], phi: float = 0.8, depth: int = 1000,
                              baseline_orig: Run | None = None, strict: bool = False) -> dict:
     """Rank the candidates, ``(run_id, run, baseline or None)`` read once, by each value
-    :func:`build_replicate_report` gives for them, and correlate those rankings."""
+    :func:`build_replicate_report` gives for them, and correlate those rankings.
+
+    ``warnings`` holds, for each candidate, the warnings replicate gives on it
+    (except those on tau-intersection, which is not ranked), prefixed with its id.
+    """
     raw: dict[str, dict[str, float]] = {}  # measure_id -> run_id -> raw value
     raw_er: dict[str, dict[str, float]] = {}  # listed after the others, as in replicate
-    orig_scores: dict[tuple, TopicScoreVector] = {}  # by role, not id(): ids get reused
+    warnings: list[str] = []
+    # by role, not id(): ids get reused; the warnings are replayed for each candidate
+    orig_scores: dict[tuple, tuple[TopicScoreVector, list[str]]] = {}
 
-    def score_orig(role: str, run: Run, topics: TopicSet, cfg: MeasureConfig) -> TopicScoreVector:
+    def score_orig(role: str, run: Run, topics: TopicSet, cfg: MeasureConfig,
+                   found: list[str]) -> TopicScoreVector:
         if (role, topics, cfg) not in orig_scores:
-            orig_scores[role, topics, cfg] = score_run(run, qrels, topics, cfg, strict=strict)
-        return orig_scores[role, topics, cfg]
+            scored: list[str] = []
+            orig_scores[role, topics, cfg] = (
+                score_run(run, qrels, topics, cfg, strict=strict, warnings=scored), scored)
+        vec, scored = orig_scores[role, topics, cfg]
+        found.extend(scored)
+        return vec
 
     for run_id, run_rpl, baseline_rpl in candidates:
+        found = list(run_orig.warnings) + list(run_rpl.warnings) + list(qrels.warnings)
         topics = topic_intersection(run_orig, run_rpl, qrels)
-        raw.setdefault("tau", {})[run_id] = ordering.mean_over_topics(
-            ordering.tau_union_over_topics(run_orig, run_rpl, topics))[0]
+        raw.setdefault("tau", {})[run_id] = _tau_union_mean(run_orig, run_rpl, topics, found)
         raw.setdefault("rbo", {})[run_id] = ordering.mean_over_topics(ordering.rbo_over_topics(
             run_orig, run_rpl, topics, ordering.RboParams(phi=phi, depth=depth)))[0]
         for cfg in measures:
-            v_orig = score_orig("orig", run_orig, topics, cfg)
-            v_rpl = score_run(run_rpl, qrels, topics, cfg, strict=strict)
-            block = _paired_block(cfg.label, v_orig, v_rpl, [])  # warnings are not reported
+            v_orig = score_orig("orig", run_orig, topics, cfg, found)
+            v_rpl = score_run(run_rpl, qrels, topics, cfg, strict=strict, warnings=found)
+            block = _paired_block(cfg.label, v_orig, v_rpl, found)
             for key in ("delta_arp", "rmse", "p_value"):
                 raw.setdefault(f"{key}_{cfg.label}", {})[run_id] = block[key]
             if baseline_orig is not None and baseline_rpl is not None:
                 raw_er.setdefault(f"er_{cfg.label}", {})[run_id] = _effect_block(effects.EffectInput(
-                    score_orig("b_orig", baseline_orig, topics, cfg), v_orig,
-                    score_run(baseline_rpl, qrels, topics, cfg, strict=strict), v_rpl,
-                ), run_rpl.tag, cfg.label)["er"]
+                    score_orig("b_orig", baseline_orig, topics, cfg, found), v_orig,
+                    score_run(baseline_rpl, qrels, topics, cfg, strict=strict, warnings=found),
+                    v_rpl,
+                ))["er"]
+        warnings.extend(f"{run_id}: {w}" for w in found)
         del run_rpl, baseline_rpl  # hold no candidate while the next one loads
     raw.update(raw_er)
 
@@ -245,6 +266,7 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
             {"a": a, "b": b, "tau": tau, "label": label}
             for a, b, tau, label in meta.flag_equivalences(matrix, ids)
         ],
+        "warnings": warnings,
     }
 
 
@@ -306,10 +328,16 @@ def emit_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _warning_lines(report: dict) -> list[str]:
+    if not report.get("warnings"):
+        return []
+    return ["", "warnings:", *(f"  - {w}" for w in report["warnings"])]
+
+
 def emit_table(report: dict) -> str:
     if report["mode"] == "correlate":
         flags = [f"{f['a']} vs {f['b']}: tau={f['tau']:.4f} ({f['label']})" for f in report["flags"]]
-        return report["matrix_csv"] + "\n" + "\n".join(flags) + "\n"
+        return report["matrix_csv"] + "\n" + "\n".join(flags + _warning_lines(report)) + "\n"
     lines = []
     runs = report["runs"]
     lines.append(f"mode: {report['mode']}    topics: {report['topics']}")
@@ -356,8 +384,5 @@ def emit_table(report: dict) -> str:
                     f"{k:<8}{label:<12}{_fmt(vals.get('tau_union')):>8}"
                     f"{_fmt(vals.get('rbo')):>8}{_fmt(vals.get('rmse')):>8}"
                 )
-    if report.get("warnings"):
-        lines.append("")
-        lines.append("warnings:")
-        lines.extend(f"  - {w}" for w in report["warnings"])
+    lines.extend(_warning_lines(report))
     return "\n".join(lines) + "\n"

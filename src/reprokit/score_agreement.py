@@ -42,7 +42,7 @@ def rmse_at_cutoffs(r: Run, s: Run, qrels: Qrels, topics: TopicSet,
         raise ConfigError("cutoffs must be ascending")
     out: dict[int, float] = {}
     for k in cutoffs:
-        cut_cfg = cfg.with_cutoff(k)
+        cut_cfg = MeasureConfig(cfg.measure, k)
         out[k] = rmse(score_run(r, qrels, topics, cut_cfg),
                       score_run(s, qrels, topics, cut_cfg))
     return out

@@ -25,7 +25,6 @@ class TestResult:
     t_stat: float
     dof: float
     p_value: float
-    kind: str  # "paired" | "unpaired"
     warning: str | None = None
 
 
@@ -116,11 +115,11 @@ def paired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
     dof = float(n - 1)
     if var_d == 0.0:
         if mean_d == 0.0:
-            return TestResult(0.0, dof, 1.0, "paired")
-        return TestResult(math.inf if mean_d > 0 else -math.inf, dof, 0.0, "paired",
+            return TestResult(0.0, dof, 1.0)
+        return TestResult(math.inf if mean_d > 0 else -math.inf, dof, 0.0,
                           warning="zero variance with nonzero mean difference")
     t = mean_d / math.sqrt(var_d / n)
-    return TestResult(t, dof, two_tailed_p(t, dof), "paired")
+    return TestResult(t, dof, two_tailed_p(t, dof))
 
 
 def unpaired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
@@ -136,8 +135,8 @@ def unpaired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
     pooled = (ssx + ssy) / dof
     if pooled == 0.0:
         if mx == my:
-            return TestResult(0.0, dof, 1.0, "unpaired")
-        return TestResult(math.inf if mx > my else -math.inf, dof, 0.0, "unpaired",
+            return TestResult(0.0, dof, 1.0)
+        return TestResult(math.inf if mx > my else -math.inf, dof, 0.0,
                           warning="zero variance in both samples with unequal means")
     t = (mx - my) / math.sqrt(pooled * (1.0 / nx + 1.0 / ny))
-    return TestResult(t, dof, two_tailed_p(t, dof), "unpaired")
+    return TestResult(t, dof, two_tailed_p(t, dof))

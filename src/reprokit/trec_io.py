@@ -48,9 +48,6 @@ class Run:
     topics: dict[str, Ranking]
     warnings: list[str] = field(default_factory=list)
 
-    def doc_ids(self, topic: str) -> list[str]:
-        return list(self.topics[topic].doc_ids)
-
 
 @dataclass
 class Qrels:

@@ -60,7 +60,7 @@ def swap_noise(rng: random.Random, run: Run, n_swaps: int, tag: str) -> Run:
     """Copy a run with n random adjacent-pair swaps per topic."""
     topic_docs = {}
     for topic in run.topics:
-        docs = run.doc_ids(topic)
+        docs = list(run.topics[topic].doc_ids)
         for _ in range(n_swaps):
             if len(docs) < 2:
                 break

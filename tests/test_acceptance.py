@@ -143,7 +143,7 @@ def _demote_relevant(run, qrels, shift, tag):
 
     topic_docs = {}
     for topic in run.topics:
-        ids = run.doc_ids(topic)
+        ids = list(run.topics[topic].doc_ids)
         relevant = [d for d in ids if qrels.grade(topic, d) > 0]
         for doc in reversed(relevant):
             pos = ids.index(doc)

@@ -11,8 +11,8 @@ import pytest
 import reprokit
 from reprokit import meta, ordering
 from reprokit.cli import build_replicate_report, main
-from reprokit.effectiveness import parse_measure_spec
-from reprokit.trec_io import Run, load_qrels, load_run
+from reprokit.effectiveness import parse_measure_spec, score_run
+from reprokit.trec_io import Run, load_qrels, load_run, topic_intersection
 
 from conftest import make_qrels, make_run, random_qrels, random_run
 
@@ -139,6 +139,32 @@ class TestReplicate:
         assert code == 0
         assert "measure" in capsys.readouterr().out
 
+    def test_provenance_digests_every_input(self, workspace, capsys):
+        tmp, paths = workspace
+        for role in ("b_orig", "b_rpl"):
+            (tmp / f"{role}.run").write_bytes(paths["rpl"].read_bytes())
+        argv = [
+            "replicate",
+            "--run-orig", str(paths["orig"]),
+            "--run-rpl", str(paths["rpl"]),
+            "--qrels", str(paths["qrels"]),
+            "--run-b-orig", str(tmp / "b_orig.run"),
+            "--run-b-rpl", str(tmp / "b_rpl.run"),
+            "--format", "json",
+        ]
+        assert main(argv + ["--provenance"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        inputs = rep.pop("provenance")["inputs"]
+        assert {role: os.path.basename(v["path"]) for role, v in inputs.items()} == {
+            "run_orig": "orig.run", "run_rpl": "rpl.run", "qrels": "qrels.txt",
+            "run_b_orig": "b_orig.run", "run_b_rpl": "b_rpl.run",
+        }
+        for v in inputs.values():
+            with open(v["path"], "rb") as f:
+                assert v["sha256"] == hashlib.sha256(f.read()).hexdigest()
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == rep
+
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
         code = main([
             "replicate",
@@ -252,6 +278,33 @@ class TestReproduce:
         for block in rep["measures"].values():
             assert "rmse" not in block
 
+    def test_arp_on_each_side(self, workspace, capsys):
+        tmp, paths = workspace
+        argv = [
+            "reproduce",
+            "--run-a-orig", str(paths["orig"]),
+            "--run-b-orig", str(paths["rpl"]),
+            "--qrels-orig", str(paths["qrels"]),
+            "--run-a-rpd", str(paths["rpl"]),
+            "--run-b-rpd", str(paths["orig"]),
+            "--qrels-rpd", str(paths["qrels"]),
+        ]
+        assert main(argv + ["--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        orig, rpl = load_run(str(paths["orig"])), load_run(str(paths["rpl"]))
+        qrels = load_qrels(str(paths["qrels"]))
+        topics = topic_intersection(orig, rpl, qrels)
+        for label, block in rep["measures"].items():
+            cfg = parse_measure_spec(label)
+            assert block["arp_orig"] == score_run(orig, qrels, topics, cfg).mean
+            assert block["arp_b_orig"] == score_run(rpl, qrels, topics, cfg).mean
+            assert block["arp_rpl"] == block["arp_b_orig"]
+        assert main(argv + ["--format", "csv"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        col = header.split(",").index("arp_orig")
+        assert {row.split(",")[0]: row.split(",")[col] for row in rows} == {
+            label: f"{block['arp_orig']:.4f}" for label, block in rep["measures"].items()}
+
     def test_mismatched_collections_error(self, workspace, tmp_path, rng, capsys):
         tmp, paths = workspace
         other = random_run(rng, "other", 3, 10)
@@ -288,16 +341,17 @@ class TestCorrelate:
         mpath.write_text(json.dumps(manifest))
         return mpath
 
-    def _manifest_with_baselines(self, tmp, paths, rng):
-        """Four candidates, each with a baseline; cand2 lacks topic 303."""
+    def _manifest_with_baselines(self, tmp, paths, rng, lacking=("cand2",)):
+        """Four candidates, each with a baseline; the runs named in ``lacking``
+        (cand2 by default) lack topic 303."""
         write_run(tmp / "b_orig.run", random_run(rng, "b_orig", 6, 20))
         candidates = []
         for i in range(4):
-            run = random_run(rng, f"cand{i}", 6, 20)
-            if i == 2:
-                del run.topics["303"]
-            write_run(tmp / f"cand{i}.run", run)
-            write_run(tmp / f"base{i}.run", random_run(rng, f"base{i}", 6, 20))
+            for name in (f"cand{i}", f"base{i}"):
+                run = random_run(rng, name, 6, 20)
+                if name in lacking:
+                    del run.topics["303"]
+                write_run(tmp / f"{name}.run", run)
             candidates.append({"run": f"cand{i}.run", "run_b": f"base{i}.run"})
         mpath = tmp / "manifest.json"
         mpath.write_text(json.dumps({
@@ -354,6 +408,33 @@ class TestCorrelate:
         flags = [f"{f['a']} vs {f['b']}: tau={f['tau']:.4f} ({f['label']})" for f in rep["flags"]]
         assert capsys.readouterr().out == rep["matrix_csv"] + "\n" + "\n".join(flags) + "\n"
 
+    def test_warnings_are_replicates_per_candidate(self, workspace, rng, capsys):
+        # base2 lacks topic 303, which cand2 has: replicate scores it 0 and says so
+        tmp, paths = workspace
+        mpath, candidates = self._manifest_with_baselines(tmp, paths, rng, lacking=("base2",))
+        argv = ["correlate", "--manifest", str(mpath)]
+        assert main(argv + ["--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+
+        def load(name):
+            return load_run(str(tmp / name), mode="lenient")
+
+        orig, b_orig = load(paths["orig"].name), load("b_orig.run")
+        qrels = load_qrels(str(paths["qrels"]))
+        measures = [parse_measure_spec(x) for x in ("P@10", "AP@1000", "nDCG@1000")]
+        expected = []
+        for cand in candidates:
+            r = build_replicate_report(orig, load(cand["run"]), qrels, measures,
+                                       baseline_orig=b_orig, baseline_rpl=load(cand["run_b"]))
+            # correlate ranks no tau-intersection, so it gives none of its warnings
+            expected += [f"{cand['run']}: {w}" for w in r["warnings"] if "tau-intersection" not in w]
+        assert rep["warnings"] == expected
+        assert [w for w in expected if "missing" in w] == [
+            "cand2.run: run 'base2' missing topic 303, scored 0"] * 3
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(
+            "\nwarnings:\n" + "".join(f"  - {w}\n" for w in expected))
+
     def test_provenance_digests_every_input(self, workspace, rng, capsys):
         tmp, paths = workspace
         mpath, _ = self._manifest_with_baselines(tmp, paths, rng)
@@ -392,7 +473,7 @@ class TestCorrelate:
         for i in range(2):
             topic_docs = {}
             for topic in orig.topics:
-                top, *rest = orig.doc_ids(topic)
+                top, *rest = orig.topics[topic].doc_ids
                 rng.shuffle(rest)
                 topic_docs[topic] = [top] + rest
             write_run(tmp / f"cand{i}.run", make_run(f"cand{i}", topic_docs))

@@ -19,9 +19,9 @@ from reprokit.score_agreement import rmse
 from conftest import vector
 
 
-def quad(b, a, bp, ap, mode="replicability"):
-    return EffectInput(b=vector(b), a=vector(a), b_prime=vector(bp),
-                       a_prime=vector(ap), mode=mode)
+def quad(b, a, bp, ap, mode="replicability", measure="M", rpl_tag="run"):
+    return EffectInput(b=vector(b, measure), a=vector(a, measure), b_prime=vector(bp, measure),
+                       a_prime=vector(ap, measure, tag=rpl_tag), mode=mode)
 
 
 class TestPerTopicImprovements:
@@ -167,8 +167,9 @@ class TestClassifyRegion:
 class TestSummaryAndPlotData:
     def test_perfect_replication_at_ideal_point(self):
         inp = quad(b={"1": 0.2, "2": 0.4}, a={"1": 0.4, "2": 0.6},
-                   bp={"1": 0.2, "2": 0.4}, ap={"1": 0.4, "2": 0.6})
-        s = summarize_effect(inp, run_id="self", measure="AP@1000")
+                   bp={"1": 0.2, "2": 0.4}, ap={"1": 0.4, "2": 0.6},
+                   measure="AP@1000", rpl_tag="self")
+        s = summarize_effect(inp)
         assert s.er == 1.0
         assert s.delta_ri == 0.0
         assert s.distance_to_ideal == 0.0
@@ -183,9 +184,9 @@ class TestSummaryAndPlotData:
         assert s.distance_to_ideal == 0.0
 
     def test_two_summaries_preserve_order(self):
-        inp = quad(b={"1": 0.2}, a={"1": 0.4}, bp={"1": 0.2}, ap={"1": 0.4})
-        s1 = summarize_effect(inp, run_id="first")
-        s2 = summarize_effect(inp, run_id="second")
+        s1, s2 = (summarize_effect(quad(b={"1": 0.2}, a={"1": 0.4}, bp={"1": 0.2},
+                                        ap={"1": 0.4}, rpl_tag=tag))
+                  for tag in ("first", "second"))
         rows = er_ri_plot_data([s1, s2])
         assert rows[1].startswith("first,")
         assert rows[2].startswith("second,")

@@ -200,10 +200,6 @@ class TestTauUnion:
         val = tau_union(["a", "b", "c"], ["a", "b"])
         assert val == 1.0
 
-    def test_strict_length_flag(self):
-        with pytest.raises(ValueError):
-            tau_union(["a", "b", "c"], ["a", "b"], strict_lengths=True)
-
 
 class TestTauIntersection:
     def test_same_relative_order(self):
@@ -341,7 +337,7 @@ class TestPerTopicUndefinedCases:
         assert tau_union_over_topics(a, b, topics)["2"] == pytest.approx(1 / 3)
 
     def test_other_kernel_errors_propagate(self, monkeypatch):
-        def broken(r_docs, s_docs, strict_lengths=False):
+        def broken(r_docs, s_docs):
             raise ValueError("kernel bug")
 
         monkeypatch.setattr(ordering, "tau_union", broken)

@@ -86,8 +86,8 @@ class TestRmseAtCutoffs:
         got = rmse_at_cutoffs(a, b, qrels, topics, MeasureConfig("nDCG", 1000), [k])[k]
         diffs = []
         for topic in topics:
-            na = oracles.brute_ndcg_at_k(a.doc_ids(topic), qrels.topics[topic], k)
-            nb = oracles.brute_ndcg_at_k(b.doc_ids(topic), qrels.topics[topic], k)
+            na = oracles.brute_ndcg_at_k(a.topics[topic].doc_ids, qrels.topics[topic], k)
+            nb = oracles.brute_ndcg_at_k(b.topics[topic].doc_ids, qrels.topics[topic], k)
             diffs.append(na - nb)
         expected = math.sqrt(sum(d * d for d in diffs) / len(diffs))
         assert got == pytest.approx(expected, abs=1e-12)

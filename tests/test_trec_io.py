@@ -33,18 +33,18 @@ def test_parse_single_line():
 
 def test_canonical_order_puts_higher_score_first():
     run = parse_run("301 Q0 A 1 1.0 sys\n301 Q0 B 2 2.0 sys\n")
-    assert run.doc_ids("301") == ["B", "A"]
+    assert run.topics["301"].doc_ids == ("B", "A")
     assert [line.split()[3] for line in serialize_run(run).splitlines()] == ["1", "2"]
 
 
 def test_tie_break_docid_descending():
     run = parse_run("301 Q0 A 1 1.0 sys\n301 Q0 B 2 1.0 sys\n")
-    assert run.doc_ids("301") == ["B", "A"]
+    assert run.topics["301"].doc_ids == ("B", "A")
 
 
 def test_file_ranks_ignored_scores_define_order():
     run = parse_run("301 Q0 A 1 1.0 sys\n301 Q0 B 99 5.0 sys\n")
-    assert run.doc_ids("301") == ["B", "A"]
+    assert run.topics["301"].doc_ids == ("B", "A")
 
 
 def test_duplicate_doc_strict_errors_with_line_number():
@@ -56,7 +56,7 @@ def test_duplicate_doc_strict_errors_with_line_number():
 def test_duplicate_doc_lenient_keeps_higher_score():
     text = "301 Q0 A 1 1.0 sys\n301 Q0 A 2 3.0 sys\n301 Q0 B 3 2.0 sys\n"
     run = parse_run(text, mode="lenient")
-    assert run.doc_ids("301") == ["A", "B"]
+    assert run.topics["301"].doc_ids == ("A", "B")
     assert run.topics["301"].scores[0] == 3.0
     assert len(run.warnings) == 1
 
@@ -77,7 +77,7 @@ def test_nan_score_is_rejected_infinities_are_kept():
     with pytest.raises(TrecParseError, match="line 1: non-numeric score 'NaN'"):
         parse_run("301 Q0 A 1 NaN sys\n")
     run = parse_run("301 Q0 A 1 -inf sys\n301 Q0 B 2 1.0 sys\n301 Q0 C 3 inf sys\n")
-    assert run.doc_ids("301") == ["C", "B", "A"]
+    assert run.topics["301"].doc_ids == ("C", "B", "A")
     assert run.topics["301"].scores == (float("inf"), 1.0, float("-inf"))
 
 
@@ -173,7 +173,7 @@ def test_parse_run_matches_brute_force_parser(text, mode, kind):
 
 def test_parse_accepts_bytes():
     run = parse_run(b"301 Q0 NYT1 1 12.5 sys\n")
-    assert run.doc_ids("301") == ["NYT1"]
+    assert run.topics["301"].doc_ids == ("NYT1",)
 
 
 def test_parse_reads_binary_and_text_streams():
