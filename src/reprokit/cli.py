@@ -191,17 +191,12 @@ def _cmd_replicate(args, measures: list[MeasureConfig], mode: str) -> tuple[dict
 
 
 def _cmd_reproduce(args, measures: list[MeasureConfig], mode: str) -> tuple[dict, dict]:
-    rep = build_reproduce_report(
-        load_run(args.run_a_orig, mode=mode),
-        load_run(args.run_b_orig, mode=mode),
-        load_qrels(args.qrels_orig),
-        load_run(args.run_a_rpd, mode=mode),
-        load_run(args.run_b_rpd, mode=mode),
-        load_qrels(args.qrels_rpd),
-        measures,
-        strict=args.strict,
-    )
-    return rep, {
+    def sides():  # loaded one at a time: the original side is dropped before the new one loads
+        for run_a, run_b, qrels in ((args.run_a_orig, args.run_b_orig, args.qrels_orig),
+                                    (args.run_a_rpd, args.run_b_rpd, args.qrels_rpd)):
+            yield load_run(run_a, mode=mode), load_run(run_b, mode=mode), load_qrels(qrels)
+
+    return build_reproduce_report(sides(), measures, strict=args.strict), {
         "run_a_orig": args.run_a_orig, "run_b_orig": args.run_b_orig,
         "qrels_orig": args.qrels_orig, "run_a_rpd": args.run_a_rpd,
         "run_b_rpd": args.run_b_rpd, "qrels_rpd": args.qrels_rpd,

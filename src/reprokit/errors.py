@@ -20,7 +20,8 @@ class TopicMismatchError(ReprokitError, ValueError):
 
 
 class NoComparableTopicsError(ReprokitError, ValueError):
-    """Topic intersection of two runs (restricted to relevant topics) is empty."""
+    """Topic intersection of two runs (restricted to relevant topics) is empty,
+    or too small for a t-test."""
 
     category = "no-comparable-topics"
 

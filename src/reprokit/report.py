@@ -26,6 +26,11 @@ CSV_HEADER = (
 FORMATS = ("json", "csv", "table")
 
 
+def _load_warnings(*inputs: Run | Qrels | None) -> list[str]:
+    """The warnings of loading each input that is given, in order."""
+    return [w for x in inputs if x is not None for w in x.warnings]
+
+
 def _paired_block(label: str, v_orig: TopicScoreVector, v_rpl: TopicScoreVector,
                   warnings: list[str]) -> dict:
     """Score agreement and paired t-test of one measure over one topic set."""
@@ -77,7 +82,7 @@ def build_replicate_report(
     baseline_rpl: Run | None = None,
     strict: bool = False,
 ) -> dict:
-    warnings: list[str] = list(run_orig.warnings) + list(run_rpl.warnings) + list(qrels.warnings)
+    warnings = _load_warnings(run_orig, run_rpl, qrels, baseline_orig, baseline_rpl)
     topics = topic_intersection(run_orig, run_rpl, qrels)
     params = ordering.RboParams(phi=phi, depth=depth)
 
@@ -147,27 +152,30 @@ def build_replicate_report(
     }
 
 
-def build_reproduce_report(
-    run_a_orig: Run,
-    run_b_orig: Run,
-    qrels_orig: Qrels,
-    run_a_rpd: Run,
-    run_b_rpd: Run,
-    qrels_rpd: Qrels,
-    measures: list[MeasureConfig],
-    strict: bool = False,
-) -> dict:
+def build_reproduce_report(sides: Iterable[tuple[Run, Run, Qrels]],
+                           measures: list[MeasureConfig], strict: bool = False) -> dict:
+    """Compare exactly two ``(run_a, run_b, qrels)`` sides, the original collection first.
+
+    Each side is scored for every measure and dropped before the next is read,
+    so only one side's runs and qrels are held at a time.
+    """
     warnings: list[str] = []
-    topics_c = topic_intersection(run_a_orig, run_b_orig, qrels_orig)
-    topics_d = topic_intersection(run_a_rpd, run_b_rpd, qrels_rpd)
+    done = []  # per side: tag a, tag b, topic count, (vector a, vector b) per measure
+    for run_a, run_b, qrels in sides:
+        warnings.extend(_load_warnings(run_a, run_b, qrels))
+        topics = topic_intersection(run_a, run_b, qrels)
+        done.append((run_a.tag, run_b.tag, topics.size, [
+            (score_run(run_a, qrels, topics, cfg, strict=strict, warnings=warnings),
+             score_run(run_b, qrels, topics, cfg, strict=strict, warnings=warnings))
+            for cfg in measures]))
+        del run_a, run_b, qrels  # hold no side while the next one loads
+    if len(done) != 2:
+        raise ConfigError(f"reproduce compares two sides, got {len(done)}")
+    (tag_a, tag_b, n_orig, orig), (tag_a_rpd, tag_b_rpd, n_rpd, rpd) = done
 
     measure_blocks: dict[str, dict] = {}
     effect_blocks: dict[str, dict] = {}
-    for cfg in measures:
-        a = score_run(run_a_orig, qrels_orig, topics_c, cfg, strict=strict, warnings=warnings)
-        b = score_run(run_b_orig, qrels_orig, topics_c, cfg, strict=strict, warnings=warnings)
-        a_prime = score_run(run_a_rpd, qrels_rpd, topics_d, cfg, strict=strict, warnings=warnings)
-        b_prime = score_run(run_b_rpd, qrels_rpd, topics_d, cfg, strict=strict, warnings=warnings)
+    for cfg, (a, b), (a_prime, b_prime) in zip(measures, orig, rpd):
         test_a = stats.unpaired_t_test(a, a_prime)
         test_b = stats.unpaired_t_test(b, b_prime)
         for test in (test_a, test_b):
@@ -188,14 +196,9 @@ def build_reproduce_report(
 
     return {
         "mode": "reproduce",
-        "runs": {
-            "a_orig": run_a_orig.tag,
-            "b_orig": run_b_orig.tag,
-            "a_rpd": run_a_rpd.tag,
-            "b_rpd": run_b_rpd.tag,
-        },
-        "topics": topics_d.size,
-        "topics_orig": topics_c.size,
+        "runs": {"a_orig": tag_a, "b_orig": tag_b, "a_rpd": tag_a_rpd, "b_rpd": tag_b_rpd},
+        "topics": n_rpd,
+        "topics_orig": n_orig,
         "config": {"measures": [c.label for c in measures]},
         "measures": measure_blocks,
         "effects": effect_blocks,
@@ -230,7 +233,7 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
         return vec
 
     for run_id, run_rpl, baseline_rpl in candidates:
-        found = list(run_orig.warnings) + list(run_rpl.warnings) + list(qrels.warnings)
+        found = _load_warnings(run_orig, run_rpl, qrels, baseline_orig, baseline_rpl)
         topics = topic_intersection(run_orig, run_rpl, qrels)
         raw.setdefault("tau", {})[run_id] = _tau_union_mean(run_orig, run_rpl, topics, found)
         raw.setdefault("rbo", {})[run_id] = ordering.mean_over_topics(ordering.rbo_over_topics(

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .effectiveness import TopicScoreVector
+from .errors import NoComparableTopicsError
 
 _MAX_ITER = 300
 _EPS = 3e-16
@@ -103,12 +104,13 @@ def paired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
 
     Zero-variance differences get a defined outcome instead of an error so
     batch reports never abort: identical vectors -> p = 1, constant nonzero
-    shift -> p = 0 with a warning.
+    shift -> p = 0 with a warning. Fewer than two topics raise
+    :class:`NoComparableTopicsError`, a ``ValueError``.
     """
     x.require_aligned(y)
     n = len(x.scores)
     if n < 2:
-        raise ValueError(f"paired test needs n >= 2 topics, got {n}")
+        raise NoComparableTopicsError(f"paired test needs n >= 2 topics, got {n}")
     d = [a - b for a, b in zip(x.values(), y.values())]
     mean_d = sum(d) / n
     var_d = sum((v - mean_d) ** 2 for v in d) / (n - 1)
@@ -123,10 +125,11 @@ def paired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
 
 
 def unpaired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
-    """Two-tailed pooled-variance Student test; samples may differ in size."""
+    """Two-tailed pooled-variance Student test; samples may differ in size but
+    need two topics each, else :class:`NoComparableTopicsError` (a ``ValueError``)."""
     nx, ny = len(x.scores), len(y.scores)
     if nx < 2 or ny < 2:
-        raise ValueError(f"unpaired test needs n >= 2 per sample, got {nx} and {ny}")
+        raise NoComparableTopicsError(f"unpaired test needs n >= 2 per sample, got {nx} and {ny}")
     xv, yv = x.values(), y.values()
     mx, my = sum(xv) / nx, sum(yv) / ny
     ssx = sum((v - mx) ** 2 for v in xv)

@@ -12,16 +12,22 @@ Parsed structures are canonicalized: within a topic, documents are ordered
 by (score descending, doc-id descending) and re-ranked consecutively from 1.
 File ranks are ignored since they are frequently inconsistent in the wild;
 only scores define order. The doc-id tie-break mirrors the de-facto
-trec_eval convention. Each topic is held as one :class:`Ranking` of parallel
-doc-id and score tuples, not as one object per document.
+trec_eval convention. Each topic is held as one :class:`Ranking`: a tuple
+of doc ids and a parallel ``array('d')`` of scores, 8 bytes per score and no
+object per document.
 
-Files are read one line at a time in a single pass and never whole, so memory
-grows with the parsed run, not with the file text.
+Files are read one line at a time in a single pass and never whole. A topic is
+canonicalized when its block of lines ends, so a parse holds one topic's
+``{doc: score}`` dict at a time next to the finished rankings; a topic that
+reappears later in the file (interleaved input) is reopened once as a dict and
+stays one until the end. Memory grows with the parsed run, not with the file
+text.
 """
 
 from __future__ import annotations
 
 import io
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -37,7 +43,7 @@ class Ranking:
     """One topic in canonical order: the document at index i has rank i + 1."""
 
     doc_ids: tuple[str, ...]
-    scores: tuple[float, ...]
+    scores: array  # array('d'), parallel to doc_ids
 
 
 @dataclass
@@ -109,10 +115,11 @@ def _text_lines(source: TextSource) -> Iterator[Iterator[str]]:
 def _canonical_ranking(scores: dict[str, float]) -> Ranking:
     """Score descending, doc-id descending (ids are unique within a topic).
 
-    Two stable sorts, doc id then score, build no tuple per document."""
+    Two stable sorts, doc id then score, build no tuple per document. The
+    array is filled from a list, which is several times faster than from an iterator."""
     ids = sorted(scores, reverse=True)
     ids.sort(key=scores.__getitem__, reverse=True)
-    return Ranking(tuple(ids), tuple(map(scores.__getitem__, ids)))
+    return Ranking(tuple(ids), array("d", [*map(scores.__getitem__, ids)]))
 
 
 def parse_run(source: TextSource, mode: str = "strict") -> Run:
@@ -125,7 +132,8 @@ def parse_run(source: TextSource, mode: str = "strict") -> Run:
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown mode {mode!r}")
     tag = topic = docs = None
-    by_topic: dict[str, dict[str, float]] = {}
+    by_topic: dict[str, Ranking | dict[str, float]] = {}  # a dict while the topic is open
+    reopened: set[str] = set()
     warnings: list[str] = []
     with _text_lines(source) as lines:
         for line_no, line in enumerate(lines, start=1):
@@ -147,8 +155,13 @@ def parse_run(source: TextSource, mode: str = "strict") -> Run:
             if score != score:
                 raise TrecParseError(f"line {line_no}: non-numeric score {score_str!r}")
             if line_topic != topic:  # runs list a topic's lines together, so this is rare
+                if topic is not None and topic not in reopened:
+                    by_topic[topic] = _canonical_ranking(docs)
                 topic = line_topic
                 docs = by_topic.setdefault(topic, {})
+                if type(docs) is Ranking:  # interleaved: reopen once, keep the dict until EOF
+                    docs = by_topic[topic] = dict(zip(docs.doc_ids, docs.scores))
+                    reopened.add(topic)
                 if tag is None:
                     tag = line_tag
             if doc_id in docs:
@@ -161,7 +174,11 @@ def parse_run(source: TextSource, mode: str = "strict") -> Run:
                 docs[doc_id] = score
     if tag is None:
         raise TrecParseError("empty run input")
-    topics = {t: _canonical_ranking(by_topic.pop(t)) for t in sorted(by_topic, key=_topic_sort_key)}
+    if topic not in reopened:
+        by_topic[topic] = _canonical_ranking(docs)
+    for t in reopened:
+        by_topic[t] = _canonical_ranking(by_topic[t])
+    topics = {t: by_topic[t] for t in sorted(by_topic, key=_topic_sort_key)}
     return Run(tag=tag, topics=topics, warnings=warnings)
 
 

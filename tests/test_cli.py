@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -12,6 +13,8 @@ import reprokit
 from reprokit import meta, ordering
 from reprokit.cli import build_replicate_report, main
 from reprokit.effectiveness import parse_measure_spec, score_run
+from reprokit.errors import ConfigError
+from reprokit.report import build_reproduce_report
 from reprokit.trec_io import Run, load_qrels, load_run, topic_intersection
 
 from conftest import make_qrels, make_run, random_qrels, random_run
@@ -23,6 +26,15 @@ def write_run(path, run: Run):
         for rank, (doc_id, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1):
             lines.append(f"{topic} Q0 {doc_id} {rank} {score:.4f} {run.tag}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def with_duplicate(path, src_path, tag):
+    """Copy a run file and repeat its first document at a lower score on a new
+    last line; return the lenient-mode load warning that line gives."""
+    lines = src_path.read_text().splitlines()
+    topic, _, doc = lines[0].split()[:3]
+    path.write_text("\n".join(lines + [f"{topic} Q0 {doc} 99 -1.0 {tag}"]) + "\n")
+    return f"line {len(lines) + 1}: duplicate doc {doc!r} in topic {topic}, kept higher score"
 
 
 def write_qrels(path, qrels):
@@ -190,6 +202,21 @@ class TestReplicate:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "parse", "message": f"{bad}: line 2: non-numeric score 'nan'"}
 
+    def test_baseline_load_warnings_are_reported(self, workspace, capsys):
+        tmp, paths = workspace
+        dup = with_duplicate(tmp / "b_rpl.run", paths["orig"], "orig")
+        code = main([
+            "replicate",
+            "--run-orig", str(paths["orig"]),
+            "--run-rpl", str(paths["rpl"]),
+            "--qrels", str(paths["qrels"]),
+            "--run-b-orig", str(paths["rpl"]),
+            "--run-b-rpl", str(tmp / "b_rpl.run"),
+            "--format", "json",
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == [dup]
+
     def test_baseline_flags_must_pair(self, workspace, capsys):
         tmp, paths = workspace
         code = main([
@@ -322,6 +349,42 @@ class TestReproduce:
         ])
         assert code == 4
 
+    def test_load_warnings_of_each_side_are_reported(self, workspace, capsys):
+        tmp, paths = workspace
+        dup_orig = with_duplicate(tmp / "b_orig.run", paths["rpl"], "rpl")
+        dup_rpd = with_duplicate(tmp / "a_rpd.run", paths["orig"], "orig")
+        code = main([
+            "reproduce",
+            "--run-a-orig", str(paths["orig"]),
+            "--run-b-orig", str(tmp / "b_orig.run"),
+            "--qrels-orig", str(paths["qrels"]),
+            "--run-a-rpd", str(tmp / "a_rpd.run"),
+            "--run-b-rpd", str(paths["rpl"]),
+            "--qrels-rpd", str(paths["qrels"]),
+            "--format", "json",
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == [dup_orig, dup_rpd]
+
+    def test_one_side_is_held_at_a_time(self, rng):
+        held = []
+
+        def side(tag):
+            assert [ref() for ref in held] == [None] * len(held), "a previous side is still held"
+            run_a = random_run(rng, f"a_{tag}", 6, 20)
+            inputs = (run_a, random_run(rng, f"b_{tag}", 6, 20), random_qrels(rng, run_a))
+            held.extend(weakref.ref(x) for x in inputs)
+            return inputs
+
+        rep = build_reproduce_report((side(tag) for tag in ("orig", "rpd")),
+                                     [parse_measure_spec("P@10"), parse_measure_spec("AP@20")])
+        assert len(held) == 6
+        assert rep["runs"] == {"a_orig": "a_orig", "b_orig": "b_orig",
+                               "a_rpd": "a_rpd", "b_rpd": "b_rpd"}
+        assert rep["topics"] == rep["topics_orig"] == 6
+        with pytest.raises(ConfigError, match="two sides, got 1"):
+            build_reproduce_report([side("only")], [parse_measure_spec("P@10")])
+
 
 class TestCorrelate:
     def _manifest(self, tmp, paths, rng, n_candidates=3):
@@ -435,6 +498,18 @@ class TestCorrelate:
         assert capsys.readouterr().out.endswith(
             "\nwarnings:\n" + "".join(f"  - {w}\n" for w in expected))
 
+    def test_baseline_load_warnings_are_reported(self, workspace, rng, capsys):
+        tmp, paths = workspace
+        mpath, _ = self._manifest_with_baselines(tmp, paths, rng)
+        dup_orig = with_duplicate(tmp / "b_orig.run", tmp / "b_orig.run", "b_orig")
+        dup_base = with_duplicate(tmp / "base1.run", tmp / "base1.run", "base1")
+        assert main(["correlate", "--manifest", str(mpath), "--format", "json"]) == 0
+        warnings = json.loads(capsys.readouterr().out)["warnings"]
+        # each candidate's block lists the original baseline's, then its own baseline's
+        assert [w for w in warnings if "duplicate" in w] == [
+            "cand0.run: " + dup_orig, "cand1.run: " + dup_orig, "cand1.run: " + dup_base,
+            "cand2.run: " + dup_orig, "cand3.run: " + dup_orig]
+
     def test_provenance_digests_every_input(self, workspace, rng, capsys):
         tmp, paths = workspace
         mpath, _ = self._manifest_with_baselines(tmp, paths, rng)
@@ -524,6 +599,27 @@ class TestCorrelate:
             "candidates": [paths["rpl"].name],
         }))
         assert main(["correlate", "--manifest", str(mpath)]) == 2
+
+
+@pytest.mark.parametrize("command", ["replicate", "reproduce", "correlate"])
+def test_one_comparable_topic_is_exit_4(tmp_path, capsys, command):
+    # a t-test needs two topics: one is an error record, not a traceback
+    (tmp_path / "a.run").write_text("301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n")
+    (tmp_path / "b.run").write_text("301 Q0 B 1 2.0 b\n301 Q0 A 2 1.0 b\n")
+    (tmp_path / "q.txt").write_text("301 0 A 1\n")
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"qrels": "q.txt", "run_orig": "a.run", "candidates": ["b.run", "a.run"]}))
+    a, b, q = (str(tmp_path / name) for name in ("a.run", "b.run", "q.txt"))
+    argv = {
+        "replicate": ["--run-orig", a, "--run-rpl", b, "--qrels", q],
+        "reproduce": ["--run-a-orig", a, "--run-b-orig", b, "--qrels-orig", q,
+                      "--run-a-rpd", b, "--run-b-rpd", a, "--qrels-rpd", q],
+        "correlate": ["--manifest", str(tmp_path / "m.json")],
+    }[command]
+    assert main([command, *argv]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "no-comparable-topics"
+    assert "n >= 2" in err["message"]
 
 
 def test_cli_import_loads_no_numpy():

@@ -1,10 +1,12 @@
 import io
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reprokit import trec_io
 from reprokit.errors import NoComparableTopicsError, TrecParseError
 from reprokit.trec_io import (
     load_qrels,
@@ -78,7 +80,7 @@ def test_nan_score_is_rejected_infinities_are_kept():
         parse_run("301 Q0 A 1 NaN sys\n")
     run = parse_run("301 Q0 A 1 -inf sys\n301 Q0 B 2 1.0 sys\n301 Q0 C 3 inf sys\n")
     assert run.topics["301"].doc_ids == ("C", "B", "A")
-    assert run.topics["301"].scores == (float("inf"), 1.0, float("-inf"))
+    assert tuple(run.topics["301"].scores) == (float("inf"), 1.0, float("-inf"))
 
 
 def test_parsed_run_holds_little_memory():
@@ -109,7 +111,28 @@ def test_load_run_streams_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(run.topics) == 200 and len(run.topics["500"].doc_ids) == 1000
-    assert peak - held < size / 2, f"peak {(peak - held) / 2**20:.1f} MB above the parsed run"
+    # one topic is open at a time: its dict and the read buffer are all the peak adds
+    assert peak - held < 2**19, f"peak {(peak - held) / 2**20:.2f} MB above the parsed run"
+
+
+def test_rank_major_run_reopens_each_topic_once(monkeypatch):
+    # every line switches topic: a topic is closed after its first line, reopened
+    # once as a dict, and closed again at the end, never once per line
+    def text(pairs):
+        return "".join(f"{t} Q0 D{t}-{d:03d} {d + 1} {(200 - d) / 4} sys\n" for t, d in pairs)
+
+    grouped = parse_run(text((t, d) for t in range(301, 501) for d in range(200)))
+    calls = Counter()
+    canonical = trec_io._canonical_ranking
+
+    def counting(scores):
+        calls[next(iter(scores)).split("-")[0]] += 1
+        return canonical(scores)
+
+    monkeypatch.setattr(trec_io, "_canonical_ranking", counting)
+    run = parse_run(text((t, d) for d in range(200) for t in range(301, 501)))
+    assert run.tag == grouped.tag and run.topics == grouped.topics
+    assert len(calls) == 200 and max(calls.values()) <= 2
 
 
 _TOPICS = ("301", "302", "2", "10", "q7", "\u00b2")
@@ -169,6 +192,24 @@ def test_parse_run_matches_brute_force_parser(text, mode, kind):
     run = parse_run(source, mode=mode)
     got = [(t, list(zip(r.doc_ids, r.scores))) for t, r in run.topics.items()]
     assert (run.tag, got, run.warnings) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_run_texts(), mode=st.sampled_from(("strict", "lenient")))
+def test_serialize_then_parse_round_trips(text, mode):
+    try:
+        run = parse_run(text, mode=mode)
+    except TrecParseError:
+        return
+    serialized = serialize_run(run)
+    again = parse_run(serialized)
+    assert again.tag == run.tag
+    assert list(again.topics) == list(run.topics)
+    for topic, ranking in run.topics.items():
+        assert again.topics[topic].doc_ids == ranking.doc_ids
+        # repr tells -0.0 from 0.0
+        assert list(map(repr, again.topics[topic].scores)) == list(map(repr, ranking.scores))
+    assert serialize_run(again) == serialized
 
 
 def test_parse_accepts_bytes():
