@@ -49,6 +49,41 @@ def brute_ndcg_at_k(ranking, grades, k, exponential=False):
     return dcg / idcg
 
 
+
+# The per-measure scorers that the one-walk ``score_run`` replaced, kept
+# verbatim. They sum in the same order as the package, so a score the package
+# gives must equal theirs exactly (==), not only to a tolerance.
+
+def _judged_hits(ranking, grades, k):
+    return [(i, g) for i, g in enumerate(map(grades.get, ranking[:k]), start=1) if g]
+
+
+def exact_precision_at_k(ranking, grades, k):
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return len(_judged_hits(ranking, grades, k)) / k
+
+
+def exact_average_precision(ranking, grades, cutoff=None):
+    n_rel = sum(1 for g in grades.values() if g > 0)
+    if n_rel == 0:
+        raise ValueError("topic has no relevant documents; filter upstream")
+    total = 0.0
+    for hits, (i, _) in enumerate(_judged_hits(ranking, grades, cutoff), start=1):
+        total += hits / i
+    return total / n_rel
+
+
+def exact_ndcg_at_k(ranking, grades, k):
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    dcg = sum(g / math.log2(i + 1) for i, g in _judged_hits(ranking, grades, k))
+    ideal = sorted((g for g in grades.values() if g > 0), reverse=True)[:k]
+    idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
+    if idcg == 0:
+        raise ValueError("topic has no relevant documents; filter upstream")
+    return dcg / idcg
+
 def brute_parse_run(text, mode="strict"):
     """Parse TREC run text with a plain line loop.
 

@@ -1,0 +1,29 @@
+"""Every report format of every subcommand, byte for byte, on seeded inputs.
+
+The files under ``tests/golden/`` pin the numbers, their formatting and the
+order of the warnings (see ``golden_inputs.py`` for what the inputs hold). A
+change that is not meant to move a report must leave them all equal.
+"""
+
+import pathlib
+
+import pytest
+
+from reprokit.cli import main
+
+from golden_inputs import FORMATS, golden_name, write_inputs
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.fixture(scope="module")
+def argvs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("golden_inputs"))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", ["replicate", "reproduce", "correlate"])
+def test_report_is_byte_identical(argvs, tmp_path, command, fmt):
+    out = tmp_path / golden_name(command, fmt)
+    assert main(argvs[command] + ["--format", fmt, "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden_name(command, fmt)).read_bytes()
