@@ -27,6 +27,7 @@ import time
 from . import report
 from .effectiveness import MeasureConfig, parse_measure_spec
 from .errors import ConfigError, ReprokitError
+from .ordering import check_cutoffs
 from .report import build_correlation_report, build_replicate_report, build_reproduce_report
 from .trec_io import load_qrels, load_run
 
@@ -68,8 +69,7 @@ def _parse_cutoffs(spec: str | None) -> list[int] | None:
         cutoffs = [int(s) for s in spec.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"bad cutoff list {spec!r}; expected integers like 10,100") from None
-    if cutoffs != sorted(cutoffs):
-        raise ConfigError("cutoffs must be ascending")
+    check_cutoffs(cutoffs)
     return cutoffs
 
 
@@ -172,6 +172,7 @@ def _provenance(paths: dict[str, str]) -> dict:
 def _cmd_replicate(args, measures: list[MeasureConfig], mode: str) -> tuple[dict, dict]:
     if (args.run_b_orig is None) != (args.run_b_rpl is None):
         raise ConfigError("--run-b-orig and --run-b-rpl must be given together")
+    cutoffs = _parse_cutoffs(args.cutoffs)  # before any input is read
     rep = build_replicate_report(
         load_run(args.run_orig, mode=mode),
         load_run(args.run_rpl, mode=mode),
@@ -179,7 +180,7 @@ def _cmd_replicate(args, measures: list[MeasureConfig], mode: str) -> tuple[dict
         measures,
         phi=args.phi,
         depth=args.depth,
-        cutoffs=_parse_cutoffs(args.cutoffs),
+        cutoffs=cutoffs,
         baseline_orig=load_run(args.run_b_orig, mode=mode) if args.run_b_orig else None,
         baseline_rpl=load_run(args.run_b_rpl, mode=mode) if args.run_b_rpl else None,
         strict=args.strict,

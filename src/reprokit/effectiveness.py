@@ -3,11 +3,21 @@
 Conventions follow trec_eval's defaults: unjudged documents count as
 non-relevant, a document is relevant for P@k and AP when its grade is >= 1,
 and nDCG uses linear gain with a 1/log2(i+1) discount.
+
+:func:`score_run` walks each (run, topic) once, down to the largest cutoff,
+for every (measure, cutoff) asked; :func:`precision_at_k`,
+:func:`average_precision` and :func:`ndcg_at_k` are views of the same walk.
+P@k counts the hits at rank <= k. AP@k reads the running sum of precision at
+each hit at the last hit <= k, the very float a walk stopped at k gives.
+nDCG@k and IDCG@k apply builtin ``sum()`` to a prefix slice of the gain
+terms, never a running ``+=``: from Python 3.12 ``sum()`` of floats is
+compensated, so only the same ``sum()`` of the same terms keeps the bytes.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -90,11 +100,41 @@ def _judged_hits(ranking: Sequence[str], grades: Mapping[str, int],
     return [(i, g) for i, g in enumerate(map(grades.get, ranking[:k]), start=1) if g]
 
 
+def _topic_scores(ranking: Sequence[str], grades: Mapping[str, int],
+                  cfgs: Sequence[tuple[str, int]]) -> list[float]:
+    """The score of one topic under each ``(measure, cutoff)``, in order, each
+    read from one walk down to the largest cutoff (see the module docstring)."""
+    hits = _judged_hits(ranking, grades, max((k for _, k in cfgs), default=0))
+    ranks = [i for i, _ in hits]
+    n_rel = sum(1 for g in grades.values() if g > 0)
+    ap_sums, total = [0.0], 0.0  # ap_sums[j]: the AP sum over the first j hits
+    for n_hits, i in enumerate(ranks, start=1):
+        total += n_hits / i
+        ap_sums.append(total)
+    dcg_terms = ideal_terms = None
+    out = []
+    for measure, k in cfgs:
+        if k < 1 and measure != "AP":
+            raise ValueError(f"k must be >= 1, got {k}")
+        j = bisect_right(ranks, k)  # hits at rank <= k
+        if measure == "P":
+            out.append(j / k)
+        elif n_rel == 0:
+            raise ValueError("topic has no relevant documents; filter upstream")
+        elif measure == "AP":
+            out.append(ap_sums[j] / n_rel)
+        else:
+            if dcg_terms is None:
+                dcg_terms = [g / math.log2(i + 1) for i, g in hits]
+                ideal = sorted((g for g in grades.values() if g > 0), reverse=True)
+                ideal_terms = [g / math.log2(i + 1) for i, g in enumerate(ideal, start=1)]
+            out.append(sum(dcg_terms[:j]) / sum(ideal_terms[:k]))
+    return out
+
+
 def precision_at_k(ranking: Sequence[str], grades: Mapping[str, int], k: int) -> float:
     """Fraction of the top-k that is relevant; short lists pad as non-relevant."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return len(_judged_hits(ranking, grades, k)) / k
+    return _topic_scores(ranking, grades, [("P", k)])[0]
 
 
 def average_precision(ranking: Sequence[str], grades: Mapping[str, int],
@@ -104,52 +144,31 @@ def average_precision(ranking: Sequence[str], grades: Mapping[str, int],
     Normalized by the total number of relevant documents R; relevant
     documents not retrieved (or beyond the cutoff) contribute 0.
     """
-    n_rel = sum(1 for g in grades.values() if g > 0)
-    if n_rel == 0:
-        raise ValueError("topic has no relevant documents; filter upstream")
-    total = 0.0
-    for hits, (i, _) in enumerate(_judged_hits(ranking, grades, cutoff), start=1):
-        total += hits / i
-    return total / n_rel
+    return _topic_scores(ranking, grades, [("AP", len(ranking) if cutoff is None else cutoff)])[0]
 
 
 def ndcg_at_k(ranking: Sequence[str], grades: Mapping[str, int], k: int) -> float:
     """DCG@k over ideal DCG@k with linear gain; the ideal ranking sorts the
     positive grades descending."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    dcg = sum(g / math.log2(i + 1) for i, g in _judged_hits(ranking, grades, k))
-    ideal = sorted((g for g in grades.values() if g > 0), reverse=True)[:k]
-    idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
-    if idcg == 0:
-        raise ValueError("topic has no relevant documents; filter upstream")
-    return dcg / idcg
+    return _topic_scores(ranking, grades, [("nDCG", k)])[0]
 
 
-def score_topic(ranking: Sequence[str], grades: Mapping[str, int],
-                cfg: MeasureConfig) -> float:
-    if cfg.measure == "P":
-        return precision_at_k(ranking, grades, cfg.cutoff)
-    if cfg.measure == "AP":
-        return average_precision(ranking, grades, cfg.cutoff)
-    return ndcg_at_k(ranking, grades, cfg.cutoff)
+def score_run(run: Run, qrels: Qrels, topics: TopicSet, cfgs: Sequence[MeasureConfig],
+              strict: bool = False, warnings: list[str] | None = None) -> list[TopicScoreVector]:
+    """One vector per config, in order, of the run's score on each topic in set order.
 
-
-def score_run(run: Run, qrels: Qrels, topics: TopicSet, cfg: MeasureConfig,
-              strict: bool = False,
-              warnings: list[str] | None = None) -> TopicScoreVector:
-    """Score one run over a topic set, one score per topic in set order.
-
-    A topic missing from the run scores 0 with a warning (error if strict).
+    A topic missing from the run scores 0 (error if strict) and warns once per
+    config, config by config, as if each config were scored alone.
     """
-    scores: dict[str, float] = {}
-    for topic in topics:
-        if topic not in run.topics:
-            if strict:
-                raise TopicMismatchError(f"run {run.tag!r} is missing topic {topic}")
-            if warnings is not None:
-                warnings.append(f"run {run.tag!r} missing topic {topic}, scored 0")
-            scores[topic] = 0.0
-            continue
-        scores[topic] = score_topic(run.topics[topic].doc_ids, qrels.topics.get(topic, {}), cfg)
-    return TopicScoreVector(measure=cfg.label, run_tag=run.tag, scores=scores)
+    missing = [topic for topic in topics if topic not in run.topics]
+    if missing and strict:
+        raise TopicMismatchError(f"run {run.tag!r} is missing topic {missing[0]}")
+    if warnings is not None:
+        warnings.extend(f"run {run.tag!r} missing topic {topic}, scored 0"
+                        for _ in cfgs for topic in missing)
+    pairs = [(c.measure, c.cutoff) for c in cfgs]
+    rows = {topic: _topic_scores(run.topics[topic].doc_ids, qrels.topics.get(topic, {}), pairs)
+            if topic in run.topics else [0.0] * len(pairs) for topic in topics}
+    return [TopicScoreVector(measure=c.label, run_tag=run.tag,
+                             scores={topic: row[i] for topic, row in rows.items()})
+            for i, c in enumerate(cfgs)]

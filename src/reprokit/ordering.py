@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DegenerateTiesError, OverlapTooSmallError
 from .trec_io import Run, TopicSet
@@ -202,56 +202,80 @@ def _truncated(r: Run, s: Run, topics: TopicSet, cutoff: int | None):
         yield topic, r.topics[topic].doc_ids[:cutoff], s.topics[topic].doc_ids[:cutoff]
 
 
+def _tau_or_none(r_docs: Sequence[str], s_docs: Sequence[str]) -> float | None:
+    if min(len(r_docs), len(s_docs)) < 2:
+        return None
+    try:
+        return tau_union(r_docs, s_docs)
+    except DegenerateTiesError:
+        return None
+
+
 def tau_union_over_topics(r: Run, s: Run, topics: TopicSet,
                           cutoff: int | None = None) -> dict[str, float | None]:
     """Per-topic tau-union; None where tau is undefined: fewer than 2 paired
     items (e.g. at cutoff 1) or degenerate ties. Any other error propagates."""
-    out: dict[str, float | None] = {}
-    for topic, r_docs, s_docs in _truncated(r, s, topics, cutoff):
-        if min(len(r_docs), len(s_docs)) < 2:
-            out[topic] = None
-            continue
-        try:
-            out[topic] = tau_union(r_docs, s_docs)
-        except DegenerateTiesError:
-            out[topic] = None
-    return out
-
-
-def rbo_over_topics(r: Run, s: Run, topics: TopicSet, params: RboParams,
-                    cutoff: int | None = None) -> dict[str, float]:
-    return {topic: rbo(r_docs, s_docs, params)
+    return {topic: _tau_or_none(r_docs, s_docs)
             for topic, r_docs, s_docs in _truncated(r, s, topics, cutoff)}
 
 
-def ordering_at_cutoffs(r: Run, s: Run, topics: TopicSet, cutoffs: Sequence[int],
-                        params: RboParams) -> dict[int, tuple[float, float]]:
-    """Mean tau-union and mean RBO after truncating both runs to each cutoff.
+def rbo_over_topics(r: Run, s: Run, topics: TopicSet, params: RboParams) -> dict[str, float]:
+    return {topic: rbo(r_docs, s_docs, params)
+            for topic, r_docs, s_docs in _truncated(r, s, topics, None)}
 
-    RBO over the first k documents of each run is the running sum of the
-    full lists at depth min(depth, max(|r[:k]|, |s[:k]|)), so each topic's
-    sums are computed once, to the deepest cutoff.
-    """
+
+def check_cutoffs(cutoffs: Sequence[int]) -> None:
+    """Raise ConfigError unless the cutoffs ascend and are all >= 1."""
     if list(cutoffs) != sorted(cutoffs):
         raise ConfigError("cutoffs must be ascending")
+    if cutoffs and cutoffs[0] < 1:
+        raise ConfigError(f"cutoff must be >= 1, got {cutoffs[0]}")
+
+
+class FullDepth(NamedTuple):
+    """Per-topic values of one run pair on the full lists; the cutoff sweep reuses them."""
+
+    tau: dict[str, float | None]  # tau-union, None where undefined
+    rbo: dict[str, float]
+    rbo_sums: dict[str, list[float]]  # see _rbo_sums
+
+
+def full_depth(r: Run, s: Run, topics: TopicSet, params: RboParams) -> FullDepth:
+    sums = {topic: _rbo_sums(r_docs, s_docs, params)
+            for topic, r_docs, s_docs in _truncated(r, s, topics, None)}
+    return FullDepth(tau_union_over_topics(r, s, topics),
+                     {topic: (1.0 - params.phi) * v[-1] for topic, v in sums.items()}, sums)
+
+
+def ordering_at_cutoffs(r: Run, s: Run, topics: TopicSet, cutoffs: Sequence[int],
+                        params: RboParams, full: FullDepth | None = None
+                        ) -> dict[int, tuple[float | None, float]]:
+    """Mean tau-union and mean RBO after truncating both runs to each cutoff.
+
+    Reuses ``full``, the :func:`full_depth` values of the same pair (computed
+    here if not given). RBO over the first k documents of each run is the
+    running sum of the full lists at depth min(depth, max(|r[:k]|, |s[:k]|)).
+    Tau-union is computed anew only on a topic where k truncates one of the
+    two lists; where k >= |r| and k >= |s| it is the full-depth value.
+    """
+    check_cutoffs(cutoffs)
     if not cutoffs:
         return {}
-    if cutoffs[0] < 1:
-        raise ConfigError(f"cutoffs must be >= 1, got {cutoffs[0]}")
-    prefixes = {
-        topic: (len(r_docs), len(s_docs), _rbo_sums(r_docs, s_docs, params))
-        for topic, r_docs, s_docs in _truncated(r, s, topics, cutoffs[-1])
-    }
+    full = full or full_depth(r, s, topics, params)
+    docs = {topic: (r.topics[topic].doc_ids, s.topics[topic].doc_ids) for topic in topics}
     out: dict[int, tuple[float | None, float]] = {}
     for k in cutoffs:
+        taus = {topic: full.tau[topic] if k >= len(r_docs) and k >= len(s_docs)
+                else _tau_or_none(r_docs[:k], s_docs[:k])
+                for topic, (r_docs, s_docs) in docs.items()}
         try:
-            tau_mean, _ = mean_over_topics(tau_union_over_topics(r, s, topics, cutoff=k))
+            tau_mean, _ = mean_over_topics(taus)
         except DegenerateTiesError:
             tau_mean = None  # tau undefined everywhere, e.g. at cutoff 1
         rbo_at_k = {
             topic: (1.0 - params.phi)
-            * sums[min(params.depth, max(min(k, r_len), min(k, s_len))) - 1]
-            for topic, (r_len, s_len, sums) in prefixes.items()
+            * full.rbo_sums[topic][min(params.depth, max(min(k, len(r_docs)), min(k, len(s_docs)))) - 1]
+            for topic, (r_docs, s_docs) in docs.items()
         }
         rbo_mean, _ = mean_over_topics(rbo_at_k)
         out[k] = (tau_mean, rbo_mean)

@@ -10,7 +10,7 @@ p-value. No timestamps unless provenance was explicitly requested upstream.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import effects, meta, ordering, score_agreement, stats
 from .effectiveness import MeasureConfig, TopicScoreVector, score_run
@@ -49,13 +49,19 @@ def _paired_block(label: str, v_orig: TopicScoreVector, v_rpl: TopicScoreVector,
     }
 
 
-def _tau_union_mean(run_orig: Run, run_rpl: Run, topics: TopicSet,
-                    warnings: list[str]) -> float:
-    tau_mean, excluded = ordering.mean_over_topics(
-        ordering.tau_union_over_topics(run_orig, run_rpl, topics))
+def _tau_union_mean(per_topic: dict[str, float | None], warnings: list[str]) -> float:
+    tau_mean, excluded = ordering.mean_over_topics(per_topic)
     if excluded:
         warnings.append(f"tau degenerate on {excluded} topic(s), excluded from mean")
     return tau_mean
+
+
+def _scored(run: Run, qrels: Qrels, topics: TopicSet, cfgs: tuple[MeasureConfig, ...],
+            strict: bool) -> tuple[list[TopicScoreVector], list[str]]:
+    """:func:`score_run`'s vectors, and the warnings of one config (each gives the same)."""
+    found: list[str] = []
+    vectors = score_run(run, qrels, topics, cfgs, strict=strict, warnings=found)
+    return vectors, found[:len(found) // len(cfgs)]
 
 
 def _effect_block(inp: effects.EffectInput) -> dict:
@@ -70,6 +76,27 @@ def _effect_block(inp: effects.EffectInput) -> dict:
     }
 
 
+def _measure_blocks(measures: list[MeasureConfig], orig: list[TopicScoreVector],
+                    rpl: list[TopicScoreVector], score_baselines: Callable[[], tuple] | None,
+                    warnings: list[str]) -> tuple[dict, dict]:
+    """The paired block of each measure and, given a function that returns the
+    two baselines' :func:`_scored` results, its effect block. Their warnings are
+    listed measure by measure, as scoring one measure at a time gives them."""
+    measure_blocks: dict[str, dict] = {}
+    effect_blocks: dict[str, dict] = {}
+    baselines = None
+    for i, cfg in enumerate(measures):
+        measure_blocks[cfg.label] = _paired_block(cfg.label, orig[i], rpl[i], warnings)
+        if score_baselines is not None:
+            # scored only now, so a paired block's error (too few topics) comes first
+            baselines = baselines or score_baselines()
+            (b, b_found), (b_prime, b_prime_found) = baselines
+            warnings += b_found + b_prime_found
+            effect_blocks[cfg.label] = _effect_block(
+                effects.EffectInput(b[i], orig[i], b_prime[i], rpl[i]))
+    return measure_blocks, effect_blocks
+
+
 def build_replicate_report(
     run_orig: Run,
     run_rpl: Run,
@@ -82,14 +109,14 @@ def build_replicate_report(
     baseline_rpl: Run | None = None,
     strict: bool = False,
 ) -> dict:
+    ordering.check_cutoffs(cutoffs or ())
     warnings = _load_warnings(run_orig, run_rpl, qrels, baseline_orig, baseline_rpl)
     topics = topic_intersection(run_orig, run_rpl, qrels)
     params = ordering.RboParams(phi=phi, depth=depth)
 
-    tau_mean = _tau_union_mean(run_orig, run_rpl, topics, warnings)
-    rbo_mean, _ = ordering.mean_over_topics(
-        ordering.rbo_over_topics(run_orig, run_rpl, topics, params)
-    )
+    full = ordering.full_depth(run_orig, run_rpl, topics, params)
+    tau_mean = _tau_union_mean(full.tau, warnings)
+    rbo_mean, _ = ordering.mean_over_topics(full.rbo)
     inter_vals = {}
     overlaps = []
     for topic in topics:
@@ -111,33 +138,31 @@ def build_replicate_report(
         tau_inter_mean, mean_overlap = None, None
         warnings.append("tau-intersection unavailable on every topic")
 
-    measure_blocks: dict[str, dict] = {}
-    effect_blocks: dict[str, dict] = {}
+    # the measures first, then each at every cutoff: each run is walked once;
+    # topics are in both runs, so neither gives a warning
+    cfgs = tuple(dict.fromkeys([*measures, *(MeasureConfig(c.measure, k)
+                                             for k in cutoffs or () for c in measures)]))
+    orig = dict(zip(cfgs, score_run(run_orig, qrels, topics, cfgs, strict=strict)))
+    rpl = dict(zip(cfgs, score_run(run_rpl, qrels, topics, cfgs, strict=strict)))
+    measure_blocks, effect_blocks = _measure_blocks(
+        measures, [orig[c] for c in measures], [rpl[c] for c in measures],
+        (lambda: (_scored(baseline_orig, qrels, topics, tuple(measures), strict),
+                  _scored(baseline_rpl, qrels, topics, tuple(measures), strict)))
+        if baseline_orig is not None and baseline_rpl is not None else None, warnings)
     cutoff_blocks: dict[int, dict] = {}
-    for cfg in measures:
-        v_orig = score_run(run_orig, qrels, topics, cfg, strict=strict, warnings=warnings)
-        v_rpl = score_run(run_rpl, qrels, topics, cfg, strict=strict, warnings=warnings)
-        measure_blocks[cfg.label] = _paired_block(cfg.label, v_orig, v_rpl, warnings)
-        if baseline_orig is not None and baseline_rpl is not None:
-            b = score_run(baseline_orig, qrels, topics, cfg, strict=strict, warnings=warnings)
-            b_prime = score_run(baseline_rpl, qrels, topics, cfg, strict=strict, warnings=warnings)
-            effect_blocks[cfg.label] = _effect_block(effects.EffectInput(b, v_orig, b_prime, v_rpl))
-        if cutoffs:
-            sweep = score_agreement.rmse_at_cutoffs(run_orig, run_rpl, qrels, topics, cfg, cutoffs)
-            for k, v in sweep.items():
-                cutoff_blocks.setdefault(k, {}).setdefault(cfg.label, {})["rmse"] = v
     if cutoffs:
+        for cfg in measures:
+            for k, v in score_agreement.rmse_at_cutoffs(orig, rpl, cfg.measure, cutoffs).items():
+                cutoff_blocks.setdefault(k, {})[cfg.label] = {"rmse": v}
         for k, (t_mean, r_mean) in ordering.ordering_at_cutoffs(
-            run_orig, run_rpl, topics, cutoffs, params
+            run_orig, run_rpl, topics, cutoffs, params, full
         ).items():
-            block = cutoff_blocks.setdefault(k, {}).setdefault("ordering", {})
-            block["tau_union"] = t_mean
-            block["rbo"] = r_mean
+            cutoff_blocks[k]["ordering"] = {"tau_union": t_mean, "rbo": r_mean}
 
     return {
         "mode": "replicate",
         "runs": {"orig": run_orig.tag, "rpl": run_rpl.tag},
-        "topics": topics.size,
+        "topics": len(topics),
         "config": {"phi": phi, "depth": depth, "measures": [c.label for c in measures]},
         "ordering": {
             "tau_union_mean": tau_mean,
@@ -164,10 +189,10 @@ def build_reproduce_report(sides: Iterable[tuple[Run, Run, Qrels]],
     for run_a, run_b, qrels in sides:
         warnings.extend(_load_warnings(run_a, run_b, qrels))
         topics = topic_intersection(run_a, run_b, qrels)
-        done.append((run_a.tag, run_b.tag, topics.size, [
-            (score_run(run_a, qrels, topics, cfg, strict=strict, warnings=warnings),
-             score_run(run_b, qrels, topics, cfg, strict=strict, warnings=warnings))
-            for cfg in measures]))
+        # topics are in both runs, so neither call gives a warning
+        done.append((run_a.tag, run_b.tag, len(topics), list(zip(
+            score_run(run_a, qrels, topics, tuple(measures), strict=strict),
+            score_run(run_b, qrels, topics, tuple(measures), strict=strict)))))
         del run_a, run_b, qrels  # hold no side while the next one loads
     if len(done) != 2:
         raise ConfigError(f"reproduce compares two sides, got {len(done)}")
@@ -219,37 +244,34 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
     raw: dict[str, dict[str, float]] = {}  # measure_id -> run_id -> raw value
     raw_er: dict[str, dict[str, float]] = {}  # listed after the others, as in replicate
     warnings: list[str] = []
+    cfgs = tuple(measures)
     # by role, not id(): ids get reused; the warnings are replayed for each candidate
-    orig_scores: dict[tuple, tuple[TopicScoreVector, list[str]]] = {}
+    orig_scores: dict[tuple, tuple[list[TopicScoreVector], list[str]]] = {}
 
-    def score_orig(role: str, run: Run, topics: TopicSet, cfg: MeasureConfig,
-                   found: list[str]) -> TopicScoreVector:
-        if (role, topics, cfg) not in orig_scores:
-            scored: list[str] = []
-            orig_scores[role, topics, cfg] = (
-                score_run(run, qrels, topics, cfg, strict=strict, warnings=scored), scored)
-        vec, scored = orig_scores[role, topics, cfg]
-        found.extend(scored)
-        return vec
+    def score_orig(role: str, run: Run, topics: TopicSet) -> tuple[list[TopicScoreVector], list[str]]:
+        if (role, topics) not in orig_scores:
+            orig_scores[role, topics] = _scored(run, qrels, topics, cfgs, strict)
+        return orig_scores[role, topics]
 
     for run_id, run_rpl, baseline_rpl in candidates:
         found = _load_warnings(run_orig, run_rpl, qrels, baseline_orig, baseline_rpl)
         topics = topic_intersection(run_orig, run_rpl, qrels)
-        raw.setdefault("tau", {})[run_id] = _tau_union_mean(run_orig, run_rpl, topics, found)
+        raw.setdefault("tau", {})[run_id] = _tau_union_mean(
+            ordering.tau_union_over_topics(run_orig, run_rpl, topics), found)
         raw.setdefault("rbo", {})[run_id] = ordering.mean_over_topics(ordering.rbo_over_topics(
             run_orig, run_rpl, topics, ordering.RboParams(phi=phi, depth=depth)))[0]
-        for cfg in measures:
-            v_orig = score_orig("orig", run_orig, topics, cfg, found)
-            v_rpl = score_run(run_rpl, qrels, topics, cfg, strict=strict, warnings=found)
-            block = _paired_block(cfg.label, v_orig, v_rpl, found)
+        # topics are in both runs, so neither gives a warning
+        measure_blocks, effect_blocks = _measure_blocks(
+            measures, score_orig("orig", run_orig, topics)[0],
+            score_run(run_rpl, qrels, topics, cfgs, strict=strict),
+            (lambda: (score_orig("b_orig", baseline_orig, topics),
+                      _scored(baseline_rpl, qrels, topics, cfgs, strict)))
+            if baseline_orig is not None and baseline_rpl is not None else None, found)
+        for label, block in measure_blocks.items():
             for key in ("delta_arp", "rmse", "p_value"):
-                raw.setdefault(f"{key}_{cfg.label}", {})[run_id] = block[key]
-            if baseline_orig is not None and baseline_rpl is not None:
-                raw_er.setdefault(f"er_{cfg.label}", {})[run_id] = _effect_block(effects.EffectInput(
-                    score_orig("b_orig", baseline_orig, topics, cfg, found), v_orig,
-                    score_run(baseline_rpl, qrels, topics, cfg, strict=strict, warnings=found),
-                    v_rpl,
-                ))["er"]
+                raw.setdefault(f"{key}_{label}", {})[run_id] = block[key]
+        for label, block in effect_blocks.items():
+            raw_er.setdefault(f"er_{label}", {})[run_id] = block["er"]
         warnings.extend(f"{run_id}: {w}" for w in found)
         del run_rpl, baseline_rpl  # hold no candidate while the next one loads
     raw.update(raw_er)
@@ -296,29 +318,17 @@ def emit(report: dict, fmt: str) -> str:
     raise ConfigError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
+_ORDERING_COLUMNS = {"tau_union": "tau_union_mean", "tau_intersection": "tau_intersection_mean",
+                     "overlap": "mean_overlap", "rbo": "rbo_mean"}
+
+
 def _row_values(report: dict, label: str) -> dict:
-    block = report["measures"][label]
-    effects = (report.get("effects") or {}).get(label, {})
-    return {
-        "measure": label,
-        "arp_orig": block.get("arp_orig"),
-        "arp_rpl": block.get("arp_rpl"),
-        "delta_arp": block.get("delta_arp"),
-        "delta_arp_signed": block.get("delta_arp_signed"),
-        "tau_union": (report.get("ordering") or {}).get("tau_union_mean"),
-        "tau_intersection": (report.get("ordering") or {}).get("tau_intersection_mean"),
-        "overlap": (report.get("ordering") or {}).get("mean_overlap"),
-        "rbo": (report.get("ordering") or {}).get("rbo_mean"),
-        "rmse": block.get("rmse"),
-        "t_stat": block.get("t_stat"),
-        "p_value": block.get("p_value"),
-        "er": effects.get("er"),
-        "ri": effects.get("ri"),
-        "ri_prime": effects.get("ri_prime"),
-        "delta_ri": effects.get("delta_ri"),
-        "region": effects.get("region"),
-        "dist": effects.get("dist"),
-    }
+    """The CSV_HEADER columns of one measure: its score block, its effects and
+    the report's ordering values; None where the report has no such value."""
+    ordering_block = report.get("ordering") or {}
+    row = {**report["measures"][label], **(report.get("effects") or {}).get(label, {}),
+           **{col: ordering_block.get(key) for col, key in _ORDERING_COLUMNS.items()}, "measure": label}
+    return {col: row.get(col) for col in CSV_HEADER.split(",")}
 
 
 def emit_csv(report: dict) -> str:

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .effectiveness import MeasureConfig, TopicScoreVector, score_run
-from .errors import ConfigError
-from .trec_io import Qrels, Run, TopicSet
+from .effectiveness import MeasureConfig, TopicScoreVector
 
 
 @dataclass(frozen=True)
@@ -35,14 +33,10 @@ def rmse(original: TopicScoreVector, replicated: TopicScoreVector) -> float:
     return math.sqrt(sum(d * d for d in diffs) / len(diffs))
 
 
-def rmse_at_cutoffs(r: Run, s: Run, qrels: Qrels, topics: TopicSet,
-                    cfg: MeasureConfig, cutoffs: Sequence[int]) -> dict[int, float]:
-    """RMSE per cutoff, re-scoring both runs at that cutoff first."""
-    if list(cutoffs) != sorted(cutoffs):
-        raise ConfigError("cutoffs must be ascending")
-    out: dict[int, float] = {}
-    for k in cutoffs:
-        cut_cfg = MeasureConfig(cfg.measure, k)
-        out[k] = rmse(score_run(r, qrels, topics, cut_cfg),
-                      score_run(s, qrels, topics, cut_cfg))
-    return out
+def rmse_at_cutoffs(original: Mapping[MeasureConfig, TopicScoreVector],
+                    replicated: Mapping[MeasureConfig, TopicScoreVector],
+                    measure: str, cutoffs: Sequence[int]) -> dict[int, float]:
+    """RMSE of ``measure`` at each cutoff, read from vectors already scored at
+    those cutoffs (keyed by config, as one :func:`score_run` call gives them)."""
+    cfgs = {k: MeasureConfig(measure, k) for k in cutoffs}
+    return {k: rmse(original[c], replicated[c]) for k, c in cfgs.items()}

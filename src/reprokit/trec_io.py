@@ -77,10 +77,6 @@ class Qrels:
 class TopicSet:
     ids: tuple[str, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.ids)
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.ids)
 
@@ -218,20 +214,20 @@ def parse_qrels(source: TextSource) -> Qrels:
     return Qrels(topics=ordered, warnings=warnings)
 
 
-def load_run(path: str, mode: str = "strict") -> Run:
+def _load(path: str, parse, *args):
     with open(path, "r", encoding="utf-8-sig") as f:
         try:
-            return parse_run(f, mode=mode)
+            return parse(f, *args)
         except TrecParseError as e:
             raise TrecParseError(f"{path}: {e}") from None
+
+
+def load_run(path: str, mode: str = "strict") -> Run:
+    return _load(path, parse_run, mode)
 
 
 def load_qrels(path: str) -> Qrels:
-    with open(path, "r", encoding="utf-8-sig") as f:
-        try:
-            return parse_qrels(f)
-        except TrecParseError as e:
-            raise TrecParseError(f"{path}: {e}") from None
+    return _load(path, parse_qrels)
 
 
 def serialize_run(run: Run) -> str:

@@ -69,13 +69,13 @@ def test_criterion_3_self_comparison_suite():
         assert rbo_mean == pytest.approx(1 - phi ** d, abs=1e-12)
 
         cfg = MeasureConfig("AP", 1000)
-        v = score_run(run, qrels, topics, cfg)
+        v = score_run(run, qrels, topics, (cfg,))[0]
         assert rmse(v, v) == 0.0
         assert delta_arp(v, v).absolute == 0.0
         assert paired_t_test(v, v).p_value == 1.0
 
         baseline = random_run(rng, "base", n_topics, n_docs)
-        bv = score_run(baseline, qrels, topics, cfg)
+        bv = score_run(baseline, qrels, topics, (cfg,))[0]
         if bv.mean > 0 and v.mean != bv.mean:
             summary = summarize_effect(EffectInput(b=bv, a=v, b_prime=bv, a_prime=v))
             assert summary.er == pytest.approx(1.0, abs=1e-12)
@@ -161,7 +161,7 @@ def test_criterion_6_degradation_monotonicity():
     topics = TopicSet(tuple(orig.topics))
     params = RboParams(0.8, 1000)
     cfg = MeasureConfig("nDCG", 1000)
-    v_orig = score_run(orig, qrels, topics, cfg)
+    v_orig = score_run(orig, qrels, topics, (cfg,))[0]
 
     rbo_means = []
     rmses = []
@@ -169,7 +169,7 @@ def test_criterion_6_degradation_monotonicity():
         noisy = _demote_relevant(orig, qrels, shift=3 * level, tag=f"noise{level}")
         rbo_mean, _ = mean_over_topics(rbo_over_topics(orig, noisy, topics, params))
         rbo_means.append(rbo_mean)
-        rmses.append(rmse(v_orig, score_run(noisy, qrels, topics, cfg)))
+        rmses.append(rmse(v_orig, score_run(noisy, qrels, topics, (cfg,))[0]))
     assert all(a >= b for a, b in zip(rbo_means, rbo_means[1:])), rbo_means
     assert all(a <= b for a, b in zip(rmses, rmses[1:])), rmses
     elapsed = time.monotonic() - start
@@ -225,10 +225,10 @@ def test_criterion_7_dataset_fixtures():
     topics = topic_intersection(orig, a, qrels)
     cfg = MeasureConfig("AP", 1000)
     inp = EffectInput(
-        b=score_run(orig, qrels, topics, cfg),
-        a=score_run(a, qrels, topics, cfg),
-        b_prime=score_run(rpl, qrels, topics, cfg),
-        a_prime=score_run(a_rpl, qrels, topics, cfg),
+        b=score_run(orig, qrels, topics, (cfg,))[0],
+        a=score_run(a, qrels, topics, (cfg,))[0],
+        b_prime=score_run(rpl, qrels, topics, (cfg,))[0],
+        a_prime=score_run(a_rpl, qrels, topics, (cfg,))[0],
     )
     assert effect_ratio(inp) == pytest.approx(1.0330, abs=1e-3)
     _report(7, "dataset fixtures within tolerance")

@@ -242,6 +242,21 @@ class TestReplicate:
         assert err["error"] == "config"
         assert "10,abc" in err["message"]
 
+    @pytest.mark.parametrize("cutoffs, message", [
+        ("10,5", "cutoffs must be ascending"),
+        ("0,10", "cutoff must be >= 1, got 0"),
+    ])
+    def test_cutoffs_are_checked_before_any_input_is_read(self, tmp_path, capsys, cutoffs, message):
+        code = main([
+            "replicate",
+            "--run-orig", str(tmp_path / "nope.run"),
+            "--run-rpl", str(tmp_path / "nope.run"),
+            "--qrels", str(tmp_path / "nope.qrels"),
+            "--cutoffs", cutoffs,
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+
     def test_non_decimal_digit_topic_is_compared(self, tmp_path, capsys):
         # '\u00b2'.isdigit() is true but int() rejects it: it must sort as a name
         (tmp_path / "a.run").write_text(
@@ -268,6 +283,14 @@ class TestReplicate:
         rep = build_replicate_report(orig, rpl, qrels, [parse_measure_spec("P@2")])
         assert rep["ordering"]["tau_intersection_mean"] == -1.0
         assert any("tau-intersection unavailable on 1 topic" in w for w in rep["warnings"])
+
+    def test_cutoffs_are_checked_before_the_comparison(self):
+        run = make_run("orig", {"1": ["a", "b"]})  # one topic: the paired test would fail
+        qrels = make_qrels({"1": {"a": 1}})
+        for cutoffs, message in (([10, 5], "cutoffs must be ascending"),
+                                 ([0, 5], "cutoff must be >= 1, got 0")):
+            with pytest.raises(ConfigError, match=message):
+                build_replicate_report(run, run, qrels, [parse_measure_spec("P@2")], cutoffs=cutoffs)
 
     def test_tau_intersection_kernel_errors_propagate(self, monkeypatch):
         def broken(r_docs, s_docs):
@@ -323,8 +346,8 @@ class TestReproduce:
         topics = topic_intersection(orig, rpl, qrels)
         for label, block in rep["measures"].items():
             cfg = parse_measure_spec(label)
-            assert block["arp_orig"] == score_run(orig, qrels, topics, cfg).mean
-            assert block["arp_b_orig"] == score_run(rpl, qrels, topics, cfg).mean
+            assert block["arp_orig"] == score_run(orig, qrels, topics, (cfg,))[0].mean
+            assert block["arp_b_orig"] == score_run(rpl, qrels, topics, (cfg,))[0].mean
             assert block["arp_rpl"] == block["arp_b_orig"]
         assert main(argv + ["--format", "csv"]) == 0
         header, *rows = capsys.readouterr().out.splitlines()

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reprokit.effectiveness import (
     MeasureConfig,
@@ -117,15 +119,15 @@ class TestScoreRun:
         qrels = random_qrels(rng, run)
         topics = TopicSet(tuple(run.topics))
         cfg = MeasureConfig("AP", 1000)
-        v1 = score_run(run, qrels, topics, cfg)
-        v2 = score_run(run, qrels, topics, cfg)
+        v1 = score_run(run, qrels, topics, (cfg,))[0]
+        v2 = score_run(run, qrels, topics, (cfg,))[0]
         assert v1.scores == v2.scores
 
     def test_mean_is_arp(self):
         run = make_run("r", {"1": ["a", "x"], "2": ["b", "y"]})
         qrels = make_qrels({"1": {"a": 1, "x": 1}, "2": {"b": 1}})
         # P@10: topic 1 -> 0.2, topic 2 -> 0.1
-        v = score_run(run, qrels, TopicSet(("1", "2")), MeasureConfig("P", 10))
+        v = score_run(run, qrels, TopicSet(("1", "2")), (MeasureConfig("P", 10),))[0]
         assert v.mean == pytest.approx((0.2 + 0.1) / 2, abs=1e-12)
 
     def test_scores_in_unit_interval(self, rng):
@@ -133,7 +135,7 @@ class TestScoreRun:
         qrels = random_qrels(rng, run)
         topics = TopicSet(tuple(run.topics))
         for cfg in (MeasureConfig("P", 10), MeasureConfig("AP", 1000), MeasureConfig("nDCG", 1000)):
-            for s in score_run(run, qrels, topics, cfg).values():
+            for s in score_run(run, qrels, topics, (cfg,))[0].values():
                 assert 0.0 <= s <= 1.0
 
     def test_missing_topic_lenient_vs_strict(self):
@@ -141,11 +143,11 @@ class TestScoreRun:
         qrels = make_qrels({"1": {"a": 1}, "2": {"b": 1}})
         topics = TopicSet(("1", "2"))
         warnings = []
-        v = score_run(run, qrels, topics, MeasureConfig("P", 10), warnings=warnings)
+        v = score_run(run, qrels, topics, (MeasureConfig("P", 10),), warnings=warnings)[0]
         assert v.scores["2"] == 0.0
         assert warnings
         with pytest.raises(TopicMismatchError):
-            score_run(run, qrels, topics, MeasureConfig("P", 10), strict=True)
+            score_run(run, qrels, topics, (MeasureConfig("P", 10),), strict=True)
 
 
 class TestMeasureSpec:
@@ -162,3 +164,74 @@ class TestMeasureSpec:
             parse_measure_spec("P@x")
         with pytest.raises(ConfigError):
             MeasureConfig("P", 0)
+
+
+MEASURE_CONFIGS = st.builds(MeasureConfig, st.sampled_from(["P", "AP", "nDCG"]), st.integers(1, 30))
+
+
+@st.composite
+def judged_topics(draw):
+    """Topic -> (ranking, grades): rankings of 1..20 documents out of 25, grades
+    0..3 on a random subset (so some documents are unjudged, some grade 0), and
+    at least one relevant document per topic."""
+    pool = [f"d{i}" for i in range(25)]
+    topics = {}
+    for t in range(draw(st.integers(1, 4))):
+        ranking = draw(st.permutations(pool))[:draw(st.integers(1, 20))]
+        grades = draw(st.dictionaries(st.sampled_from(pool), st.integers(0, 3), max_size=25))
+        grades[draw(st.sampled_from(pool))] = draw(st.integers(1, 3))
+        topics[str(t + 1)] = (ranking, grades)
+    return topics
+
+
+class TestOneWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(topics=judged_topics(), cfgs=st.lists(MEASURE_CONFIGS, min_size=1, max_size=8))
+    def test_each_vector_equals_the_per_measure_scorers(self, topics, cfgs):
+        cfgs = tuple(cfgs + cfgs[:1])  # a duplicate config too
+        run = make_run("r", {t: ranking for t, (ranking, _) in topics.items()})
+        qrels = make_qrels({t: grades for t, (_, grades) in topics.items()})
+        exact = {"P": oracles.exact_precision_at_k, "AP": oracles.exact_average_precision,
+                 "nDCG": oracles.exact_ndcg_at_k}
+        brute = {"P": oracles.brute_precision_at_k, "AP": oracles.brute_average_precision,
+                 "nDCG": oracles.brute_ndcg_at_k}
+        vectors = score_run(run, qrels, TopicSet(tuple(topics)), cfgs)
+        assert [v.measure for v in vectors] == [c.label for c in cfgs]
+        for cfg, v in zip(cfgs, vectors):
+            assert list(v.scores) == list(topics)
+            for t, (ranking, grades) in topics.items():
+                assert v.scores[t] == exact[cfg.measure](ranking, grades, cfg.cutoff)
+                if cfg.measure == "AP":
+                    expected = brute["AP"](ranking, grades, cutoff=cfg.cutoff)
+                else:
+                    expected = brute[cfg.measure](ranking, grades, cfg.cutoff)
+                assert v.scores[t] == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(topics=judged_topics(), cfgs=st.lists(MEASURE_CONFIGS, min_size=1, max_size=4))
+    def test_a_missing_topic_scores_zero_and_warns_once_per_config(self, topics, cfgs):
+        run = make_run("r", {t: ranking for t, (ranking, _) in topics.items()})
+        qrels = make_qrels({t: grades for t, (_, grades) in topics.items()}
+                           | {"98": {"x": 1}, "99": {"x": 1}})
+        topic_set = TopicSet(("98", *topics, "99"))
+        warnings = []
+        vectors = score_run(run, qrels, topic_set, tuple(cfgs), warnings=warnings)
+        assert [(v.scores["98"], v.scores["99"]) for v in vectors] == [(0.0, 0.0)] * len(cfgs)
+        # config by config, as scoring each config alone gives them
+        assert warnings == [f"run 'r' missing topic {t}, scored 0" for _ in cfgs for t in ("98", "99")]
+        with pytest.raises(TopicMismatchError, match="run 'r' is missing topic 98"):
+            score_run(run, qrels, topic_set, tuple(cfgs), strict=True)
+
+    def test_no_relevant_document_raises_for_ap_and_ndcg_only(self):
+        run = make_run("r", {"1": ["a", "b"]})
+        qrels = make_qrels({"1": {"a": 0}})
+        topics = TopicSet(("1",))
+        assert score_run(run, qrels, topics, (MeasureConfig("P", 2),))[0].scores == {"1": 0.0}
+        for measure in ("AP", "nDCG"):
+            with pytest.raises(ValueError, match="no relevant documents"):
+                score_run(run, qrels, topics, (MeasureConfig("P", 2), MeasureConfig(measure, 2)))
+
+    def test_views_reject_a_cutoff_below_one(self):
+        for view in (precision_at_k, ndcg_at_k):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                view(["a"], {"a": 1}, 0)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from reprokit.effectiveness import MeasureConfig
+from reprokit.effectiveness import MeasureConfig, score_run
 from reprokit.errors import TopicMismatchError
 from reprokit.score_agreement import delta_arp, rmse, rmse_at_cutoffs
 from reprokit.trec_io import TopicSet
@@ -70,7 +70,9 @@ class TestRmseAtCutoffs:
         run = random_run(rng, "r", 4, 25)
         qrels = random_qrels(rng, run)
         topics = TopicSet(tuple(run.topics))
-        out = rmse_at_cutoffs(run, run, qrels, topics, MeasureConfig("nDCG", 1000), [5, 10, 25])
+        cfgs = tuple(MeasureConfig("nDCG", k) for k in (5, 10, 25))
+        vectors = dict(zip(cfgs, score_run(run, qrels, topics, cfgs)))
+        out = rmse_at_cutoffs(vectors, vectors, "nDCG", [5, 10, 25])
         assert all(v == 0.0 for v in out.values())
 
     def test_matches_brute_force_toy_set(self):
@@ -83,7 +85,9 @@ class TestRmseAtCutoffs:
         })
         topics = TopicSet(("1", "2", "3"))
         k = 5
-        got = rmse_at_cutoffs(a, b, qrels, topics, MeasureConfig("nDCG", 1000), [k])[k]
+        cfgs = (MeasureConfig("nDCG", k),)
+        got = rmse_at_cutoffs(dict(zip(cfgs, score_run(a, qrels, topics, cfgs))),
+                              dict(zip(cfgs, score_run(b, qrels, topics, cfgs))), "nDCG", [k])[k]
         diffs = []
         for topic in topics:
             na = oracles.brute_ndcg_at_k(a.topics[topic].doc_ids, qrels.topics[topic], k)
