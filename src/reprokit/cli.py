@@ -27,7 +27,7 @@ import time
 from . import report
 from .effectiveness import MeasureConfig, parse_measure_spec
 from .errors import ConfigError, ReprokitError
-from .ordering import check_cutoffs
+from .ordering import RboParams, check_cutoffs
 from .report import build_correlation_report, build_replicate_report, build_reproduce_report
 from .trec_io import load_qrels, load_run
 
@@ -73,37 +73,50 @@ def _parse_cutoffs(spec: str | None) -> list[int] | None:
     return cutoffs
 
 
-def _load_manifest(path: str) -> dict:
+def _load_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str | None]]]:
+    """Check a correlate manifest whole before any file it names is opened: its
+    shape, that every file it names exists, and that baselines are all or none.
+
+    Returns each path by role (the provenance roles), resolved against the
+    manifest's directory, and each candidate's (run path, baseline path or None).
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
     except json.JSONDecodeError as e:
         raise ConfigError(f"manifest {path}: invalid JSON: {e}") from None
-    for key in ("qrels", "run_orig", "candidates"):
-        if key not in manifest:
-            raise ConfigError(f"manifest {path}: missing key {key!r}")
-    if len(manifest["candidates"]) < 2:
-        raise ConfigError(f"manifest {path}: need at least 2 candidate runs")
-    return manifest
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest {path}: expected a JSON object, got {manifest!r}")
+    base = os.path.dirname(os.path.abspath(path))
+    paths = {"manifest": path}
 
+    def resolve(entry: dict, key: str, role: str, required: bool = True) -> str | None:
+        rel = entry.get(key)
+        if rel is None and not required:
+            return None
+        if not isinstance(rel, str) or not rel:
+            raise ConfigError(f"manifest {path}: {role} must be a path, got {rel!r}")
+        paths[role] = os.path.join(base, rel)
+        if not os.path.exists(paths[role]):
+            raise ConfigError(f"manifest {path}: {role} {rel!r}: file not found")
+        return paths[role]
 
-def _load_candidate(entry, base: str) -> tuple[str, str | None]:
-    """Return (advanced path, baseline path or None) for a manifest entry."""
-    if isinstance(entry, str):
-        rel, rel_b = entry, None
-    elif isinstance(entry, dict) and "run" in entry:
-        rel, rel_b = entry["run"], entry.get("run_b")
-    else:
-        raise ConfigError(f"manifest candidate {entry!r}: expected path or {{'run': ...}}")
-    path = os.path.join(base, rel)
-    if not os.path.exists(path):
-        raise ConfigError(f"manifest candidate {rel!r}: file not found")
-    path_b = None
-    if rel_b:
-        path_b = os.path.join(base, rel_b)
-        if not os.path.exists(path_b):
-            raise ConfigError(f"manifest candidate baseline {rel_b!r}: file not found")
-    return path, path_b
+    resolve(manifest, "qrels", "qrels")
+    resolve(manifest, "run_orig", "run_orig")
+    has_b_orig = resolve(manifest, "run_b_orig", "run_b_orig", required=False) is not None
+    entries = manifest.get("candidates")
+    if not isinstance(entries, list) or len(entries) < 2:
+        raise ConfigError(f"manifest {path}: candidates must be a list of at least 2 runs")
+    candidates = []
+    for i, entry in enumerate(entries):
+        entry = {"run": entry} if isinstance(entry, str) else entry
+        if not isinstance(entry, dict):
+            raise ConfigError(f"manifest {path}: candidates[{i}] must be a path or {{'run': path}}")
+        run = resolve(entry, "run", f"candidates[{i}].run")
+        run_b = resolve(entry, "run_b", f"candidates[{i}].run_b", required=False)
+        report.check_baselines(entry["run"], has_b_orig, run_b is not None)
+        candidates.append((run, run_b))
+    return paths, candidates
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -130,8 +143,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_rpl.add_argument("--qrels", required=True)
     p_rpl.add_argument("--run-b-orig", default=None, help="original baseline run (enables ER)")
     p_rpl.add_argument("--run-b-rpl", default=None, help="re-created baseline run")
-    p_rpl.add_argument("--phi", type=float, default=0.8)
-    p_rpl.add_argument("--depth", type=int, default=1000)
+    p_rpl.add_argument("--phi", type=float, default=RboParams.phi)
+    p_rpl.add_argument("--depth", type=int, default=RboParams.depth)
     p_rpl.add_argument("--cutoffs", default=None, help="ascending, e.g. 10,100,1000")
     _add_common(p_rpl)
 
@@ -147,8 +160,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_cor = sub.add_parser("correlate", help="cross-measure correlation over candidates")
     p_cor.add_argument("--manifest", required=True,
                        help="JSON with keys qrels, run_orig, candidates (>= 2)")
-    p_cor.add_argument("--phi", type=float, default=0.8)
-    p_cor.add_argument("--depth", type=int, default=1000)
+    p_cor.add_argument("--phi", type=float, default=RboParams.phi)
+    p_cor.add_argument("--depth", type=int, default=RboParams.depth)
     _add_common(p_cor)
     return parser
 
@@ -169,20 +182,20 @@ def _provenance(paths: dict[str, str]) -> dict:
     }
 
 
-def _cmd_replicate(args, measures: list[MeasureConfig], mode: str) -> tuple[dict, dict]:
+def _cmd_replicate(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
     if (args.run_b_orig is None) != (args.run_b_rpl is None):
         raise ConfigError("--run-b-orig and --run-b-rpl must be given together")
-    cutoffs = _parse_cutoffs(args.cutoffs)  # before any input is read
+    cutoffs = _parse_cutoffs(args.cutoffs)  # settings before any input is read
+    params = RboParams(args.phi, args.depth)
     rep = build_replicate_report(
-        load_run(args.run_orig, mode=mode),
-        load_run(args.run_rpl, mode=mode),
+        load_run(args.run_orig, args.strict),
+        load_run(args.run_rpl, args.strict),
         load_qrels(args.qrels),
         measures,
-        phi=args.phi,
-        depth=args.depth,
-        cutoffs=cutoffs,
-        baseline_orig=load_run(args.run_b_orig, mode=mode) if args.run_b_orig else None,
-        baseline_rpl=load_run(args.run_b_rpl, mode=mode) if args.run_b_rpl else None,
+        params,
+        cutoffs,
+        baselines=(load_run(args.run_b_orig, args.strict), load_run(args.run_b_rpl, args.strict))
+        if args.run_b_orig else None,
         strict=args.strict,
     )
     paths = {"run_orig": args.run_orig, "run_rpl": args.run_rpl, "qrels": args.qrels}
@@ -191,43 +204,29 @@ def _cmd_replicate(args, measures: list[MeasureConfig], mode: str) -> tuple[dict
     return rep, paths
 
 
-def _cmd_reproduce(args, measures: list[MeasureConfig], mode: str) -> tuple[dict, dict]:
+def _cmd_reproduce(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
     def sides():  # loaded one at a time: the original side is dropped before the new one loads
         for run_a, run_b, qrels in ((args.run_a_orig, args.run_b_orig, args.qrels_orig),
                                     (args.run_a_rpd, args.run_b_rpd, args.qrels_rpd)):
-            yield load_run(run_a, mode=mode), load_run(run_b, mode=mode), load_qrels(qrels)
+            yield load_run(run_a, args.strict), load_run(run_b, args.strict), load_qrels(qrels)
 
-    return build_reproduce_report(sides(), measures, strict=args.strict), {
+    return build_reproduce_report(sides(), measures), {
         "run_a_orig": args.run_a_orig, "run_b_orig": args.run_b_orig,
         "qrels_orig": args.qrels_orig, "run_a_rpd": args.run_a_rpd,
         "run_b_rpd": args.run_b_rpd, "qrels_rpd": args.qrels_rpd,
     }
 
 
-def _cmd_correlate(args, measures: list[MeasureConfig], mode: str) -> tuple[dict, dict]:
-    manifest = _load_manifest(args.manifest)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    paths = {"manifest": args.manifest, "qrels": os.path.join(base, manifest["qrels"])}
+def _cmd_correlate(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
+    params = RboParams(args.phi, args.depth)  # settings before any input is read
+    paths, entries = _load_manifest(args.manifest)
     qrels = load_qrels(paths["qrels"])
-    paths["run_orig"] = os.path.join(base, manifest["run_orig"])
-    run_orig = load_run(paths["run_orig"], mode=mode)
-    baseline_orig = None
-    if manifest.get("run_b_orig"):
-        paths["run_b_orig"] = os.path.join(base, manifest["run_b_orig"])
-        baseline_orig = load_run(paths["run_b_orig"], mode=mode)
-
-    def candidates():
-        for i, entry in enumerate(manifest["candidates"]):
-            path, path_b = _load_candidate(entry, base)
-            paths[f"candidates[{i}].run"] = path
-            if path_b:
-                paths[f"candidates[{i}].run_b"] = path_b
-            yield (os.path.basename(path), load_run(path, mode=mode),
-                   load_run(path_b, mode=mode) if path_b else None)
-
-    return build_correlation_report(run_orig, qrels, candidates(), measures, phi=args.phi,
-                                    depth=args.depth, baseline_orig=baseline_orig,
-                                    strict=args.strict), paths
+    run_orig = load_run(paths["run_orig"], args.strict)
+    baseline_orig = load_run(paths["run_b_orig"], args.strict) if "run_b_orig" in paths else None
+    candidates = ((os.path.basename(path), load_run(path, args.strict),
+                   load_run(path_b, args.strict) if path_b else None) for path, path_b in entries)
+    return build_correlation_report(run_orig, qrels, candidates, measures, params,
+                                    baseline_orig, strict=args.strict), paths
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -239,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         measures = _parse_measures(args.measures)
-        rep, paths = handlers[args.command](args, measures, "strict" if args.strict else "lenient")
+        rep, paths = handlers[args.command](args, measures)
         if args.provenance:
             rep["provenance"] = _provenance(paths)
         _write_output(report.emit(rep, args.format), args.output)

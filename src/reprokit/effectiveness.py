@@ -157,15 +157,13 @@ def score_run(run: Run, qrels: Qrels, topics: TopicSet, cfgs: Sequence[MeasureCo
               strict: bool = False, warnings: list[str] | None = None) -> list[TopicScoreVector]:
     """One vector per config, in order, of the run's score on each topic in set order.
 
-    A topic missing from the run scores 0 (error if strict) and warns once per
-    config, config by config, as if each config were scored alone.
+    A topic missing from the run scores 0 (error if strict) and warns once.
     """
     missing = [topic for topic in topics if topic not in run.topics]
     if missing and strict:
         raise TopicMismatchError(f"run {run.tag!r} is missing topic {missing[0]}")
     if warnings is not None:
-        warnings.extend(f"run {run.tag!r} missing topic {topic}, scored 0"
-                        for _ in cfgs for topic in missing)
+        warnings.extend(f"run {run.tag!r} missing topic {topic}, scored 0" for topic in missing)
     pairs = [(c.measure, c.cutoff) for c in cfgs]
     rows = {topic: _topic_scores(run.topics[topic].doc_ids, qrels.topics.get(topic, {}), pairs)
             if topic in run.topics else [0.0] * len(pairs) for topic in topics}

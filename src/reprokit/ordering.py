@@ -197,9 +197,9 @@ def mean_over_topics(per_topic: Mapping[str, float | None]) -> tuple[float, int]
     return sum(vals) / len(vals), excluded
 
 
-def _truncated(r: Run, s: Run, topics: TopicSet, cutoff: int | None):
+def _doc_lists(r: Run, s: Run, topics: TopicSet):
     for topic in topics:
-        yield topic, r.topics[topic].doc_ids[:cutoff], s.topics[topic].doc_ids[:cutoff]
+        yield topic, r.topics[topic].doc_ids, s.topics[topic].doc_ids
 
 
 def _tau_or_none(r_docs: Sequence[str], s_docs: Sequence[str]) -> float | None:
@@ -211,17 +211,15 @@ def _tau_or_none(r_docs: Sequence[str], s_docs: Sequence[str]) -> float | None:
         return None
 
 
-def tau_union_over_topics(r: Run, s: Run, topics: TopicSet,
-                          cutoff: int | None = None) -> dict[str, float | None]:
+def tau_union_over_topics(r: Run, s: Run, topics: TopicSet) -> dict[str, float | None]:
     """Per-topic tau-union; None where tau is undefined: fewer than 2 paired
-    items (e.g. at cutoff 1) or degenerate ties. Any other error propagates."""
-    return {topic: _tau_or_none(r_docs, s_docs)
-            for topic, r_docs, s_docs in _truncated(r, s, topics, cutoff)}
+    items or degenerate ties. Any other error propagates."""
+    return {topic: _tau_or_none(r_docs, s_docs) for topic, r_docs, s_docs in _doc_lists(r, s, topics)}
 
 
 def rbo_over_topics(r: Run, s: Run, topics: TopicSet, params: RboParams) -> dict[str, float]:
     return {topic: rbo(r_docs, s_docs, params)
-            for topic, r_docs, s_docs in _truncated(r, s, topics, None)}
+            for topic, r_docs, s_docs in _doc_lists(r, s, topics)}
 
 
 def check_cutoffs(cutoffs: Sequence[int]) -> None:
@@ -242,26 +240,24 @@ class FullDepth(NamedTuple):
 
 def full_depth(r: Run, s: Run, topics: TopicSet, params: RboParams) -> FullDepth:
     sums = {topic: _rbo_sums(r_docs, s_docs, params)
-            for topic, r_docs, s_docs in _truncated(r, s, topics, None)}
+            for topic, r_docs, s_docs in _doc_lists(r, s, topics)}
     return FullDepth(tau_union_over_topics(r, s, topics),
                      {topic: (1.0 - params.phi) * v[-1] for topic, v in sums.items()}, sums)
 
 
 def ordering_at_cutoffs(r: Run, s: Run, topics: TopicSet, cutoffs: Sequence[int],
-                        params: RboParams, full: FullDepth | None = None
-                        ) -> dict[int, tuple[float | None, float]]:
+                        params: RboParams, full: FullDepth) -> dict[int, tuple[float | None, float]]:
     """Mean tau-union and mean RBO after truncating both runs to each cutoff.
 
-    Reuses ``full``, the :func:`full_depth` values of the same pair (computed
-    here if not given). RBO over the first k documents of each run is the
-    running sum of the full lists at depth min(depth, max(|r[:k]|, |s[:k]|)).
+    Reuses ``full``, the :func:`full_depth` values of the same pair. RBO over
+    the first k documents of each run is the running sum of the full lists at
+    depth min(depth, max(|r[:k]|, |s[:k]|)).
     Tau-union is computed anew only on a topic where k truncates one of the
     two lists; where k >= |r| and k >= |s| it is the full-depth value.
     """
     check_cutoffs(cutoffs)
     if not cutoffs:
         return {}
-    full = full or full_depth(r, s, topics, params)
     docs = {topic: (r.topics[topic].doc_ids, s.topics[topic].doc_ids) for topic in topics}
     out: dict[int, tuple[float | None, float]] = {}
     for k in cutoffs:

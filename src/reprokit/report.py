@@ -15,6 +15,7 @@ from typing import Callable, Iterable
 from . import effects, meta, ordering, score_agreement, stats
 from .effectiveness import MeasureConfig, TopicScoreVector, score_run
 from .errors import ConfigError, DegenerateTiesError, OverlapTooSmallError, ReprokitError
+from .ordering import RboParams
 from .trec_io import Qrels, Run, TopicSet, topic_intersection
 
 CSV_HEADER = (
@@ -58,10 +59,9 @@ def _tau_union_mean(per_topic: dict[str, float | None], warnings: list[str]) -> 
 
 def _scored(run: Run, qrels: Qrels, topics: TopicSet, cfgs: tuple[MeasureConfig, ...],
             strict: bool) -> tuple[list[TopicScoreVector], list[str]]:
-    """:func:`score_run`'s vectors, and the warnings of one config (each gives the same)."""
+    """:func:`score_run`'s vectors and warnings."""
     found: list[str] = []
-    vectors = score_run(run, qrels, topics, cfgs, strict=strict, warnings=found)
-    return vectors, found[:len(found) // len(cfgs)]
+    return score_run(run, qrels, topics, cfgs, strict=strict, warnings=found), found
 
 
 def _effect_block(inp: effects.EffectInput) -> dict:
@@ -102,17 +102,16 @@ def build_replicate_report(
     run_rpl: Run,
     qrels: Qrels,
     measures: list[MeasureConfig],
-    phi: float = 0.8,
-    depth: int = 1000,
+    params: RboParams = RboParams(),
     cutoffs: list[int] | None = None,
-    baseline_orig: Run | None = None,
-    baseline_rpl: Run | None = None,
+    baselines: tuple[Run, Run] | None = None,
     strict: bool = False,
 ) -> dict:
+    """Compare a re-created run with the original; ``baselines``, the original
+    and the re-created baseline run, add the effect block of each measure."""
     ordering.check_cutoffs(cutoffs or ())
-    warnings = _load_warnings(run_orig, run_rpl, qrels, baseline_orig, baseline_rpl)
+    warnings = _load_warnings(run_orig, run_rpl, qrels, *baselines or ())
     topics = topic_intersection(run_orig, run_rpl, qrels)
-    params = ordering.RboParams(phi=phi, depth=depth)
 
     full = ordering.full_depth(run_orig, run_rpl, topics, params)
     tau_mean = _tau_union_mean(full.tau, warnings)
@@ -146,9 +145,8 @@ def build_replicate_report(
     rpl = dict(zip(cfgs, score_run(run_rpl, qrels, topics, cfgs, strict=strict)))
     measure_blocks, effect_blocks = _measure_blocks(
         measures, [orig[c] for c in measures], [rpl[c] for c in measures],
-        (lambda: (_scored(baseline_orig, qrels, topics, tuple(measures), strict),
-                  _scored(baseline_rpl, qrels, topics, tuple(measures), strict)))
-        if baseline_orig is not None and baseline_rpl is not None else None, warnings)
+        (lambda: [_scored(b, qrels, topics, tuple(measures), strict) for b in baselines])
+        if baselines else None, warnings)
     cutoff_blocks: dict[int, dict] = {}
     if cutoffs:
         for cfg in measures:
@@ -163,7 +161,7 @@ def build_replicate_report(
         "mode": "replicate",
         "runs": {"orig": run_orig.tag, "rpl": run_rpl.tag},
         "topics": len(topics),
-        "config": {"phi": phi, "depth": depth, "measures": [c.label for c in measures]},
+        "config": {"phi": params.phi, "depth": params.depth, "measures": [c.label for c in measures]},
         "ordering": {
             "tau_union_mean": tau_mean,
             "tau_intersection_mean": tau_inter_mean,
@@ -178,7 +176,7 @@ def build_replicate_report(
 
 
 def build_reproduce_report(sides: Iterable[tuple[Run, Run, Qrels]],
-                           measures: list[MeasureConfig], strict: bool = False) -> dict:
+                           measures: list[MeasureConfig]) -> dict:
     """Compare exactly two ``(run_a, run_b, qrels)`` sides, the original collection first.
 
     Each side is scored for every measure and dropped before the next is read,
@@ -189,10 +187,10 @@ def build_reproduce_report(sides: Iterable[tuple[Run, Run, Qrels]],
     for run_a, run_b, qrels in sides:
         warnings.extend(_load_warnings(run_a, run_b, qrels))
         topics = topic_intersection(run_a, run_b, qrels)
-        # topics are in both runs, so neither call gives a warning
+        # topics are in both runs, so neither call finds a missing topic
         done.append((run_a.tag, run_b.tag, len(topics), list(zip(
-            score_run(run_a, qrels, topics, tuple(measures), strict=strict),
-            score_run(run_b, qrels, topics, tuple(measures), strict=strict)))))
+            score_run(run_a, qrels, topics, tuple(measures)),
+            score_run(run_b, qrels, topics, tuple(measures))))))
         del run_a, run_b, qrels  # hold no side while the next one loads
     if len(done) != 2:
         raise ConfigError(f"reproduce compares two sides, got {len(done)}")
@@ -231,12 +229,20 @@ def build_reproduce_report(sides: Iterable[tuple[Run, Run, Qrels]],
     }
 
 
+def check_baselines(candidate: str, orig: bool, own: bool) -> None:
+    """Raise ConfigError unless a candidate has a baseline run exactly when the original has one."""
+    if orig != own:
+        raise ConfigError(f"candidate {candidate!r} {'lacks' if orig else 'has'} a baseline run and the "
+                          f"original {'has' if orig else 'lacks'} one; give baselines for all or none")
+
+
 def build_correlation_report(run_orig: Run, qrels: Qrels,
                              candidates: Iterable[tuple[str, Run, Run | None]],
-                             measures: list[MeasureConfig], phi: float = 0.8, depth: int = 1000,
+                             measures: list[MeasureConfig], params: RboParams = RboParams(),
                              baseline_orig: Run | None = None, strict: bool = False) -> dict:
     """Rank the candidates, ``(run_id, run, baseline or None)`` read once, by each value
     :func:`build_replicate_report` gives for them, and correlate those rankings.
+    Baselines are all or none (see :func:`check_baselines`).
 
     ``warnings`` holds, for each candidate, the warnings replicate gives on it
     (except those on tau-intersection, which is not ranked), prefixed with its id.
@@ -254,19 +260,20 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
         return orig_scores[role, topics]
 
     for run_id, run_rpl, baseline_rpl in candidates:
+        check_baselines(run_id, baseline_orig is not None, baseline_rpl is not None)
         found = _load_warnings(run_orig, run_rpl, qrels, baseline_orig, baseline_rpl)
         topics = topic_intersection(run_orig, run_rpl, qrels)
         raw.setdefault("tau", {})[run_id] = _tau_union_mean(
             ordering.tau_union_over_topics(run_orig, run_rpl, topics), found)
         raw.setdefault("rbo", {})[run_id] = ordering.mean_over_topics(ordering.rbo_over_topics(
-            run_orig, run_rpl, topics, ordering.RboParams(phi=phi, depth=depth)))[0]
+            run_orig, run_rpl, topics, params))[0]
         # topics are in both runs, so neither gives a warning
         measure_blocks, effect_blocks = _measure_blocks(
             measures, score_orig("orig", run_orig, topics)[0],
             score_run(run_rpl, qrels, topics, cfgs, strict=strict),
             (lambda: (score_orig("b_orig", baseline_orig, topics),
                       _scored(baseline_rpl, qrels, topics, cfgs, strict)))
-            if baseline_orig is not None and baseline_rpl is not None else None, found)
+            if baseline_rpl is not None else None, found)
         for label, block in measure_blocks.items():
             for key in ("delta_arp", "rmse", "p_value"):
                 raw.setdefault(f"{key}_{label}", {})[run_id] = block[key]

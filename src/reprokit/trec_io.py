@@ -118,15 +118,13 @@ def _canonical_ranking(scores: dict[str, float]) -> Ranking:
     return Ranking(tuple(ids), array("d", [*map(scores.__getitem__, ids)]))
 
 
-def parse_run(source: TextSource, mode: str = "strict") -> Run:
+def parse_run(source: TextSource, strict: bool = True) -> Run:
     """Parse a TREC run file into a canonical :class:`Run`.
 
-    In strict mode a duplicate doc-id within a topic is an error; in lenient
-    mode the strictly higher-scored instance wins and a warning is recorded.
+    If strict, a duplicate doc-id within a topic is an error; otherwise the
+    strictly higher-scored instance wins and a warning is recorded.
     A NaN score is rejected, since it has no place in a score order.
     """
-    if mode not in ("strict", "lenient"):
-        raise ValueError(f"unknown mode {mode!r}")
     tag = topic = docs = None
     by_topic: dict[str, Ranking | dict[str, float]] = {}  # a dict while the topic is open
     reopened: set[str] = set()
@@ -161,7 +159,7 @@ def parse_run(source: TextSource, mode: str = "strict") -> Run:
                 if tag is None:
                     tag = line_tag
             if doc_id in docs:
-                if mode == "strict":
+                if strict:
                     raise TrecParseError(f"line {line_no}: duplicate doc {doc_id!r} in topic {topic}")
                 if score > docs[doc_id]:
                     docs[doc_id] = score
@@ -222,8 +220,8 @@ def _load(path: str, parse, *args):
             raise TrecParseError(f"{path}: {e}") from None
 
 
-def load_run(path: str, mode: str = "strict") -> Run:
-    return _load(path, parse_run, mode)
+def load_run(path: str, strict: bool = True) -> Run:
+    return _load(path, parse_run, strict)
 
 
 def load_qrels(path: str) -> Qrels:

@@ -207,12 +207,12 @@ def test_criterion_7_dataset_fixtures():
     if missing:
         pytest.skip(f"dataset files not found: {missing}")
     qrels = load_qrels(QRELS_CORE17)
-    orig = load_run(paths["WCrobust04"], mode="lenient")
-    rpl = load_run(paths["rpl_wcr04_tf_1"], mode="lenient")
+    orig = load_run(paths["WCrobust04"], strict=False)
+    rpl = load_run(paths["rpl_wcr04_tf_1"], strict=False)
     rep = build_replicate_report(
         orig, rpl, qrels,
         [MeasureConfig("P", 10), MeasureConfig("AP", 1000), MeasureConfig("nDCG", 1000)],
-        baseline_orig=None, baseline_rpl=None,
+        baselines=None,
     )
     assert rep["measures"]["P@10"]["arp_orig"] == pytest.approx(0.6460, abs=1e-4)
     assert rep["measures"]["AP@1000"]["arp_orig"] == pytest.approx(0.3711, abs=1e-4)
@@ -220,8 +220,8 @@ def test_criterion_7_dataset_fixtures():
     assert rep["measures"]["AP@1000"]["rmse"] == pytest.approx(0.0755, abs=1e-3)
     assert rep["measures"]["AP@1000"]["p_value"] == pytest.approx(0.551, rel=0.05)
 
-    a = load_run(paths["WCrobust0405"], mode="lenient")
-    a_rpl = load_run(paths["rpl_wcr0405_tf_1"], mode="lenient")
+    a = load_run(paths["WCrobust0405"], strict=False)
+    a_rpl = load_run(paths["rpl_wcr0405_tf_1"], strict=False)
     topics = topic_intersection(orig, a, qrels)
     cfg = MeasureConfig("AP", 1000)
     inp = EffectInput(

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -10,11 +11,11 @@ import weakref
 import pytest
 
 import reprokit
-from reprokit import meta, ordering
+from reprokit import cli, meta, ordering
 from reprokit.cli import build_replicate_report, main
 from reprokit.effectiveness import parse_measure_spec, score_run
 from reprokit.errors import ConfigError
-from reprokit.report import build_reproduce_report
+from reprokit.report import build_correlation_report, build_reproduce_report
 from reprokit.trec_io import Run, load_qrels, load_run, topic_intersection
 
 from conftest import make_qrels, make_run, random_qrels, random_run
@@ -462,7 +463,7 @@ class TestCorrelate:
         )
 
         def load(name):
-            return load_run(str(tmp / name), mode="lenient")
+            return load_run(str(tmp / name), strict=False)
 
         orig, b_orig = load(paths["orig"].name), load("b_orig.run")
         qrels = load_qrels(str(paths["qrels"]))
@@ -470,7 +471,7 @@ class TestCorrelate:
         for cand in candidates:
             r = build_replicate_report(
                 orig, load(cand["run"]), qrels, [parse_measure_spec(x) for x in labels],
-                baseline_orig=b_orig, baseline_rpl=load(cand["run_b"]),
+                baselines=(b_orig, load(cand["run_b"])),
             )
             topic_counts.append(r["topics"])
             values = {"tau": r["ordering"]["tau_union_mean"], "rbo": r["ordering"]["rbo_mean"]}
@@ -503,7 +504,7 @@ class TestCorrelate:
         rep = json.loads(capsys.readouterr().out)
 
         def load(name):
-            return load_run(str(tmp / name), mode="lenient")
+            return load_run(str(tmp / name), strict=False)
 
         orig, b_orig = load(paths["orig"].name), load("b_orig.run")
         qrels = load_qrels(str(paths["qrels"]))
@@ -511,7 +512,7 @@ class TestCorrelate:
         expected = []
         for cand in candidates:
             r = build_replicate_report(orig, load(cand["run"]), qrels, measures,
-                                       baseline_orig=b_orig, baseline_rpl=load(cand["run_b"]))
+                                       baselines=(b_orig, load(cand["run_b"])))
             # correlate ranks no tau-intersection, so it gives none of its warnings
             expected += [f"{cand['run']}: {w}" for w in r["warnings"] if "tau-intersection" not in w]
         assert rep["warnings"] == expected
@@ -622,6 +623,95 @@ class TestCorrelate:
             "candidates": [paths["rpl"].name],
         }))
         assert main(["correlate", "--manifest", str(mpath)]) == 2
+
+    @staticmethod
+    def _refuse_loads(monkeypatch):
+        def refuse(path, *args):
+            raise AssertionError(f"{path} read before the manifest was checked")
+
+        monkeypatch.setattr(cli, "load_run", refuse)
+        monkeypatch.setattr(cli, "load_qrels", refuse)
+
+    @pytest.mark.parametrize("manifest, message", [
+        (5, "expected a JSON object, got 5"),
+        (["cand0.run", "cand1.run"], "expected a JSON object"),
+        ({"qrels": ...}, "qrels must be a path, got None"),  # ... drops the key
+        ({"qrels": 5}, "qrels must be a path, got 5"),
+        ({"run_orig": 5}, "run_orig must be a path, got 5"),
+        ({"run_orig": ""}, "run_orig must be a path, got ''"),
+        ({"run_b_orig": 5}, "run_b_orig must be a path, got 5"),
+        ({"qrels": "ghost.txt"}, "qrels 'ghost.txt': file not found"),
+        ({"candidates": 5}, "candidates must be a list of at least 2 runs"),
+        ({"candidates": ["cand0.run"]}, "candidates must be a list of at least 2 runs"),
+        ({"candidates": ["cand0.run", 5]}, "candidates[1] must be a path or {'run': path}"),
+        ({"candidates": [{"run": 5}, "cand1.run"]}, "candidates[0].run must be a path, got 5"),
+        ({"candidates": [{"run_b": "cand1.run"}, "cand1.run"]},
+         "candidates[0].run must be a path, got None"),
+        ({"candidates": ["cand0.run", {"run": "cand1.run", "run_b": 5}]},
+         "candidates[1].run_b must be a path, got 5"),
+        ({"candidates": ["cand0.run", "ghost.run"]}, "candidates[1].run 'ghost.run': file not found"),
+    ])
+    def test_a_malformed_manifest_is_a_config_error_before_any_read(
+            self, workspace, rng, capsys, monkeypatch, manifest, message):
+        tmp, paths = workspace
+        mpath = self._manifest(tmp, paths, rng, n_candidates=2)
+        if isinstance(manifest, dict):
+            manifest = {key: value for key, value in {**json.loads(mpath.read_text()), **manifest}.items()
+                        if value is not ...}
+        mpath.write_text(json.dumps(manifest))
+        self._refuse_loads(monkeypatch)
+        assert main(["correlate", "--manifest", str(mpath)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["message"].startswith(f"manifest {mpath}: ")
+        assert message in err["message"]
+
+    @pytest.mark.parametrize("lacking, run_b_orig, message", [
+        ((), None, "candidate 'cand0.run' has a baseline run and the original lacks one"),
+        (("base1",), "b_orig.run", "candidate 'cand1.run' lacks a baseline run and the original has one"),
+        (("base0", "base1", "base2", "base3"), "b_orig.run",
+         "candidate 'cand0.run' lacks a baseline run and the original has one"),
+    ])
+    def test_baselines_are_all_or_none(self, workspace, rng, capsys, monkeypatch,
+                                       lacking, run_b_orig, message):
+        # an orphaned candidate baseline was ignored; a mixed set failed after every load
+        tmp, paths = workspace
+        mpath, candidates = self._manifest_with_baselines(tmp, paths, rng)
+        manifest = json.loads(mpath.read_text())
+        manifest["run_b_orig"] = run_b_orig
+        manifest["candidates"] = [c["run"] if c["run_b"][:-4] in lacking else c for c in candidates]
+        mpath.write_text(json.dumps(manifest))
+        self._refuse_loads(monkeypatch)
+        assert main(["correlate", "--manifest", str(mpath)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "message": f"{message}; give baselines for all or none"}
+
+    def test_library_baselines_are_all_or_none(self, rng):
+        run = random_run(rng, "orig", 4, 10)
+        qrels = random_qrels(rng, run)
+        measures = [parse_measure_spec("P@5")]
+        for baseline_orig, baseline, message in (
+                (run, None, "candidate 'c' lacks a baseline run and the original has one"),
+                (None, run, "candidate 'c' has a baseline run and the original lacks one")):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                build_correlation_report(run, qrels, [("c", run, baseline)], measures,
+                                         baseline_orig=baseline_orig)
+
+
+@pytest.mark.parametrize("command", ["replicate", "correlate"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--phi", "1.5", "phi must be in (0,1), got 1.5"),
+    ("--depth", "0", "depth must be >= 1, got 0"),
+])
+def test_rbo_settings_are_checked_before_any_input_is_read(tmp_path, capsys, command,
+                                                           flag, value, message):
+    missing = str(tmp_path / "nope.run")
+    argv = {
+        "replicate": ["--run-orig", missing, "--run-rpl", missing, "--qrels", missing],
+        "correlate": ["--manifest", str(tmp_path / "nope.json")],
+    }[command]
+    assert main([command, *argv, flag, value]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
 
 
 @pytest.mark.parametrize("command", ["replicate", "reproduce", "correlate"])

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from reprokit.effects import (
     EffectInput,
@@ -162,6 +164,26 @@ class TestClassifyRegion:
                 assert region == "4"
             else:
                 assert region.startswith("boundary")
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.floats(-3, 3),
+       pairs=st.lists(st.tuples(st.floats(0, 1), st.floats(0.05, 1)), min_size=1, max_size=30))
+@example(lam=0.0, pairs=[(0.6, 0.2), (0.3, 0.4)])
+@example(lam=-1.0, pairs=[(0.6, 0.2), (0.3, 0.4)])
+def test_effect_ladder(lam, pairs):
+    # b' = b and a' = b + lam * (a - b): the re-created improvement is lam
+    # times the original one, so ER = lam and RI' = lam * RI
+    assume(abs(sum(a - b for a, b in pairs) / len(pairs)) >= 0.01)
+    topics = [str(i) for i in range(len(pairs))]
+    b = {t: bv for t, (_, bv) in zip(topics, pairs)}
+    a = {t: av for t, (av, _) in zip(topics, pairs)}
+    s = summarize_effect(quad(b=b, a=a, bp=b, ap={t: b[t] + lam * (a[t] - b[t]) for t in topics}))
+    assert abs(s.er - lam) <= 1e-12
+    assert abs(s.delta_ri - (1 - lam) * s.ri) <= 1e-12
+    if lam == 0:
+        assert s.er == 0.0
+        assert s.region.startswith("boundary[")
 
 
 class TestSummaryAndPlotData:

@@ -10,6 +10,7 @@ from reprokit import ordering
 from reprokit.errors import ConfigError, DegenerateTiesError, OverlapTooSmallError
 from reprokit.ordering import (
     RboParams,
+    full_depth,
     kendall_tau,
     mean_over_topics,
     ordering_at_cutoffs,
@@ -283,7 +284,9 @@ class TestOrderingAtCutoffs:
     def test_identical_runs_tau_one_everywhere(self, rng):
         run = random_run(rng, "r", 4, 30)
         topics = TopicSet(tuple(run.topics))
-        out = ordering_at_cutoffs(run, run, topics, [5, 10, 30], RboParams(0.8, 1000))
+        params = RboParams(0.8, 1000)
+        out = ordering_at_cutoffs(run, run, topics, [5, 10, 30], params,
+                                  full_depth(run, run, topics, params))
         for k, (tau_mean, rbo_mean) in out.items():
             assert tau_mean == 1.0
             assert rbo_mean == pytest.approx(1 - 0.8 ** k, abs=1e-12)
@@ -292,7 +295,8 @@ class TestOrderingAtCutoffs:
         a = make_run("a", {"1": ["top", "x"]})
         b = make_run("b", {"1": ["top", "y"]})
         topics = TopicSet(("1",))
-        out = ordering_at_cutoffs(a, b, topics, [1], RboParams(0.8, 1000))
+        params = RboParams(0.8, 1000)
+        out = ordering_at_cutoffs(a, b, topics, [1], params, full_depth(a, b, topics, params))
         # tau degenerate at depth 1 is excluded upstream; RBO = (1-phi) * A_1
         assert out[1][1] == pytest.approx(0.2, abs=1e-12)
 
@@ -305,7 +309,7 @@ class TestOrderingAtCutoffs:
         topics = TopicSet(tuple(a.topics))
         cutoffs = [1, 2, 5, 13, 30, 60]
         for params in (RboParams(0.8, 1000), RboParams(0.9, 7), RboParams(0.5, 1)):
-            out = ordering_at_cutoffs(a, b, topics, cutoffs, params)
+            out = ordering_at_cutoffs(a, b, topics, cutoffs, params, full_depth(a, b, topics, params))
             for k in cutoffs:
                 per_topic = {t: rbo(topic_docs_a[t][:k], topic_docs_b[t][:k], params)
                              for t in topics}
@@ -314,16 +318,17 @@ class TestOrderingAtCutoffs:
     def test_cutoff_below_one_is_config_error(self, rng):
         run = random_run(rng, "r", 2, 10)
         topics = TopicSet(tuple(run.topics))
+        params = RboParams(0.8, 1000)
         with pytest.raises(ConfigError):
-            ordering_at_cutoffs(run, run, topics, [0, 5], RboParams(0.8, 1000))
+            ordering_at_cutoffs(run, run, topics, [0, 5], params, full_depth(run, run, topics, params))
 
     def test_cutoff_beyond_length_is_noop(self, rng):
         a = random_run(rng, "a", 3, 10)
         b = random_run(rng, "b", 3, 10)
         topics = TopicSet(tuple(a.topics))
         params = RboParams(0.8, 1000)
-        full = ordering_at_cutoffs(a, b, topics, [10], params)[10]
-        huge = ordering_at_cutoffs(a, b, topics, [999], params)[999]
+        full = ordering_at_cutoffs(a, b, topics, [10], params, full_depth(a, b, topics, params))[10]
+        huge = ordering_at_cutoffs(a, b, topics, [999], params, full_depth(a, b, topics, params))[999]
         assert full == huge
 
 
@@ -332,8 +337,9 @@ class TestPerTopicUndefinedCases:
         a = make_run("a", {"1": ["top", "x"], "2": ["p", "q", "r"]})
         b = make_run("b", {"1": ["top", "y"], "2": ["q", "p", "r"]})
         topics = TopicSet(("1", "2"))
-        out = tau_union_over_topics(a, b, topics, cutoff=1)
-        assert out == {"1": None, "2": None}
+        params = RboParams(0.8, 1000)
+        out = ordering_at_cutoffs(a, b, topics, [1], params, full_depth(a, b, topics, params))
+        assert out[1][0] is None  # None on both topics, so no mean
         assert tau_union_over_topics(a, b, topics)["2"] == pytest.approx(1 / 3)
 
     def test_other_kernel_errors_propagate(self, monkeypatch):

@@ -1,16 +1,18 @@
 """Report-level properties on small runs: what the report says depends on the
-judged rankings, not on how the files list them or on which run is "orig"."""
+judged rankings, not on how the files list them or on which run is "orig";
+a run replicates itself perfectly; every ordering value stays in its range."""
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reprokit.effectiveness import parse_measure_spec
+from reprokit.errors import UndefinedEffectError
 from reprokit.report import build_replicate_report, emit
 from reprokit.trec_io import parse_qrels, parse_run
 
-from conftest import random_qrels, random_run, swap_noise
+from conftest import make_run, random_qrels, random_run, swap_noise
 
 MEASURES = [parse_measure_spec(s) for s in ("P@5", "AP@20", "nDCG@20")]
 
@@ -60,3 +62,40 @@ def test_swapping_sides_negates_only_the_signed_delta(seed, n_swaps):
     for label, block in forward["measures"].items():
         assert backward["measures"][label]["delta_arp_signed"] == -block["delta_arp_signed"]
         assert backward["measures"][label]["rmse"] == block["rmse"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_run_replicates_itself_perfectly(seed):
+    rng = random.Random(seed)
+    run = random_run(rng, "run", 4, 15)
+    b = random_run(rng, "b", 4, 15)
+    qrels = random_qrels(rng, run)
+    try:
+        rep = build_replicate_report(run, run, qrels, MEASURES, baselines=(b, b))
+    except UndefinedEffectError:  # b scores as well as run, or 0, on some measure
+        assume(False)
+    assert rep["ordering"]["tau_union_mean"] == 1.0
+    assert rep["ordering"]["tau_intersection_mean"] == 1.0
+    for label, block in rep["measures"].items():
+        assert (block["delta_arp"], block["rmse"], block["p_value"]) == (0.0, 0.0, 1.0)
+        assert (rep["effects"][label]["er"], rep["effects"][label]["delta_ri"]) == (1.0, 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tau_union_and_rbo_stay_in_range_at_every_cutoff(seed):
+    # lists of different lengths over a shared pool: overlaps from none to all
+    rng = random.Random(seed)
+    pool = [f"d{i}" for i in range(40)]
+    orig, rpl = (make_run(tag, {str(t): rng.sample(pool, rng.randint(2, 30)) for t in range(1, 5)})
+                 for tag in ("orig", "rpl"))
+    rep = build_replicate_report(orig, rpl, random_qrels(rng, orig), MEASURES,
+                                 cutoffs=[1, 2, 5, 10, 40])
+    values = {k: (block["ordering"]["tau_union"], block["ordering"]["rbo"])
+              for k, block in rep["cutoffs"].items()}
+    values[None] = (rep["ordering"]["tau_union_mean"], rep["ordering"]["rbo_mean"])
+    assert values[1][0] is None  # one document per list pairs nothing
+    for k, (tau, rbo) in values.items():
+        assert k == 1 or -1.0 <= tau <= 1.0
+        assert 0.0 <= rbo <= 1.0

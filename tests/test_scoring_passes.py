@@ -39,7 +39,7 @@ def test_replicate_scores_each_run_once(runs, monkeypatch):
     orig, rpl, qrels, b, b_prime = runs
     calls = counting(monkeypatch, report, "score_run")
     build_replicate_report(orig, rpl, qrels, MEASURES, cutoffs=[5, 10, 20],
-                           baseline_orig=b, baseline_rpl=b_prime)
+                           baselines=(b, b_prime))
     assert [args[0].tag for args in calls] == ["orig", "rpl", "b", "b2"]
     assert all(type(args[3]) is tuple for args in calls)
 
@@ -65,11 +65,12 @@ def test_tau_union_is_reused_where_no_list_is_truncated(runs, monkeypatch):
 @pytest.mark.parametrize("phi, depth", [(0.8, 1000), (0.9, 7)])
 def test_a_cutoff_beyond_both_lists_gives_the_full_depth_means(runs, phi, depth):
     orig, rpl, qrels, _, _ = runs
-    rep = build_replicate_report(orig, rpl, qrels, MEASURES, phi=phi, depth=depth,
-                                 cutoffs=[12, 100])
+    params = RboParams(phi, depth)
+    rep = build_replicate_report(orig, rpl, qrels, MEASURES, params, cutoffs=[12, 100])
     for k in (12, 100):
         assert rep["cutoffs"][k]["ordering"] == {"tau_union": rep["ordering"]["tau_union_mean"],
                                                  "rbo": rep["ordering"]["rbo_mean"]}
     topics = topic_intersection(orig, rpl, qrels)
-    assert ordering_at_cutoffs(orig, rpl, topics, [100], RboParams(phi, depth))[100] == (
+    assert ordering_at_cutoffs(orig, rpl, topics, [100], params,
+                               full_depth(orig, rpl, topics, params))[100] == (
         rep["ordering"]["tau_union_mean"], rep["ordering"]["rbo_mean"])

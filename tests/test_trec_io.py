@@ -52,12 +52,12 @@ def test_file_ranks_ignored_scores_define_order():
 def test_duplicate_doc_strict_errors_with_line_number():
     text = "301 Q0 A 1 1.0 sys\n301 Q0 A 2 0.5 sys\n"
     with pytest.raises(TrecParseError, match="line 2"):
-        parse_run(text, mode="strict")
+        parse_run(text, strict=True)
 
 
 def test_duplicate_doc_lenient_keeps_higher_score():
     text = "301 Q0 A 1 1.0 sys\n301 Q0 A 2 3.0 sys\n301 Q0 B 3 2.0 sys\n"
-    run = parse_run(text, mode="lenient")
+    run = parse_run(text, strict=False)
     assert run.topics["301"].doc_ids == ("A", "B")
     assert run.topics["301"].scores[0] == 3.0
     assert len(run.warnings) == 1
@@ -75,7 +75,7 @@ def test_malformed_line_errors():
 def test_nan_score_is_rejected_infinities_are_kept():
     text = "301 Q0 A 1 2.0 sys\n301 Q0 Z 2 nan sys\n301 Q0 BB 3 1.0 sys\n"
     with pytest.raises(TrecParseError, match="line 2: non-numeric score 'nan'"):
-        parse_run(text, mode="lenient")
+        parse_run(text, strict=False)
     with pytest.raises(TrecParseError, match="line 1: non-numeric score 'NaN'"):
         parse_run("301 Q0 A 1 NaN sys\n")
     run = parse_run("301 Q0 A 1 -inf sys\n301 Q0 B 2 1.0 sys\n301 Q0 C 3 inf sys\n")
@@ -186,10 +186,10 @@ def test_parse_run_matches_brute_force_parser(text, mode, kind):
         expected = oracles.brute_parse_run(text, mode)
     except ValueError as e:
         with pytest.raises(TrecParseError) as info:
-            parse_run(source, mode=mode)
+            parse_run(source, strict=mode == "strict")
         assert str(info.value) == str(e)
         return
-    run = parse_run(source, mode=mode)
+    run = parse_run(source, strict=mode == "strict")
     got = [(t, list(zip(r.doc_ids, r.scores))) for t, r in run.topics.items()]
     assert (run.tag, got, run.warnings) == expected
 
@@ -198,7 +198,7 @@ def test_parse_run_matches_brute_force_parser(text, mode, kind):
 @given(text=_run_texts(), mode=st.sampled_from(("strict", "lenient")))
 def test_serialize_then_parse_round_trips(text, mode):
     try:
-        run = parse_run(text, mode=mode)
+        run = parse_run(text, strict=mode == "strict")
     except TrecParseError:
         return
     serialized = serialize_run(run)
