@@ -18,7 +18,6 @@ machine-readable JSON error record to stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -43,6 +42,8 @@ _EXIT_CODES = {
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # only --provenance needs it; kept off the import every run pays
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
@@ -136,6 +137,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Quantify how well an IR experiment was replicated or reproduced.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rbo = RboParams()  # the --phi and --depth defaults
 
     p_rpl = sub.add_parser("replicate", help="same-collection comparison")
     p_rpl.add_argument("--run-orig", required=True)
@@ -143,8 +145,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_rpl.add_argument("--qrels", required=True)
     p_rpl.add_argument("--run-b-orig", default=None, help="original baseline run (enables ER)")
     p_rpl.add_argument("--run-b-rpl", default=None, help="re-created baseline run")
-    p_rpl.add_argument("--phi", type=float, default=RboParams.phi)
-    p_rpl.add_argument("--depth", type=int, default=RboParams.depth)
+    p_rpl.add_argument("--phi", type=float, default=rbo.phi)
+    p_rpl.add_argument("--depth", type=int, default=rbo.depth)
     p_rpl.add_argument("--cutoffs", default=None, help="ascending, e.g. 10,100,1000")
     _add_common(p_rpl)
 
@@ -160,8 +162,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_cor = sub.add_parser("correlate", help="cross-measure correlation over candidates")
     p_cor.add_argument("--manifest", required=True,
                        help="JSON with keys qrels, run_orig, candidates (>= 2)")
-    p_cor.add_argument("--phi", type=float, default=RboParams.phi)
-    p_cor.add_argument("--depth", type=int, default=RboParams.depth)
+    p_cor.add_argument("--phi", type=float, default=rbo.phi)
+    p_cor.add_argument("--depth", type=int, default=rbo.depth)
     _add_common(p_cor)
     return parser
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, TopicMismatchError
 from .trec_io import Qrels, Run, TopicSet
@@ -27,16 +26,21 @@ from .trec_io import Qrels, Run, TopicSet
 MEASURES = ("P", "AP", "nDCG")
 
 
-@dataclass(frozen=True)
-class MeasureConfig:
+class _MeasureConfig(NamedTuple):
     measure: str  # one of MEASURES
     cutoff: int
 
-    def __post_init__(self):
+
+class MeasureConfig(_MeasureConfig):  # a NamedTuple cannot define __new__ itself
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.measure not in MEASURES:
             raise ConfigError(f"unknown measure {self.measure!r}")
         if self.cutoff < 1:
             raise ConfigError(f"cutoff must be >= 1, got {self.cutoff}")
+        return self
 
     @property
     def label(self) -> str:
@@ -63,8 +67,7 @@ def parse_measure_spec(spec: str) -> MeasureConfig:
     return MeasureConfig(measure, cutoff)
 
 
-@dataclass(frozen=True)
-class TopicScoreVector:
+class TopicScoreVector(NamedTuple):
     """Per-topic scores of one run under one measure; the mean is the ARP."""
 
     measure: str

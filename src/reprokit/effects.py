@@ -15,31 +15,34 @@ differ in identity and size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .effectiveness import TopicScoreVector
 from .errors import UndefinedEffectError
 
-@dataclass(frozen=True)
-class EffectInput:
+class _EffectInput(NamedTuple):
     b: TopicScoreVector
     a: TopicScoreVector
     b_prime: TopicScoreVector
     a_prime: TopicScoreVector
     mode: str = "replicability"  # or "reproducibility"
 
-    def __post_init__(self):
+
+class EffectInput(_EffectInput):  # a NamedTuple cannot define __new__ itself
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("replicability", "reproducibility"):
             raise ValueError(f"unknown mode {self.mode!r}")
         self.b.require_aligned(self.a)
         self.b_prime.require_aligned(self.a_prime)
         if self.mode == "replicability":
             self.b.require_aligned(self.b_prime)
+        return self
 
 
-@dataclass(frozen=True)
-class EffectSummary:
+class EffectSummary(NamedTuple):
     run_id: str
     measure: str
     er: float

@@ -11,8 +11,7 @@ equivalent, below 0.8 noticeably different.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DegenerateTiesError
 from .ordering import kendall_tau
@@ -31,8 +30,7 @@ EQUIVALENT_THRESHOLD = 0.9
 DIFFERENT_THRESHOLD = 0.8
 
 
-@dataclass(frozen=True)
-class MeasureRanking:
+class MeasureRanking(NamedTuple):
     measure_id: str
     run_ids: tuple[str, ...]  # best (lowest badness) first
     badness: tuple[float, ...]  # aligned with run_ids, non-decreasing

@@ -17,23 +17,27 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DegenerateTiesError, OverlapTooSmallError
 from .trec_io import Run, TopicSet
 
 
-@dataclass(frozen=True)
-class RboParams:
+class _RboParams(NamedTuple):
     phi: float = 0.8
     depth: int = 1000
 
-    def __post_init__(self):
+
+class RboParams(_RboParams):  # a NamedTuple cannot define __new__ itself
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.phi < 1.0:
             raise ConfigError(f"phi must be in (0,1), got {self.phi}")
         if self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        return self
 
 
 def _inversions(perm: Sequence[int]) -> int:

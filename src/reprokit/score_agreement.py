@@ -8,14 +8,12 @@ errors that a mean comparison hides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .effectiveness import MeasureConfig, TopicScoreVector
 
 
-@dataclass(frozen=True)
-class ArpDelta:
+class ArpDelta(NamedTuple):
     signed: float
     absolute: float
 

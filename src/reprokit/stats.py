@@ -11,7 +11,7 @@ larger sample also has the larger variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .effectiveness import TopicScoreVector
 from .errors import NoComparableTopicsError
@@ -21,8 +21,7 @@ _EPS = 3e-16
 _FPMIN = 1e-300
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     t_stat: float
     dof: float
     p_value: float

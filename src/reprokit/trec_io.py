@@ -29,41 +29,56 @@ from __future__ import annotations
 import io
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import IO, Iterator, Union
+from typing import IO, Iterator, NamedTuple, Union
 
 from .errors import NoComparableTopicsError, TrecParseError
 
 TextSource = Union[str, bytes, IO]
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(NamedTuple):
     """One topic in canonical order: the document at index i has rank i + 1."""
 
     doc_ids: tuple[str, ...]
     scores: array  # array('d'), parallel to doc_ids
 
 
-@dataclass
-class Run:
+class _Record:
+    """Equality and repr over the attributes named in ``_fields``. Instances
+    keep a ``__dict__``, so they stay weak-referenceable and take extra attributes."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class Run(_Record):
     """One system's output: a canonical :class:`Ranking` per topic."""
 
-    tag: str
-    topics: dict[str, Ranking]
-    warnings: list[str] = field(default_factory=list)
+    _fields = ("tag", "topics", "warnings")
+
+    def __init__(self, tag: str, topics: dict[str, Ranking], warnings: list[str] | None = None):
+        self.tag, self.topics, self.warnings = tag, topics, [] if warnings is None else warnings
 
 
-@dataclass
-class Qrels:
+class Qrels(_Record):
     """Graded relevance judgments: topic -> doc -> grade (>= 0).
 
     A document absent from a topic's map is unjudged and treated as grade 0.
     """
 
-    topics: dict[str, dict[str, int]]
-    warnings: list[str] = field(default_factory=list)
+    _fields = ("topics", "warnings")
+
+    def __init__(self, topics: dict[str, dict[str, int]], warnings: list[str] | None = None):
+        self.topics, self.warnings = topics, [] if warnings is None else warnings
 
     def grade(self, topic: str, doc_id: str) -> int:
         return self.topics.get(topic, {}).get(doc_id, 0)
@@ -73,9 +88,22 @@ class Qrels:
         return {t for t, docs in self.topics.items() if any(g > 0 for g in docs.values())}
 
 
-@dataclass(frozen=True)
-class TopicSet:
-    ids: tuple[str, ...]
+class TopicSet(_Record):
+    """Topic ids in report order; immutable and hashable, it iterates its ids."""
+
+    _fields = ("ids",)
+
+    def __init__(self, ids: tuple[str, ...]):
+        object.__setattr__(self, "ids", ids)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self.ids)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.ids)
@@ -109,13 +137,15 @@ def _text_lines(source: TextSource) -> Iterator[Iterator[str]]:
 
 
 def _canonical_ranking(scores: dict[str, float]) -> Ranking:
-    """Score descending, doc-id descending (ids are unique within a topic).
+    """Score descending, doc-id descending, in one sort of (score, id) pairs.
 
-    Two stable sorts, doc id then score, build no tuple per document. The
-    array is filled from a list, which is several times faster than from an iterator."""
-    ids = sorted(scores, reverse=True)
-    ids.sort(key=scores.__getitem__, reverse=True)
-    return Ranking(tuple(ids), array("d", [*map(scores.__getitem__, ids)]))
+    Ids are unique within a topic, so no two pairs tie in full and ``-0.0`` and
+    ``0.0`` fall to the id as well. Both columns are read back by comprehension,
+    not ``zip(*pairs)``, whose iterator per pair triggers many more garbage
+    collections; the array is filled from a list, several times faster than
+    from an iterator."""
+    pairs = sorted(zip(scores.values(), scores), reverse=True)
+    return Ranking(tuple([d for _, d in pairs]), array("d", [s for s, _ in pairs]))
 
 
 def parse_run(source: TextSource, strict: bool = True) -> Run:
@@ -131,12 +161,12 @@ def parse_run(source: TextSource, strict: bool = True) -> Run:
     warnings: list[str] = []
     with _text_lines(source) as lines:
         for line_no, line in enumerate(lines, start=1):
-            parts = line.split()
-            if len(parts) != 6:
-                if not parts:
+            try:
+                line_topic, _q0, doc_id, rank_str, score_str, line_tag = line.split()
+            except ValueError:
+                if not (parts := line.split()):
                     continue
-                raise TrecParseError(f"line {line_no}: expected 6 columns, got {len(parts)}: {line.strip()!r}")
-            line_topic, _q0, doc_id, rank_str, score_str, line_tag = parts
+                raise TrecParseError(f"line {line_no}: expected 6 columns, got {len(parts)}: {line.strip()!r}") from None
             if not rank_str.isdecimal():
                 try:
                     int(rank_str)
@@ -187,12 +217,12 @@ def parse_qrels(source: TextSource) -> Qrels:
     warnings: list[str] = []
     with _text_lines(source) as lines:
         for line_no, line in enumerate(lines, start=1):
-            parts = line.split()
-            if len(parts) != 4:
-                if not parts:
+            try:
+                line_topic, _it, doc_id, grade_str = line.split()
+            except ValueError:
+                if not (parts := line.split()):
                     continue
-                raise TrecParseError(f"line {line_no}: expected 4 columns, got {len(parts)}: {line.strip()!r}")
-            line_topic, _it, doc_id, grade_str = parts
+                raise TrecParseError(f"line {line_no}: expected 4 columns, got {len(parts)}: {line.strip()!r}") from None
             try:
                 grade = int(grade_str)
             except ValueError as e:

@@ -15,20 +15,30 @@ take the branches a report can show:
 To regenerate the committed reports (only when a report is meant to change)::
 
     PYTHONPATH=src python tests/golden_inputs.py tests/golden
+
+To regenerate them into a temporary directory and diff them against the
+committed ones, without pytest and under any interpreter (exit 1 on a
+difference)::
+
+    PYTHONPATH=src python tests/golden_inputs.py --compare
 """
 
 from __future__ import annotations
 
+import difflib
 import json
 import pathlib
 import random
 import sys
+import tempfile
 
 SEED = 20261018
 TOPICS = [str(t) for t in range(1, 9)]
 MEASURES = "P@5,AP@1000,nDCG@10"
 CUTOFFS = "5,10,30"  # below, within and above the run depths 12..20
 FORMATS = ("json", "csv", "table")
+COMMANDS = ("replicate", "reproduce", "correlate")
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def _qrels(rng: random.Random, pool: list[str]) -> dict[str, dict[str, int]]:
@@ -131,7 +141,27 @@ def golden_name(command: str, fmt: str) -> str:
     return f"{command}.{'txt' if fmt == 'table' else fmt}"
 
 
+def compare() -> int:
+    """Regenerate every report into a temporary directory and print a diff
+    for each that differs from its file under ``GOLDEN``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main([tmp])
+        if code != 0:
+            return code
+        names = [golden_name(command, fmt) for command in COMMANDS for fmt in FORMATS]
+        differ = [n for n in names if (GOLDEN / n).read_bytes() != (pathlib.Path(tmp) / n).read_bytes()]
+        for name in differ:
+            sys.stdout.writelines(difflib.unified_diff(
+                (GOLDEN / name).read_text().splitlines(keepends=True),
+                (pathlib.Path(tmp) / name).read_text().splitlines(keepends=True),
+                f"golden/{name}", f"regenerated/{name}"))
+    print(f"{sys.version.split()[0]}: {len(names) - len(differ)} of {len(names)} reports byte-identical")
+    return 1 if differ else 0
+
+
 def main(argv: list[str]) -> int:
+    if argv == ["--compare"]:
+        return compare()
     from reprokit.cli import main as cli_main
 
     out = pathlib.Path(argv[0])

@@ -137,6 +137,20 @@ def brute_parse_run(text, mode="strict"):
     return tag, topics, warnings
 
 
+def brute_canonical_order(scores):
+    """``[(doc_id, score), ...]`` of a ``{doc_id: score}`` map in canonical order.
+
+    No sort: each document goes to the position given by the number of
+    documents ahead of it, those with a higher score or an equal score and a
+    larger id (``-0.0`` equals ``0.0``). O(n^2).
+    """
+    placed = [None] * len(scores)
+    for doc, score in scores.items():
+        ahead = sum(1 for d, s in scores.items() if s > score or (s == score and d > doc))
+        placed[ahead] = (doc, score)
+    return placed
+
+
 def brute_kendall_tau(x, y):
     """Exhaustive pair enumeration of concordant/discordant/tied pairs."""
     n = len(x)

@@ -5,15 +5,11 @@ order of the warnings (see ``golden_inputs.py`` for what the inputs hold). A
 change that is not meant to move a report must leave them all equal.
 """
 
-import pathlib
-
 import pytest
 
 from reprokit.cli import main
 
-from golden_inputs import FORMATS, golden_name, write_inputs
-
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+from golden_inputs import COMMANDS, FORMATS, GOLDEN, golden_name, write_inputs
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +18,7 @@ def argvs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("command", ["replicate", "reproduce", "correlate"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_report_is_byte_identical(argvs, tmp_path, command, fmt):
     out = tmp_path / golden_name(command, fmt)
     assert main(argvs[command] + ["--format", fmt, "--output", str(out)]) == 0

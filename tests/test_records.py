@@ -1,0 +1,168 @@
+"""The contract of every record type: how it is built, compared, hashed, copied
+and pickled, which ones are immutable, and which arguments they reject."""
+
+import copy
+import pickle
+import weakref
+from array import array
+
+import pytest
+
+from reprokit import stats
+from reprokit.effectiveness import MeasureConfig, TopicScoreVector
+from reprokit.effects import EffectInput, EffectSummary
+from reprokit.errors import ConfigError, TopicMismatchError
+from reprokit.meta import MeasureRanking
+from reprokit.ordering import RboParams
+from reprokit.score_agreement import ArpDelta
+from reprokit.trec_io import Qrels, Ranking, Run, TopicSet
+
+from conftest import vector
+
+_B, _A = vector({"1": 0.1, "2": 0.2}, "AP"), vector({"1": 0.3, "2": 0.5}, "AP")
+_RANKING = Ranking(("d2", "d1"), array("d", [2.0, 1.0]))
+
+# (type, fields in order): each record is built from these by position and by keyword
+RECORDS = [
+    (Ranking, {"doc_ids": ("d2", "d1"), "scores": array("d", [2.0, 1.0])}),
+    (Run, {"tag": "sys", "topics": {"1": _RANKING}, "warnings": ["w"]}),
+    (Qrels, {"topics": {"1": {"d1": 2}}, "warnings": ["w"]}),
+    (TopicSet, {"ids": ("1", "2")}),
+    (MeasureConfig, {"measure": "nDCG", "cutoff": 10}),
+    (TopicScoreVector, {"measure": "AP", "run_tag": "sys", "scores": {"1": 0.25, "2": 0.5}}),
+    (EffectInput, {"b": _B, "a": _A, "b_prime": _B, "a_prime": _A, "mode": "reproducibility"}),
+    (EffectSummary, {"run_id": "r", "measure": "AP", "er": 0.9, "ri": 0.2, "ri_prime": 0.1,
+                     "delta_ri": 0.1, "region": "success"}),
+    (MeasureRanking, {"measure_id": "rmse_AP", "run_ids": ("a", "b"), "badness": (0.1, 0.2)}),
+    (RboParams, {"phi": 0.9, "depth": 100}),
+    (ArpDelta, {"signed": -0.5, "absolute": 0.5}),
+    (stats.TestResult, {"t_stat": 2.0, "dof": 49.0, "p_value": 0.05, "warning": None}),
+]
+FROZEN = [(cls, fields) for cls, fields in RECORDS if cls not in (Run, Qrels)]
+
+
+def _ID(value):
+    return getattr(value, "__name__", None)  # the type names the case
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=_ID)
+def test_built_by_position_or_keyword_equals_by_value(cls, fields):
+    by_position = cls(*fields.values())
+    by_keyword = cls(**fields)
+    assert by_position == by_keyword
+    assert by_keyword == cls(**copy.deepcopy(fields))
+    for name, value in fields.items():
+        assert getattr(by_keyword, name) == value
+    if cls not in (MeasureConfig, EffectInput, RboParams):  # these reject "other"
+        assert cls(**{**fields, next(iter(fields)): "other"}) != by_keyword
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=_ID)
+def test_pickle_and_deepcopy_round_trip(cls, fields):
+    record = cls(**fields)
+    for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(again) is cls
+        assert again == record
+        assert again is not record
+
+
+@pytest.mark.parametrize("cls, fields", [(MeasureConfig, {"measure": "P", "cutoff": 5}),
+                                         (TopicSet, {"ids": ("1", "2")}),
+                                         (RboParams, {"phi": 0.5, "depth": 7})], ids=_ID)
+def test_dict_keys_hash_by_value(cls, fields):
+    a, b = cls(**fields), cls(*fields.values())
+    assert hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+    assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
+
+
+@pytest.mark.parametrize("cls, fields", FROZEN, ids=_ID)
+def test_frozen_records_reject_assignment(cls, fields):
+    record = cls(**fields)
+    for name in (next(iter(fields)), "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+    with pytest.raises(AttributeError):
+        delattr(record, next(iter(fields)))
+    assert record == cls(**fields)
+
+
+@pytest.mark.parametrize("cls, fields", [r for r in FROZEN if r[0] is not TopicSet], ids=_ID)
+def test_value_records_are_tuples(cls, fields):
+    record = cls(**fields)
+    assert tuple(record) == tuple(fields.values())
+    assert record == tuple(fields.values())
+    *_, last = record
+    assert last == list(fields.values())[-1]
+
+
+def test_defaults():
+    assert RboParams() == RboParams(0.8, 1000)
+    assert RboParams(0.5).depth == 1000
+    assert EffectInput(_B, _A, _B, _A).mode == "replicability"
+    assert stats.TestResult(1.0, 2.0, 0.5).warning is None
+    assert MeasureConfig("AP", 100).label == "AP@100"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: MeasureConfig("P", 0), ConfigError, "cutoff must be >= 1, got 0"),
+    (lambda: MeasureConfig(measure="MAP", cutoff=10), ConfigError, "unknown measure 'MAP'"),
+    (lambda: RboParams(1.5), ConfigError, "phi must be in (0,1), got 1.5"),
+    (lambda: RboParams(phi=0.0), ConfigError, "phi must be in (0,1), got 0.0"),
+    (lambda: RboParams(depth=0), ConfigError, "depth must be >= 1, got 0"),
+    (lambda: EffectInput(_B, _A, _B, _A, mode="x"), ValueError, "unknown mode 'x'"),
+])
+def test_invalid_arguments_raise(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_effect_input_checks_alignment():
+    other = vector({"1": 0.1, "3": 0.2}, "AP")
+    with pytest.raises(TopicMismatchError):
+        EffectInput(_B, other, _B, _A)
+    with pytest.raises(TopicMismatchError):
+        EffectInput(_B, _A, other, other)  # replicability: one topic set
+    EffectInput(_B, _A, other, other, "reproducibility")
+
+
+def test_missing_or_extra_arguments_raise_type_error():
+    for build in (lambda: MeasureConfig("P"), lambda: RboParams(0.5, 10, 1),
+                  lambda: EffectInput(_B, _A, _B), lambda: TopicSet(), lambda: Run("sys")):
+        with pytest.raises(TypeError):
+            build()
+
+
+@pytest.mark.parametrize("build", [lambda: Run("sys", {}), lambda: Run(tag="sys", topics={}),
+                                   lambda: Qrels({}), lambda: Qrels(topics={})])
+def test_each_run_and_qrels_gets_its_own_warnings(build):
+    first, second = build(), build()
+    assert first.warnings == [] and first.warnings is not second.warnings
+    first.warnings.append("w")
+    assert second.warnings == []
+
+
+def test_run_and_qrels_are_mutable_weak_referenceable_and_unhashable():
+    run, qrels = Run("sys", {}), Qrels({})
+    refs = [weakref.ref(run), weakref.ref(qrels)]
+    run.tag = "renamed"
+    qrels.topics["1"] = {"d": 1}
+    assert (run.tag, qrels.grade("1", "d")) == ("renamed", 1)
+    for record in (run, qrels):
+        with pytest.raises(TypeError):
+            hash(record)
+    del run, qrels, record
+    assert [r() for r in refs] == [None, None]
+
+
+def test_topic_set_iterates_its_ids():
+    topics = TopicSet(("3", "1"))
+    assert list(topics) == ["3", "1"] and len(topics) == 2
+    assert topics != ("3", "1")
+
+
+def test_repr_names_each_field():
+    assert repr(TopicSet(("1",))) == "TopicSet(ids=('1',))"
+    assert repr(Qrels({})) == "Qrels(topics={}, warnings=[])"
+    assert repr(MeasureConfig("P", 5)) == "MeasureConfig(measure='P', cutoff=5)"

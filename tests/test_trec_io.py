@@ -1,4 +1,6 @@
 import io
+import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -292,6 +294,51 @@ def test_qrels_repeated_pair_takes_last():
 def test_qrels_non_integer_grade():
     with pytest.raises(TrecParseError, match="line 1"):
         parse_qrels("301 0 A x\n")
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes"])
+@pytest.mark.parametrize("bad", ["302 0 B", "302 0 B 1 extra"])
+def test_qrels_column_count_error_names_the_line(bad, kind):
+    # blank, whitespace-only and CRLF lines before the bad one still count as lines
+    text = f"301 0 A 1\r\n\r\n \t \r\n\n301 0 C 0\r\n{bad}\r\n302 0 D 1\r\n"
+    with pytest.raises(TrecParseError) as info:
+        parse_qrels(text.encode() if kind == "bytes" else text)
+    assert str(info.value) == f"line 6: expected 4 columns, got {len(bad.split())}: {bad!r}"
+
+
+def test_qrels_column_count_error_through_load_names_the_file(tmp_path):
+    path = tmp_path / "qrels.txt"
+    path.write_bytes(b"301 0 A 1\r\n\r\n301 0 B 1 2 3\r\n")
+    with pytest.raises(TrecParseError) as info:
+        load_qrels(str(path))
+    assert str(info.value) == f"{path}: line 3: expected 4 columns, got 6: '301 0 B 1 2 3'"
+
+
+# 1- and 2-character ids, ASCII and beyond: 342 of them
+_CANON_CHARS = "aZz09_-.~\u00e9\u00df\u00ff\u0661\u03a9\u4e2d\uac00\U0001f600\U00010348"
+_CANON_IDS = [*_CANON_CHARS, *(a + b for a in _CANON_CHARS for b in _CANON_CHARS)]
+_CANON_SCORES = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf)),
+    st.floats(allow_nan=False), st.integers(-3, 3).map(float))
+
+
+@st.composite
+def _topic_scores(draw):
+    """Up to 300 documents sharing at most 8 scores, so they tie often."""
+    palette = draw(st.lists(_CANON_SCORES, min_size=1, max_size=8))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    ids = rnd.sample(_CANON_IDS, draw(st.integers(1, 300)))
+    return {d: rnd.choice(palette) for d in ids}
+
+
+@settings(max_examples=100, deadline=None)
+@given(scores=_topic_scores())
+def test_canonical_ranking_matches_placement_oracle(scores):
+    ranking = trec_io._canonical_ranking(scores)
+    expected = oracles.brute_canonical_order(scores)
+    assert list(zip(ranking.doc_ids, ranking.scores)) == expected
+    # each document keeps its own score: repr tells -0.0 from 0.0
+    assert list(map(repr, ranking.scores)) == [repr(s) for _, s in expected]
 
 
 def test_topic_intersection_requires_relevant_docs():
