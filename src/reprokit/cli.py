@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import report
-from .effectiveness import MeasureConfig, parse_measure_spec
+from .effectiveness import MeasureConfig, is_cutoff, parse_measure_spec
 from .errors import ConfigError, ReprokitError
 from .ordering import RboParams, check_cutoffs
 from .report import build_correlation_report, build_replicate_report, build_reproduce_report
@@ -66,10 +66,10 @@ def _parse_measures(spec: str) -> list[MeasureConfig]:
 def _parse_cutoffs(spec: str | None) -> list[int] | None:
     if not spec:
         return None
-    try:
-        cutoffs = [int(s) for s in spec.split(",") if s.strip()]
-    except ValueError:
-        raise ConfigError(f"bad cutoff list {spec!r}; expected integers like 10,100") from None
+    items = [s.strip() for s in spec.split(",") if s.strip()]
+    if not all(map(is_cutoff, items)):
+        raise ConfigError(f"bad cutoff list {spec!r}; expected integers like 10,100")
+    cutoffs = [int(s) for s in items]
     check_cutoffs(cutoffs)
     return cutoffs
 
@@ -79,7 +79,8 @@ def _load_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str | Non
     shape, that every file it names exists, and that baselines are all or none.
 
     Returns each path by role (the provenance roles), resolved against the
-    manifest's directory, and each candidate's (run path, baseline path or None).
+    manifest's directory, and each candidate's (id, run path, baseline path or
+    None); the id is the run's file name, distinct for each candidate.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -108,7 +109,7 @@ def _load_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str | Non
     entries = manifest.get("candidates")
     if not isinstance(entries, list) or len(entries) < 2:
         raise ConfigError(f"manifest {path}: candidates must be a list of at least 2 runs")
-    candidates = []
+    candidates, index = [], {}  # index: the first position of each candidate id
     for i, entry in enumerate(entries):
         entry = {"run": entry} if isinstance(entry, str) else entry
         if not isinstance(entry, dict):
@@ -116,7 +117,11 @@ def _load_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str | Non
         run = resolve(entry, "run", f"candidates[{i}].run")
         run_b = resolve(entry, "run_b", f"candidates[{i}].run_b", required=False)
         report.check_baselines(entry["run"], has_b_orig, run_b is not None)
-        candidates.append((run, run_b))
+        run_id = os.path.basename(run)
+        if index.setdefault(run_id, i) != i:
+            raise ConfigError(f"manifest {path}: candidates[{index[run_id]}] and candidates[{i}] "
+                              f"have the same id {run_id!r}; a candidate's id is its file name")
+        candidates.append((run_id, run, run_b))
     return paths, candidates
 
 
@@ -225,8 +230,8 @@ def _cmd_correlate(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
     qrels = load_qrels(paths["qrels"])
     run_orig = load_run(paths["run_orig"], args.strict)
     baseline_orig = load_run(paths["run_b_orig"], args.strict) if "run_b_orig" in paths else None
-    candidates = ((os.path.basename(path), load_run(path, args.strict),
-                   load_run(path_b, args.strict) if path_b else None) for path, path_b in entries)
+    candidates = ((run_id, load_run(path, args.strict),
+                   load_run(path_b, args.strict) if path_b else None) for run_id, path, path_b in entries)
     return build_correlation_report(run_orig, qrels, candidates, measures, params,
                                     baseline_orig, strict=args.strict), paths
 

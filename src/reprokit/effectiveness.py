@@ -50,21 +50,22 @@ class MeasureConfig(_MeasureConfig):  # a NamedTuple cannot define __new__ itsel
 def parse_measure_spec(spec: str) -> MeasureConfig:
     """Parse CLI measure specs like ``P@10``, ``AP``, ``nDCG@1000``.
 
-    Bare ``AP``/``nDCG`` default to cutoff 1000, bare ``P`` to 10.
+    Bare ``AP``/``nDCG`` default to cutoff 1000, bare ``P`` to 10. A cutoff
+    after ``@`` is ASCII digits only (see :func:`is_cutoff`).
     """
-    name, _, cut = spec.partition("@")
+    name, at, cut = spec.partition("@")
     aliases = {"p": "P", "ap": "AP", "ndcg": "nDCG", "map": "AP"}
     measure = aliases.get(name.lower())
     if measure is None:
         raise ConfigError(f"unknown measure spec {spec!r}")
-    if cut:
-        try:
-            cutoff = int(cut)
-        except ValueError:
-            raise ConfigError(f"bad cutoff in measure spec {spec!r}") from None
-    else:
-        cutoff = 10 if measure == "P" else 1000
-    return MeasureConfig(measure, cutoff)
+    if at and not is_cutoff(cut):
+        raise ConfigError(f"bad cutoff in measure spec {spec!r}")
+    return MeasureConfig(measure, int(cut) if at else (10 if measure == "P" else 1000))
+
+
+def is_cutoff(text: str) -> bool:
+    """Nonempty ASCII digits only: ``int()`` also takes ``1_0``, ``+5``, spaces and non-ASCII digits."""
+    return text.isascii() and text.isdigit()
 
 
 class TopicScoreVector(NamedTuple):

@@ -235,48 +235,44 @@ def check_cutoffs(cutoffs: Sequence[int]) -> None:
 
 
 class FullDepth(NamedTuple):
-    """Per-topic values of one run pair on the full lists; the cutoff sweep reuses them."""
+    """Per-topic values of one run pair on the full lists, and what the cutoff sweep reads."""
 
     tau: dict[str, float | None]  # tau-union, None where undefined
     rbo: dict[str, float]
-    rbo_sums: dict[str, list[float]]  # see _rbo_sums
+    docs: dict[str, tuple[Sequence[str], Sequence[str]]]  # both doc lists of each topic
+    rbo_at: dict[int, dict[str, float]]  # per cutoff, RBO of both lists truncated to it
 
 
-def full_depth(r: Run, s: Run, topics: TopicSet, params: RboParams) -> FullDepth:
-    sums = {topic: _rbo_sums(r_docs, s_docs, params)
-            for topic, r_docs, s_docs in _doc_lists(r, s, topics)}
-    return FullDepth(tau_union_over_topics(r, s, topics),
-                     {topic: (1.0 - params.phi) * v[-1] for topic, v in sums.items()}, sums)
+def full_depth(r: Run, s: Run, topics: TopicSet, params: RboParams,
+               cutoffs: Sequence[int]) -> FullDepth:
+    """Tau-union and RBO of each topic on the full lists, and RBO at each cutoff k:
+    the full lists' running sum at depth min(k, d), d as in :func:`_rbo_sums`."""
+    check_cutoffs(cutoffs)
+    full = FullDepth({}, {}, {topic: (r.topics[topic].doc_ids, s.topics[topic].doc_ids)
+                              for topic in topics}, {k: {} for k in cutoffs})
+    for topic, (r_docs, s_docs) in full.docs.items():
+        full.tau[topic] = _tau_or_none(r_docs, s_docs)
+        sums = _rbo_sums(r_docs, s_docs, params)
+        full.rbo[topic] = (1.0 - params.phi) * sums[-1]
+        for k, rbo_k in full.rbo_at.items():
+            rbo_k[topic] = (1.0 - params.phi) * sums[min(k, len(sums)) - 1]
+    return full
 
 
-def ordering_at_cutoffs(r: Run, s: Run, topics: TopicSet, cutoffs: Sequence[int],
-                        params: RboParams, full: FullDepth) -> dict[int, tuple[float | None, float]]:
-    """Mean tau-union and mean RBO after truncating both runs to each cutoff.
+def ordering_at_cutoffs(full: FullDepth) -> dict[int, tuple[float | None, float]]:
+    """Mean tau-union and mean RBO after truncating both runs of ``full`` to each of its cutoffs.
 
-    Reuses ``full``, the :func:`full_depth` values of the same pair. RBO over
-    the first k documents of each run is the running sum of the full lists at
-    depth min(depth, max(|r[:k]|, |s[:k]|)).
     Tau-union is computed anew only on a topic where k truncates one of the
     two lists; where k >= |r| and k >= |s| it is the full-depth value.
     """
-    check_cutoffs(cutoffs)
-    if not cutoffs:
-        return {}
-    docs = {topic: (r.topics[topic].doc_ids, s.topics[topic].doc_ids) for topic in topics}
     out: dict[int, tuple[float | None, float]] = {}
-    for k in cutoffs:
+    for k, rbo_k in full.rbo_at.items():
         taus = {topic: full.tau[topic] if k >= len(r_docs) and k >= len(s_docs)
                 else _tau_or_none(r_docs[:k], s_docs[:k])
-                for topic, (r_docs, s_docs) in docs.items()}
+                for topic, (r_docs, s_docs) in full.docs.items()}
         try:
             tau_mean, _ = mean_over_topics(taus)
         except DegenerateTiesError:
             tau_mean = None  # tau undefined everywhere, e.g. at cutoff 1
-        rbo_at_k = {
-            topic: (1.0 - params.phi)
-            * full.rbo_sums[topic][min(params.depth, max(min(k, len(r_docs)), min(k, len(s_docs)))) - 1]
-            for topic, (r_docs, s_docs) in docs.items()
-        }
-        rbo_mean, _ = mean_over_topics(rbo_at_k)
-        out[k] = (tau_mean, rbo_mean)
+        out[k] = (tau_mean, mean_over_topics(rbo_k)[0])
     return out

@@ -10,11 +10,11 @@ p-value. No timestamps unless provenance was explicitly requested upstream.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import effects, meta, ordering, score_agreement, stats
 from .effectiveness import MeasureConfig, TopicScoreVector, score_run
-from .errors import ConfigError, DegenerateTiesError, OverlapTooSmallError, ReprokitError
+from .errors import ConfigError, DegenerateTiesError, OverlapTooSmallError
 from .ordering import RboParams
 from .trec_io import Qrels, Run, TopicSet, topic_intersection
 
@@ -50,11 +50,12 @@ def _paired_block(label: str, v_orig: TopicScoreVector, v_rpl: TopicScoreVector,
     }
 
 
-def _tau_union_mean(per_topic: dict[str, float | None], warnings: list[str]) -> float:
-    tau_mean, excluded = ordering.mean_over_topics(per_topic)
+def _ordering_means(full: ordering.FullDepth, warnings: list[str]) -> tuple[float, float]:
+    """Mean tau-union and mean RBO of :func:`ordering.full_depth`'s values."""
+    tau_mean, excluded = ordering.mean_over_topics(full.tau)
     if excluded:
         warnings.append(f"tau degenerate on {excluded} topic(s), excluded from mean")
-    return tau_mean
+    return tau_mean, ordering.mean_over_topics(full.rbo)[0]
 
 
 def _scored(run: Run, qrels: Qrels, topics: TopicSet, cfgs: tuple[MeasureConfig, ...],
@@ -77,19 +78,16 @@ def _effect_block(inp: effects.EffectInput) -> dict:
 
 
 def _measure_blocks(measures: list[MeasureConfig], orig: list[TopicScoreVector],
-                    rpl: list[TopicScoreVector], score_baselines: Callable[[], tuple] | None,
+                    rpl: list[TopicScoreVector], baselines: tuple | None,
                     warnings: list[str]) -> tuple[dict, dict]:
-    """The paired block of each measure and, given a function that returns the
-    two baselines' :func:`_scored` results, its effect block. Their warnings are
+    """The paired block of each measure and, given the two baselines'
+    :func:`_scored` results, its effect block. The baselines' warnings are
     listed measure by measure, as scoring one measure at a time gives them."""
     measure_blocks: dict[str, dict] = {}
     effect_blocks: dict[str, dict] = {}
-    baselines = None
     for i, cfg in enumerate(measures):
         measure_blocks[cfg.label] = _paired_block(cfg.label, orig[i], rpl[i], warnings)
-        if score_baselines is not None:
-            # scored only now, so a paired block's error (too few topics) comes first
-            baselines = baselines or score_baselines()
+        if baselines is not None:
             (b, b_found), (b_prime, b_prime_found) = baselines
             warnings += b_found + b_prime_found
             effect_blocks[cfg.label] = _effect_block(
@@ -109,13 +107,11 @@ def build_replicate_report(
 ) -> dict:
     """Compare a re-created run with the original; ``baselines``, the original
     and the re-created baseline run, add the effect block of each measure."""
-    ordering.check_cutoffs(cutoffs or ())
     warnings = _load_warnings(run_orig, run_rpl, qrels, *baselines or ())
     topics = topic_intersection(run_orig, run_rpl, qrels)
 
-    full = ordering.full_depth(run_orig, run_rpl, topics, params)
-    tau_mean = _tau_union_mean(full.tau, warnings)
-    rbo_mean, _ = ordering.mean_over_topics(full.rbo)
+    full = ordering.full_depth(run_orig, run_rpl, topics, params, cutoffs or ())
+    tau_mean, rbo_mean = _ordering_means(full, warnings)
     inter_vals = {}
     overlaps = []
     for topic in topics:
@@ -126,14 +122,14 @@ def build_replicate_report(
             overlaps.append(ov)
         except (DegenerateTiesError, OverlapTooSmallError):
             inter_vals[topic] = None
-    try:
+    if overlaps:  # one per topic with a tau-intersection value
         tau_inter_mean, inter_excluded = ordering.mean_over_topics(inter_vals)
         mean_overlap = sum(overlaps) / len(overlaps)
         if inter_excluded:
             warnings.append(
                 f"tau-intersection unavailable on {inter_excluded} topic(s), excluded from mean"
             )
-    except ReprokitError:
+    else:
         tau_inter_mean, mean_overlap = None, None
         warnings.append("tau-intersection unavailable on every topic")
 
@@ -145,16 +141,14 @@ def build_replicate_report(
     rpl = dict(zip(cfgs, score_run(run_rpl, qrels, topics, cfgs, strict=strict)))
     measure_blocks, effect_blocks = _measure_blocks(
         measures, [orig[c] for c in measures], [rpl[c] for c in measures],
-        (lambda: [_scored(b, qrels, topics, tuple(measures), strict) for b in baselines])
+        tuple(_scored(b, qrels, topics, tuple(measures), strict) for b in baselines)
         if baselines else None, warnings)
     cutoff_blocks: dict[int, dict] = {}
     if cutoffs:
         for cfg in measures:
             for k, v in score_agreement.rmse_at_cutoffs(orig, rpl, cfg.measure, cutoffs).items():
                 cutoff_blocks.setdefault(k, {})[cfg.label] = {"rmse": v}
-        for k, (t_mean, r_mean) in ordering.ordering_at_cutoffs(
-            run_orig, run_rpl, topics, cutoffs, params, full
-        ).items():
+        for k, (t_mean, r_mean) in ordering.ordering_at_cutoffs(full).items():
             cutoff_blocks[k]["ordering"] = {"tau_union": t_mean, "rbo": r_mean}
 
     return {
@@ -247,33 +241,32 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
     ``warnings`` holds, for each candidate, the warnings replicate gives on it
     (except those on tau-intersection, which is not ranked), prefixed with its id.
     """
-    raw: dict[str, dict[str, float]] = {}  # measure_id -> run_id -> raw value
+    raw: dict[str, dict[str, float]] = {"tau": {}, "rbo": {}}  # measure_id -> run_id -> raw value
     raw_er: dict[str, dict[str, float]] = {}  # listed after the others, as in replicate
     warnings: list[str] = []
     cfgs = tuple(measures)
-    # by role, not id(): ids get reused; the warnings are replayed for each candidate
-    orig_scores: dict[tuple, tuple[list[TopicScoreVector], list[str]]] = {}
-
-    def score_orig(role: str, run: Run, topics: TopicSet) -> tuple[list[TopicScoreVector], list[str]]:
-        if (role, topics) not in orig_scores:
-            orig_scores[role, topics] = _scored(run, qrels, topics, cfgs, strict)
-        return orig_scores[role, topics]
-
+    # per topic set: the original's vectors and the original baseline's _scored
+    # result, whose warnings are replayed for each candidate
+    orig_scores: dict[TopicSet, tuple] = {}
     for run_id, run_rpl, baseline_rpl in candidates:
         check_baselines(run_id, baseline_orig is not None, baseline_rpl is not None)
+        if run_id in raw["tau"]:
+            raise ConfigError(f"candidate id {run_id!r} given twice")
         found = _load_warnings(run_orig, run_rpl, qrels, baseline_orig, baseline_rpl)
         topics = topic_intersection(run_orig, run_rpl, qrels)
-        raw.setdefault("tau", {})[run_id] = _tau_union_mean(
-            ordering.tau_union_over_topics(run_orig, run_rpl, topics), found)
-        raw.setdefault("rbo", {})[run_id] = ordering.mean_over_topics(ordering.rbo_over_topics(
-            run_orig, run_rpl, topics, params))[0]
-        # topics are in both runs, so neither gives a warning
+        # not bound to a name: the record holds the candidate's doc lists
+        raw["tau"][run_id], raw["rbo"][run_id] = _ordering_means(
+            ordering.full_depth(run_orig, run_rpl, topics, params, ()), found)
+        if topics not in orig_scores:
+            # topics are in both runs, so neither the original nor a candidate gives a warning
+            orig_scores[topics] = (score_run(run_orig, qrels, topics, cfgs, strict=strict),
+                                   None if baseline_orig is None
+                                   else _scored(baseline_orig, qrels, topics, cfgs, strict))
+        orig, b_orig = orig_scores[topics]
         measure_blocks, effect_blocks = _measure_blocks(
-            measures, score_orig("orig", run_orig, topics)[0],
-            score_run(run_rpl, qrels, topics, cfgs, strict=strict),
-            (lambda: (score_orig("b_orig", baseline_orig, topics),
-                      _scored(baseline_rpl, qrels, topics, cfgs, strict)))
-            if baseline_rpl is not None else None, found)
+            measures, orig, score_run(run_rpl, qrels, topics, cfgs, strict=strict),
+            None if baseline_rpl is None
+            else (b_orig, _scored(baseline_rpl, qrels, topics, cfgs, strict)), found)
         for label, block in measure_blocks.items():
             for key in ("delta_arp", "rmse", "p_value"):
                 raw.setdefault(f"{key}_{label}", {})[run_id] = block[key]

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -686,6 +687,55 @@ class TestCorrelate:
         assert json.loads(capsys.readouterr().err) == {
             "error": "config", "message": f"{message}; give baselines for all or none"}
 
+    @pytest.mark.parametrize("entries, message", [
+        (["a/x.run", "b/x.run", "z.run"], "candidates[0] and candidates[1] have the same id 'x.run'"),
+        # one distinct id: the ranking would have a single run
+        (["cand0.run", "sub/cand0.run"], "candidates[0] and candidates[1] have the same id 'cand0.run'"),
+        (["z.run", "cand0.run", {"run": "a/z.run"}], "candidates[0] and candidates[2] have the same id 'z.run'"),
+    ])
+    def test_candidate_ids_are_distinct(self, workspace, rng, capsys, monkeypatch, entries, message):
+        # the id is the file name: a repeated one silently dropped a candidate
+        tmp, paths = workspace
+        mpath = self._manifest(tmp, paths, rng, n_candidates=1)
+        for sub in ("a", "b", "sub"):
+            (tmp / sub).mkdir()
+        for name in ("a/x.run", "b/x.run", "z.run", "sub/cand0.run", "a/z.run"):
+            write_run(tmp / name, random_run(rng, "c", 6, 20))
+        manifest = json.loads(mpath.read_text())
+        mpath.write_text(json.dumps({**manifest, "candidates": entries}))
+        self._refuse_loads(monkeypatch)
+        assert main(["correlate", "--manifest", str(mpath)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["message"].startswith(f"manifest {mpath}: {message}; ")
+
+    def test_library_candidate_ids_are_distinct(self, rng):
+        run = random_run(rng, "orig", 4, 10)
+        qrels = random_qrels(rng, run)
+        candidates = [("c", random_run(rng, "c", 4, 10), None), ("d", random_run(rng, "d", 4, 10), None),
+                      ("c", random_run(rng, "c2", 4, 10), None)]
+        with pytest.raises(ConfigError, match="candidate id 'c' given twice"):
+            build_correlation_report(run, qrels, candidates, [parse_measure_spec("P@5")])
+
+    def test_one_candidate_is_held_at_a_time(self, rng):
+        run = random_run(rng, "orig", 6, 20)
+        qrels, b_orig = random_qrels(rng, run), random_run(rng, "b_orig", 6, 20)
+        held = []
+
+        def candidate(i):
+            assert [ref() for ref in held] == [None] * len(held), "a previous candidate is still held"
+            assert not [x for x in gc.get_objects() if isinstance(x, ordering.FullDepth)], (
+                "a previous candidate's ordering record is still held")
+            inputs = random_run(rng, f"cand{i}", 6, 20), random_run(rng, f"base{i}", 6, 20)
+            held.extend(weakref.ref(x) for x in inputs)
+            return (f"cand{i}", *inputs)
+
+        rep = build_correlation_report(run, qrels, (candidate(i) for i in range(4)),
+                                       [parse_measure_spec("P@10"), parse_measure_spec("AP@20")],
+                                       baseline_orig=b_orig)
+        assert len(held) == 8
+        assert sorted(rep["rankings"]["tau"]["runs"]) == [f"cand{i}" for i in range(4)]
+
     def test_library_baselines_are_all_or_none(self, rng):
         run = random_run(rng, "orig", 4, 10)
         qrels = random_qrels(rng, run)
@@ -712,6 +762,20 @@ def test_rbo_settings_are_checked_before_any_input_is_read(tmp_path, capsys, com
     }[command]
     assert main([command, *argv, flag, value]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+
+
+@pytest.mark.parametrize("flag, value", [
+    *(("--measures", spec) for spec in ("P@", "AP@", "nDCG@", "P@1_0", "P@+5", "P@ 5", "P@\u0663", "P@-5")),
+    *(("--cutoffs", spec) for spec in ("1_0", "+5", "\u0663", "5,\u00b2", "-5", "5,,1e1")),
+])
+def test_a_cutoff_is_ascii_digits(tmp_path, capsys, flag, value):
+    # an empty cutoff was read as the default; int() takes 1_0, +5, a space and non-ASCII digits
+    missing = str(tmp_path / "nope.run")
+    assert main(["replicate", "--run-orig", missing, "--run-rpl", missing, "--qrels", missing,
+                 flag, value]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert repr(value) in err["message"]
 
 
 @pytest.mark.parametrize("command", ["replicate", "reproduce", "correlate"])
@@ -742,3 +806,27 @@ def test_cli_import_loads_no_numpy():
         [sys.executable, "-c", "import sys, reprokit.cli; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize("command", ["replicate", "correlate"])
+def test_strict_baseline_without_the_one_comparable_topic_is_a_topic_mismatch(tmp_path, capsys, command):
+    # baselines are scored with their run pair, before any t-test: the missing
+    # topic is the error, not the single comparable topic (no-comparable-topics)
+    (tmp_path / "a.run").write_text("301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n")
+    (tmp_path / "b.run").write_text("301 Q0 B 1 2.0 b\n301 Q0 A 2 1.0 b\n")
+    (tmp_path / "c.run").write_text("302 Q0 A 1 2.0 c\n302 Q0 B 2 1.0 c\n")
+    (tmp_path / "q.txt").write_text("301 0 A 1\n")
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"qrels": "q.txt", "run_orig": "a.run", "run_b_orig": "c.run",
+         "candidates": [{"run": "b.run", "run_b": "a.run"}, {"run": "a.run", "run_b": "a.run"}]}))
+    a, b, c, q = (str(tmp_path / name) for name in ("a.run", "b.run", "c.run", "q.txt"))
+    argv = {
+        "replicate": ["--run-orig", a, "--run-rpl", b, "--qrels", q, "--run-b-orig", c, "--run-b-rpl", a],
+        "correlate": ["--manifest", str(tmp_path / "m.json")],
+    }[command]
+    assert main([command, *argv, "--strict"]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "topic-mismatch"
+    assert "301" in err["message"]
+    assert main([command, *argv]) == 4  # lenient: scored 0, then the t-test needs two topics
+    assert json.loads(capsys.readouterr().err)["error"] == "no-comparable-topics"

@@ -285,8 +285,7 @@ class TestOrderingAtCutoffs:
         run = random_run(rng, "r", 4, 30)
         topics = TopicSet(tuple(run.topics))
         params = RboParams(0.8, 1000)
-        out = ordering_at_cutoffs(run, run, topics, [5, 10, 30], params,
-                                  full_depth(run, run, topics, params))
+        out = ordering_at_cutoffs(full_depth(run, run, topics, params, [5, 10, 30]))
         for k, (tau_mean, rbo_mean) in out.items():
             assert tau_mean == 1.0
             assert rbo_mean == pytest.approx(1 - 0.8 ** k, abs=1e-12)
@@ -296,7 +295,7 @@ class TestOrderingAtCutoffs:
         b = make_run("b", {"1": ["top", "y"]})
         topics = TopicSet(("1",))
         params = RboParams(0.8, 1000)
-        out = ordering_at_cutoffs(a, b, topics, [1], params, full_depth(a, b, topics, params))
+        out = ordering_at_cutoffs(full_depth(a, b, topics, params, [1]))
         # tau degenerate at depth 1 is excluded upstream; RBO = (1-phi) * A_1
         assert out[1][1] == pytest.approx(0.2, abs=1e-12)
 
@@ -309,7 +308,7 @@ class TestOrderingAtCutoffs:
         topics = TopicSet(tuple(a.topics))
         cutoffs = [1, 2, 5, 13, 30, 60]
         for params in (RboParams(0.8, 1000), RboParams(0.9, 7), RboParams(0.5, 1)):
-            out = ordering_at_cutoffs(a, b, topics, cutoffs, params, full_depth(a, b, topics, params))
+            out = ordering_at_cutoffs(full_depth(a, b, topics, params, cutoffs))
             for k in cutoffs:
                 per_topic = {t: rbo(topic_docs_a[t][:k], topic_docs_b[t][:k], params)
                              for t in topics}
@@ -320,15 +319,15 @@ class TestOrderingAtCutoffs:
         topics = TopicSet(tuple(run.topics))
         params = RboParams(0.8, 1000)
         with pytest.raises(ConfigError):
-            ordering_at_cutoffs(run, run, topics, [0, 5], params, full_depth(run, run, topics, params))
+            ordering_at_cutoffs(full_depth(run, run, topics, params, [0, 5]))
 
     def test_cutoff_beyond_length_is_noop(self, rng):
         a = random_run(rng, "a", 3, 10)
         b = random_run(rng, "b", 3, 10)
         topics = TopicSet(tuple(a.topics))
         params = RboParams(0.8, 1000)
-        full = ordering_at_cutoffs(a, b, topics, [10], params, full_depth(a, b, topics, params))[10]
-        huge = ordering_at_cutoffs(a, b, topics, [999], params, full_depth(a, b, topics, params))[999]
+        full = ordering_at_cutoffs(full_depth(a, b, topics, params, [10]))[10]
+        huge = ordering_at_cutoffs(full_depth(a, b, topics, params, [999]))[999]
         assert full == huge
 
 
@@ -338,7 +337,7 @@ class TestPerTopicUndefinedCases:
         b = make_run("b", {"1": ["top", "y"], "2": ["q", "p", "r"]})
         topics = TopicSet(("1", "2"))
         params = RboParams(0.8, 1000)
-        out = ordering_at_cutoffs(a, b, topics, [1], params, full_depth(a, b, topics, params))
+        out = ordering_at_cutoffs(full_depth(a, b, topics, params, [1]))
         assert out[1][0] is None  # None on both topics, so no mean
         assert tau_union_over_topics(a, b, topics)["2"] == pytest.approx(1 / 3)
 

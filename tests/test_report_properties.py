@@ -1,7 +1,9 @@
 """Report-level properties on small runs: what the report says depends on the
-judged rankings, not on how the files list them or on which run is "orig";
-a run replicates itself perfectly; every ordering value stays in its range."""
+judged rankings, not on how the files list them, on which run is "orig" or on
+the order of the topic ids; a run replicates itself perfectly; every ordering
+value stays in its range."""
 
+import math
 import random
 
 from hypothesis import assume, given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from reprokit.effectiveness import parse_measure_spec
 from reprokit.errors import UndefinedEffectError
 from reprokit.report import build_replicate_report, emit
-from reprokit.trec_io import parse_qrels, parse_run
+from reprokit.trec_io import Qrels, Run, parse_qrels, parse_run
 
 from conftest import make_run, random_qrels, random_run, swap_noise
 
@@ -99,3 +101,30 @@ def test_tau_union_and_rbo_stay_in_range_at_every_cutoff(seed):
     for k, (tau, rbo) in values.items():
         assert k == 1 or -1.0 <= tau <= 1.0
         assert 0.0 <= rbo <= 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(8)))
+def test_effects_do_not_depend_on_topic_order(seed, order):
+    # topics are compared in id order, so relabelling them reorders every sum over topics
+    rng = random.Random(seed)
+    orig = random_run(rng, "orig", 8, 15)
+    runs = (orig, swap_noise(rng, orig, 10, "rpl"), random_run(rng, "b", 8, 15), random_run(rng, "b2", 8, 15))
+    qrels = random_qrels(rng, orig)
+    label = {str(301 + i): str(301 + j) for i, j in enumerate(order)}
+    relabelled = [Run(run.tag, {label[t]: ranking for t, ranking in run.topics.items()}) for run in runs]
+
+    def effects(orig, rpl, b, b_prime, qrels):
+        try:
+            return build_replicate_report(orig, rpl, qrels, MEASURES, baselines=(b, b_prime))["effects"]
+        except UndefinedEffectError:  # a zero baseline mean or improvement
+            assume(False)
+
+    expected = effects(*runs, qrels)
+    got = effects(*relabelled, Qrels({label[t]: docs for t, docs in qrels.topics.items()}))
+    for m, block in expected.items():
+        assert math.isclose(got[m]["er"], block["er"], rel_tol=1e-12), m
+        # relative to RI, the scale of the difference: where RI = RI' exactly, as on
+        # equal P@5 means, Delta RI is a rounding residual such as +-2.2e-16
+        assert math.isclose(got[m]["delta_ri"], block["delta_ri"],
+                            abs_tol=1e-12 * max(abs(block["ri"]), abs(block["ri_prime"]))), m

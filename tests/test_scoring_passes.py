@@ -54,11 +54,12 @@ def test_rbo_sums_run_once_per_topic(runs, monkeypatch):
 def test_tau_union_is_reused_where_no_list_is_truncated(runs, monkeypatch):
     orig, rpl, qrels, _, _ = runs
     topics = topic_intersection(orig, rpl, qrels)
-    full = full_depth(orig, rpl, topics, RboParams())
+    untruncated, truncated = (full_depth(orig, rpl, topics, RboParams(), cutoffs)
+                              for cutoffs in ([12, 50], [5, 12, 50]))
     calls = counting(monkeypatch, ordering, "tau_union")
-    ordering_at_cutoffs(orig, rpl, topics, [12, 50], RboParams(), full)
+    ordering_at_cutoffs(untruncated)
     assert calls == []
-    ordering_at_cutoffs(orig, rpl, topics, [5, 12, 50], RboParams(), full)
+    ordering_at_cutoffs(truncated)
     assert [len(args[0]) for args in calls] == [5] * len(topics)
 
 
@@ -71,6 +72,5 @@ def test_a_cutoff_beyond_both_lists_gives_the_full_depth_means(runs, phi, depth)
         assert rep["cutoffs"][k]["ordering"] == {"tau_union": rep["ordering"]["tau_union_mean"],
                                                  "rbo": rep["ordering"]["rbo_mean"]}
     topics = topic_intersection(orig, rpl, qrels)
-    assert ordering_at_cutoffs(orig, rpl, topics, [100], params,
-                               full_depth(orig, rpl, topics, params))[100] == (
+    assert ordering_at_cutoffs(full_depth(orig, rpl, topics, params, [100]))[100] == (
         rep["ordering"]["tau_union_mean"], rep["ordering"]["rbo_mean"])
