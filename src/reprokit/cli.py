@@ -11,8 +11,8 @@ Subcommands:
   correlate      rank a set of candidate runs under every measure and emit
                  the cross-measure Kendall correlation matrix.
 
-Exit code 0 means no errors (warnings permitted); failures print a
-machine-readable JSON error record to stderr.
+Exit code 0 means no errors (warnings permitted); a failure writes a JSON error
+record to stderr and exits with the ``exit_code`` of its class in :mod:`reprokit.errors`.
 """
 
 from __future__ import annotations
@@ -25,20 +25,12 @@ import time
 
 from . import report
 from .effectiveness import MeasureConfig, is_cutoff, parse_measure_spec
-from .errors import ConfigError, ReprokitError
+from .errors import ConfigError, FileAccessError, ReprokitError
 from .ordering import RboParams, check_cutoffs
 from .report import build_correlation_report, build_replicate_report, build_reproduce_report
 from .trec_io import load_qrels, load_run
 
 DEFAULT_MEASURES = "P@10,AP@1000,nDCG@1000"
-
-_EXIT_CODES = {
-    "config": 2,
-    "parse": 3,
-    "topic-mismatch": 4,
-    "no-comparable-topics": 4,
-    "io": 5,
-}
 
 
 def _sha256(path: str) -> str:
@@ -133,7 +125,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="error on duplicate docs and missing topics")
     p.add_argument("--output", default=None, help="write to file instead of stdout")
     p.add_argument("--provenance", action="store_true",
-                   help="include input digests and config echo in the report")
+                   help="include input digests and config echo in the report (json only)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -181,6 +173,11 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _arg_paths(args) -> dict[str, str]:
+    """Each input file given on the command line, by its option's dest (the provenance role)."""
+    return {k: v for k, v in vars(args).items() if k.startswith(("run_", "qrels")) and v is not None}
+
+
 def _provenance(paths: dict[str, str]) -> dict:
     return {
         "inputs": {role: {"path": p, "sha256": _sha256(p)} for role, p in paths.items()},
@@ -194,21 +191,13 @@ def _cmd_replicate(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
         raise ConfigError("--run-b-orig and --run-b-rpl must be given together")
     cutoffs = _parse_cutoffs(args.cutoffs)  # settings before any input is read
     params = RboParams(args.phi, args.depth)
-    rep = build_replicate_report(
-        load_run(args.run_orig, args.strict),
-        load_run(args.run_rpl, args.strict),
-        load_qrels(args.qrels),
-        measures,
-        params,
-        cutoffs,
+    return build_replicate_report(
+        load_run(args.run_orig, args.strict), load_run(args.run_rpl, args.strict), load_qrels(args.qrels),
+        measures, params, cutoffs,
         baselines=(load_run(args.run_b_orig, args.strict), load_run(args.run_b_rpl, args.strict))
         if args.run_b_orig else None,
         strict=args.strict,
-    )
-    paths = {"run_orig": args.run_orig, "run_rpl": args.run_rpl, "qrels": args.qrels}
-    if args.run_b_orig:
-        paths.update(run_b_orig=args.run_b_orig, run_b_rpl=args.run_b_rpl)
-    return rep, paths
+    ), _arg_paths(args)
 
 
 def _cmd_reproduce(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
@@ -217,11 +206,7 @@ def _cmd_reproduce(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
                                     (args.run_a_rpd, args.run_b_rpd, args.qrels_rpd)):
             yield load_run(run_a, args.strict), load_run(run_b, args.strict), load_qrels(qrels)
 
-    return build_reproduce_report(sides(), measures), {
-        "run_a_orig": args.run_a_orig, "run_b_orig": args.run_b_orig,
-        "qrels_orig": args.qrels_orig, "run_a_rpd": args.run_a_rpd,
-        "run_b_rpd": args.run_b_rpd, "qrels_rpd": args.qrels_rpd,
-    }
+    return build_reproduce_report(sides(), measures), _arg_paths(args)
 
 
 def _cmd_correlate(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
@@ -238,24 +223,20 @@ def _cmd_correlate(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    handlers = {
-        "replicate": _cmd_replicate,
-        "reproduce": _cmd_reproduce,
-        "correlate": _cmd_correlate,
-    }
+    handler = {"replicate": _cmd_replicate, "reproduce": _cmd_reproduce, "correlate": _cmd_correlate}
     try:
+        if args.provenance and args.format != "json":
+            raise ConfigError(f"--provenance is written in JSON reports only, not --format {args.format}")
         measures = _parse_measures(args.measures)
-        rep, paths = handlers[args.command](args, measures)
+        rep, paths = handler[args.command](args, measures)
         if args.provenance:
             rep["provenance"] = _provenance(paths)
         _write_output(report.emit(rep, args.format), args.output)
         return 0
-    except ReprokitError as e:
-        sys.stderr.write(json.dumps({"error": e.category, "message": str(e)}) + "\n")
-        return _EXIT_CODES.get(e.category, 1)
-    except OSError as e:
-        sys.stderr.write(json.dumps({"error": "io", "message": str(e)}) + "\n")
-        return _EXIT_CODES["io"]
+    except (ReprokitError, OSError) as e:
+        err = e if isinstance(e, ReprokitError) else FileAccessError(str(e))
+        sys.stderr.write(json.dumps({"error": err.category, "message": str(err)}) + "\n")
+        return err.exit_code
 
 
 if __name__ == "__main__":

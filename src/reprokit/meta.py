@@ -2,8 +2,7 @@
 
 Raw measure outputs point in different directions (high tau is good, high
 RMSE is bad), so each is first mapped to a "badness" scale where lower is
-better: tau, RBO and p-values are negated, ER becomes |1 - ER|, RMSE and
-Delta ARP pass through. Runs are then ranked per measure and the rankings
+better (``_BADNESS``). Runs are then ranked per measure and the rankings
 compared with tie-aware Kendall correlation; pairs above 0.9 are flagged
 equivalent, below 0.8 noticeably different.
 """
@@ -16,14 +15,15 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import ConfigError, DegenerateTiesError
 from .ordering import kendall_tau
 
-# transform family by measure-id prefix; longest prefixes checked first
-_FAMILIES = {
-    "delta_arp": "identity",
-    "p_value": "negate",
-    "rmse": "identity",
-    "rbo": "negate",
-    "tau": "negate",
-    "er": "abs-distance-from-1",
+# badness of each kind of value correlate ranks; a value's id is its kind, then "_"
+# and the measure label for per-measure kinds ("p_value_AP@1000"); a label holds "@"
+_BADNESS = {
+    "tau": lambda v: -v,
+    "rbo": lambda v: -v,
+    "p_value": lambda v: -v,
+    "er": lambda v: abs(1.0 - v),
+    "delta_arp": lambda v: v,
+    "rmse": lambda v: v,
 }
 
 EQUIVALENT_THRESHOLD = 0.9
@@ -36,29 +36,17 @@ class MeasureRanking(NamedTuple):
     badness: tuple[float, ...]  # aligned with run_ids, non-decreasing
 
 
-def _family(measure_id: str) -> str:
-    key = measure_id.lower()
-    for prefix in sorted(_FAMILIES, key=len, reverse=True):
-        if key == prefix or key.startswith(prefix + "_") or key.startswith(prefix + "@"):
-            return _FAMILIES[prefix]
-    raise ConfigError(f"unknown measure id {measure_id!r}")
-
-
 def consistency_transform(measure_id: str, raw: float) -> float:
     """Map a raw measure value to badness (lower = better re-creation)."""
-    family = _family(measure_id)
-    if family == "negate":
-        return -raw
-    if family == "abs-distance-from-1":
-        return abs(1.0 - raw)
-    return raw
+    kind = measure_id.rpartition("_")[0] if "@" in measure_id else measure_id
+    if kind not in _BADNESS:
+        raise ConfigError(f"unknown measure id {measure_id!r}")
+    return _BADNESS[kind](raw)
 
 
 def rank_runs(measure_id: str, raw_by_run: Mapping[str, float]) -> MeasureRanking:
     """Order runs by badness ascending, run-id as deterministic tie-break."""
-    items = sorted(
-        ((consistency_transform(measure_id, v), run) for run, v in raw_by_run.items())
-    )
+    items = sorted((consistency_transform(measure_id, v), run) for run, v in raw_by_run.items())
     return MeasureRanking(
         measure_id=measure_id,
         run_ids=tuple(run for _, run in items),
@@ -78,6 +66,8 @@ def correlation_matrix(rankings: Sequence[MeasureRanking]) -> list[list[float]]:
     if len(rankings) < 2:
         raise ConfigError("need at least 2 measure rankings")
     run_set = set(rankings[0].run_ids)
+    if len(run_set) < 2:
+        raise ConfigError(f"need at least 2 runs to correlate, got {len(run_set)}")
     for r in rankings[1:]:
         if set(r.run_ids) != run_set:
             raise ConfigError(

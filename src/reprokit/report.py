@@ -10,6 +10,7 @@ p-value. No timestamps unless provenance was explicitly requested upstream.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable
 
 from . import effects, meta, ordering, score_agreement, stats
@@ -134,11 +135,11 @@ def build_replicate_report(
         warnings.append("tau-intersection unavailable on every topic")
 
     # the measures first, then each at every cutoff: each run is walked once;
-    # topics are in both runs, so neither gives a warning
+    # topics are in both runs, so neither can warn or, under strict, fail
     cfgs = tuple(dict.fromkeys([*measures, *(MeasureConfig(c.measure, k)
                                              for k in cutoffs or () for c in measures)]))
-    orig = dict(zip(cfgs, score_run(run_orig, qrels, topics, cfgs, strict=strict)))
-    rpl = dict(zip(cfgs, score_run(run_rpl, qrels, topics, cfgs, strict=strict)))
+    orig = dict(zip(cfgs, score_run(run_orig, qrels, topics, cfgs)))
+    rpl = dict(zip(cfgs, score_run(run_rpl, qrels, topics, cfgs)))
     measure_blocks, effect_blocks = _measure_blocks(
         measures, [orig[c] for c in measures], [rpl[c] for c in measures],
         tuple(_scored(b, qrels, topics, tuple(measures), strict) for b in baselines)
@@ -258,13 +259,13 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
         raw["tau"][run_id], raw["rbo"][run_id] = _ordering_means(
             ordering.full_depth(run_orig, run_rpl, topics, params, ()), found)
         if topics not in orig_scores:
-            # topics are in both runs, so neither the original nor a candidate gives a warning
-            orig_scores[topics] = (score_run(run_orig, qrels, topics, cfgs, strict=strict),
+            # topics are in both runs, so neither the original nor a candidate can warn or fail
+            orig_scores[topics] = (score_run(run_orig, qrels, topics, cfgs),
                                    None if baseline_orig is None
                                    else _scored(baseline_orig, qrels, topics, cfgs, strict))
         orig, b_orig = orig_scores[topics]
         measure_blocks, effect_blocks = _measure_blocks(
-            measures, orig, score_run(run_rpl, qrels, topics, cfgs, strict=strict),
+            measures, orig, score_run(run_rpl, qrels, topics, cfgs),
             None if baseline_rpl is None
             else (b_orig, _scored(baseline_rpl, qrels, topics, cfgs, strict)), found)
         for label, block in measure_blocks.items():
@@ -308,9 +309,18 @@ def _fmt(value, sci_below: float | None = None) -> str:
     return f"{value:.4f}"
 
 
+def _finite(value):
+    """``value`` with each non-finite float as None (JSON null); a report warning gives the reason."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def emit(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(_finite(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         return emit_csv(report)
     if fmt == "table":

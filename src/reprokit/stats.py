@@ -30,9 +30,7 @@ class TestResult(NamedTuple):
 
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
     if abs(d) < _FPMIN:
@@ -41,25 +39,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even then the odd step of the fraction; the odd one's factor tests convergence
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")

@@ -113,27 +113,29 @@ class TopicSet(_Record):
 
 
 def _topic_sort_key(topic: str):
-    # numeric topic ids sort numerically, anything else lexicographically after
-    return (0, int(topic), "") if topic.isdecimal() else (1, 0, topic)
+    # numeric topic ids sort numerically, then by id (1, 01, 001); anything else lexicographically after
+    return (0, int(topic), topic) if topic.isdecimal() else (1, 0, topic)
 
 
 @contextmanager
 def _text_lines(source: TextSource) -> Iterator[Iterator[str]]:
-    """Text lines of the source, read one at a time, less one leading BOM.
-    ``bytes`` and binary streams are UTF-8; a binary stream is left open for the caller."""
+    """Text lines of the source, read one at a time, less one leading BOM. ``bytes`` and
+    binary streams are UTF-8, and a binary stream is left open for the caller; bytes that
+    are not UTF-8 raise :class:`TrecParseError`, from any source."""
     if isinstance(source, str):
         source = io.StringIO(source)
     elif isinstance(source, bytes):
         source = io.BytesIO(source)
-    if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        lines = iter(source)
-        yield chain((next(lines, "").removeprefix("\ufeff"),), lines)
-        return
-    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
+    binary = isinstance(source, (io.RawIOBase, io.BufferedIOBase))
+    text = io.TextIOWrapper(source, encoding="utf-8", newline="\n") if binary else source
     try:
-        yield text
+        lines = iter(text)
+        yield chain((next(lines, "").removeprefix("\ufeff"),), lines)
+    except UnicodeDecodeError as e:
+        raise TrecParseError(f"not UTF-8 text: byte {e.object[e.start]:#04x} ({e.reason})") from None
     finally:
-        text.detach()
+        if binary:
+            text.detach()
 
 
 def _canonical_ranking(scores: dict[str, float]) -> Ranking:
@@ -243,7 +245,7 @@ def parse_qrels(source: TextSource) -> Qrels:
 
 
 def _load(path: str, parse, *args):
-    with open(path, "r", encoding="utf-8-sig") as f:
+    with open(path, "r", encoding="utf-8") as f:
         try:
             return parse(f, *args)
         except TrecParseError as e:

@@ -141,14 +141,26 @@ def golden_name(command: str, fmt: str) -> str:
     return f"{command}.{'txt' if fmt == 'table' else fmt}"
 
 
+def strict_json(text: str):
+    """``json.loads`` that rejects the bare ``NaN``, ``Infinity`` and ``-Infinity`` of Python's encoder."""
+    def reject(constant):
+        raise ValueError(f"bare {constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def compare() -> int:
     """Regenerate every report into a temporary directory and print a diff
-    for each that differs from its file under ``GOLDEN``."""
+    for each that differs from its file under ``GOLDEN``; each JSON report must
+    also parse as strict JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         code = main([tmp])
         if code != 0:
             return code
         names = [golden_name(command, fmt) for command in COMMANDS for fmt in FORMATS]
+        for name in names:
+            if name.endswith(".json"):
+                strict_json((pathlib.Path(tmp) / name).read_text())
         differ = [n for n in names if (GOLDEN / n).read_bytes() != (pathlib.Path(tmp) / n).read_bytes()]
         for name in differ:
             sys.stdout.writelines(difflib.unified_diff(

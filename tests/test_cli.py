@@ -16,10 +16,11 @@ from reprokit import cli, meta, ordering
 from reprokit.cli import build_replicate_report, main
 from reprokit.effectiveness import parse_measure_spec, score_run
 from reprokit.errors import ConfigError
-from reprokit.report import build_correlation_report, build_reproduce_report
+from reprokit.report import CSV_HEADER, build_correlation_report, build_reproduce_report
 from reprokit.trec_io import Run, load_qrels, load_run, topic_intersection
 
 from conftest import make_qrels, make_run, random_qrels, random_run
+from golden_inputs import strict_json
 
 
 def write_run(path, run: Run):
@@ -830,3 +831,28 @@ def test_strict_baseline_without_the_one_comparable_topic_is_a_topic_mismatch(tm
     assert "301" in err["message"]
     assert main([command, *argv]) == 4  # lenient: scored 0, then the t-test needs two topics
     assert json.loads(capsys.readouterr().err)["error"] == "no-comparable-topics"
+
+
+@pytest.mark.parametrize("command", ["replicate", "reproduce"])
+def test_infinite_t_stat_is_null_in_json_and_inf_elsewhere(tmp_path, capsys, command):
+    # on each of 3 topics a.run has P@2 = 1 and b.run P@2 = 0.5: the paired differences
+    # (replicate) and both samples (reproduce, a.run against b.run) have zero variance
+    # and a nonzero mean difference, so t = inf with p = 0
+    topics = ("301", "302", "303")
+    (tmp_path / "a.run").write_text("".join(f"{t} Q0 R1 1 2.0 a\n{t} Q0 R2 2 1.0 a\n" for t in topics))
+    (tmp_path / "b.run").write_text("".join(f"{t} Q0 R1 1 2.0 b\n{t} Q0 N 2 1.0 b\n" for t in topics))
+    (tmp_path / "q.txt").write_text("".join(f"{t} 0 R1 1\n{t} 0 R2 1\n" for t in topics))
+    a, b, q = (str(tmp_path / name) for name in ("a.run", "b.run", "q.txt"))
+    argv = {
+        "replicate": ["--run-orig", a, "--run-rpl", b, "--qrels", q],
+        "reproduce": ["--run-a-orig", a, "--run-b-orig", b, "--qrels-orig", q,
+                      "--run-a-rpd", b, "--run-b-rpd", b, "--qrels-rpd", q],
+    }[command]
+    assert main([command, *argv, "--measures", "P@2", "--format", "json"]) == 0
+    rep = strict_json(capsys.readouterr().out)
+    block = rep["measures"]["P@2"]
+    assert (block["t_stat"], block["p_value"]) == (None, 0.0)
+    assert any("zero variance" in w for w in rep["warnings"])
+    assert main([command, *argv, "--measures", "P@2", "--format", "csv"]) == 0
+    row = dict(zip(CSV_HEADER.split(","), capsys.readouterr().out.splitlines()[1].split(",")))
+    assert (row["t_stat"], row["p_value"]) == ("inf", "0.0000")

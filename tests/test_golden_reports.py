@@ -9,7 +9,7 @@ import pytest
 
 from reprokit.cli import main
 
-from golden_inputs import COMMANDS, FORMATS, GOLDEN, golden_name, write_inputs
+from golden_inputs import COMMANDS, FORMATS, GOLDEN, golden_name, strict_json, write_inputs
 
 
 @pytest.fixture(scope="module")
@@ -23,3 +23,8 @@ def test_report_is_byte_identical(argvs, tmp_path, command, fmt):
     out = tmp_path / golden_name(command, fmt)
     assert main(argvs[command] + ["--format", fmt, "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden_name(command, fmt)).read_bytes()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_report_is_strict_json(command):
+    strict_json((GOLDEN / golden_name(command, "json")).read_text())

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from reprokit.effectiveness import parse_measure_spec
 from reprokit.errors import ConfigError
 from reprokit.meta import (
     consistency_transform,
@@ -11,6 +12,9 @@ from reprokit.meta import (
     matrix_to_csv,
     rank_runs,
 )
+from reprokit.report import build_correlation_report
+
+from conftest import make_qrels, make_run
 
 
 class TestConsistencyTransform:
@@ -124,3 +128,21 @@ def test_matrix_csv_shape():
     lines = csv.strip().split("\n")
     assert lines[0] == "measure,m1,m2"
     assert lines[1] == "m1,1.0000,0.5000"
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_correlation_report_needs_two_candidates(n):
+    orig = make_run("orig", {"301": ["A", "B"], "302": ["C", "D"]})
+    qrels = make_qrels({"301": {"A": 1}, "302": {"D": 1}})
+    candidates = [(f"c{i}", make_run(f"c{i}", {"301": ["B", "A"], "302": ["C", "D"]}), None)
+                  for i in range(n)]
+    with pytest.raises(ConfigError, match=f"need at least 2 runs to correlate, got {n}"):
+        build_correlation_report(orig, qrels, candidates, [parse_measure_spec("P@1")])
+
+
+def test_badness_follows_the_kind_before_the_measure_label():
+    assert consistency_transform("delta_arp", 0.05) == 0.05
+    assert consistency_transform("tau_P@10", 0.5) == -0.5
+    for unknown in ("TAU", "tau@10", "er_x", "rmse_P@10_P@10", "p_value_"):
+        with pytest.raises(ConfigError):
+            consistency_transform(unknown, 1.0)

@@ -118,3 +118,38 @@ class TestUnpairedTTest:
         res = unpaired_t_test(x, y)
         assert res.t_stat == pytest.approx(-2.0 / math.sqrt(0.5), abs=1e-10)
         assert res.dof == 2
+
+
+# (t, dof, repr of t_cdf, repr of two_tailed_p), as the two-step Lentz loop gave them
+_PINNED_T_CDF = [
+    (0.5, 1, "0.6475836176504332", "0.7048327646991337"),
+    (-3.2, 1, "0.09641124797922945", "0.1928224959584588"),
+    (40.0, 1, "0.9920439100879742", "0.015912179824051575"),
+    (-40.0, 1, "0.007956089912025805", "0.015912179824051575"),
+    (1.0, 2, "0.7886751345948126", "0.4226497308103747"),
+    (-2.5, 2, "0.06480586011075538", "0.1296117202215108"),
+    (17.0, 2, "0.9982788244964668", "0.0034423510070664687"),
+    (-30.0, 2, "0.0005546313409798288", "0.0011092626819597662"),
+    (-25.0, 3, "7.01656949787743e-05", "0.00014033138995750427"),
+    (-1.1, 10, "0.14855341103405922", "0.29710682206811834"),
+    (3.3, 30, "0.998750346280101", "0.002499307439798093"),
+    (0.1, 49, "0.539623823707446", "0.920752352585108"),
+    (2.01, 49, "0.9750232706971358", "0.04995345860572842"),
+    (-4.7, 49, "1.0731570527530802e-05", "2.146314105511138e-05"),
+    (8.0, 49, "0.9999999999044727", "1.9105450554945946e-10"),
+    (40.0, 49, "1.0", "0.0"),
+    (1.97, 249, "0.9750267171324402", "0.049946565735119686"),
+    (-0.33, 249, "0.37083871130954704", "0.7416774226190941"),
+    (6.5, 249, "0.9999999997824088", "4.3518233461270484e-10"),
+    (-6.5, 249, "2.1759115763899944e-10", "4.3518233461270484e-10"),
+    (-40.0, 249, "1.0633769301793175e-110", "0.0"),
+    (1.645, 999, "0.9498578005132274", "0.10028439897354513"),
+    (-2.58, 999, "0.005010937490830963", "0.010021874981661849"),
+    (-12.0, 999, "2.1715519538585192e-31", "0.0"),
+    (-39.5, 999, "1.3767728523593917e-206", "0.0"),
+]
+
+
+@pytest.mark.parametrize("t, dof, cdf, p", _PINNED_T_CDF)
+def test_t_cdf_and_p_are_pinned_to_the_bit(t, dof, cdf, p):
+    assert (repr(t_cdf(t, dof)), repr(two_tailed_p(t, dof))) == (cdf, p)

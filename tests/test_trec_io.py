@@ -1,6 +1,10 @@
 import io
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -371,3 +375,49 @@ def test_topic_order_numeric_ascending():
 def test_non_decimal_digit_topic_sorts_after_numeric_ones():
     run = parse_run("\u00b2 Q0 A 1 1 t\n10 Q0 A 1 1 t\n2 Q0 A 1 1 t\n")
     assert list(run.topics) == ["2", "10", "\u00b2"]
+
+
+def test_topic_ids_equal_as_numbers_sort_by_id_under_every_hash_seed():
+    # 1, 01 and 001 are one number; set order varies with the hash seed, the id order does not
+    code = ("from reprokit.trec_io import parse_run, parse_qrels, topic_intersection\n"
+            "ids = ['001', '1', '01', '2', '02', 'x', '10']\n"
+            "run = parse_run(''.join(f'{t} Q0 d 1 1 s\\n' for t in ids))\n"
+            "qrels = parse_qrels(''.join(f'{t} 0 d 1\\n' for t in ids))\n"
+            "print(list(run.topics), list(qrels.topics), topic_intersection(run, run, qrels).ids)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    orders = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}).stdout
+              for seed in range(1, 7)}
+    ids = ["001", "01", "1", "02", "2", "10", "x"]
+    assert orders == {f"{ids} {ids} {tuple(ids)}\n"}
+
+
+def test_only_one_leading_bom_is_dropped_from_every_source(tmp_path):
+    # the second BOM is text: every source reads it into the topic id alike
+    text = "\ufeff\ufeff301 Q0 A 1 2.0 sys\n"
+    path = tmp_path / "run.txt"
+    path.write_bytes(text.encode())
+    runs = [load_run(str(path)), parse_run(path.read_bytes()), parse_run(text),
+            parse_run(io.BytesIO(text.encode())), parse_run(io.StringIO(text))]
+    assert [list(run.topics) for run in runs] == [["\ufeff301"]] * 5
+    qrels_path = tmp_path / "qrels.txt"
+    qrels_path.write_bytes("\ufeff\ufeff301 0 A 1\n".encode())
+    assert list(load_qrels(str(qrels_path)).topics) == ["\ufeff301"]
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_run, b"301 Q0 A 1 2.0 sys\n301 Q0 caf\xe9 2 1.0 sys\n"),
+    (parse_qrels, b"301 0 A 1\n301 0 caf\xe9 0\n"),
+], ids=["run", "qrels"])
+def test_bytes_that_are_not_utf8_are_a_parse_error(tmp_path, parse, text):
+    message = r"not UTF-8 text: byte 0xe9"
+    for source in (text, io.BytesIO(text)):
+        with pytest.raises(TrecParseError, match=message):
+            parse(source)
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text)
+    load = load_run if parse is parse_run else load_qrels
+    with pytest.raises(TrecParseError, match=f"^{re.escape(str(path))}: {message}"):
+        load(str(path))
+    with open(path, encoding="utf-8") as text_stream, pytest.raises(TrecParseError, match=message):
+        parse(text_stream)
