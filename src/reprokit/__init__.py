@@ -13,7 +13,7 @@ from .effects import EffectInput, EffectSummary, classify_region, effect_ratio, 
 from .ordering import RboParams, kendall_tau, rbo, tau_intersection, tau_union
 from .score_agreement import delta_arp, rmse
 from .stats import TestResult, paired_t_test, t_cdf, unpaired_t_test
-from .trec_io import Qrels, Run, TopicSet, load_qrels, load_run, parse_qrels, parse_run, topic_intersection
+from .trec_io import Qrels, Run, load_qrels, load_run, parse_qrels, parse_run, topic_intersection
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "unpaired_t_test",
     "Qrels",
     "Run",
-    "TopicSet",
     "load_qrels",
     "load_run",
     "parse_qrels",

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, TopicMismatchError
-from .trec_io import Qrels, Run, TopicSet
+from .trec_io import Qrels, Run
 
 MEASURES = ("P", "AP", "nDCG")
 
@@ -157,7 +157,7 @@ def ndcg_at_k(ranking: Sequence[str], grades: Mapping[str, int], k: int) -> floa
     return _topic_scores(ranking, grades, [("nDCG", k)])[0]
 
 
-def score_run(run: Run, qrels: Qrels, topics: TopicSet, cfgs: Sequence[MeasureConfig],
+def score_run(run: Run, qrels: Qrels, topics: tuple[str, ...], cfgs: Sequence[MeasureConfig],
               strict: bool = False, warnings: list[str] | None = None) -> list[TopicScoreVector]:
     """One vector per config, in order, of the run's score on each topic in set order.
 

@@ -88,12 +88,6 @@ def relative_improvement(b: TopicScoreVector, a: TopicScoreVector) -> float:
     return (a.mean - mb) / mb
 
 
-def delta_ri(inp: EffectInput) -> float:
-    """RI - RI'; 0 means the relative improvements agree, > 0 that the
-    re-created one is smaller."""
-    return relative_improvement(inp.b, inp.a) - relative_improvement(inp.b_prime, inp.a_prime)
-
-
 def classify_region(er: float, dri: float) -> str:
     """Quadrant of the ER / Delta-RI plane; exact zeros are boundaries.
 

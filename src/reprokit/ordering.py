@@ -20,7 +20,7 @@ from collections import Counter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DegenerateTiesError, OverlapTooSmallError
-from .trec_io import Run, TopicSet
+from .trec_io import Run
 
 
 class _RboParams(NamedTuple):
@@ -201,7 +201,7 @@ def mean_over_topics(per_topic: Mapping[str, float | None]) -> tuple[float, int]
     return sum(vals) / len(vals), excluded
 
 
-def _doc_lists(r: Run, s: Run, topics: TopicSet):
+def _doc_lists(r: Run, s: Run, topics: tuple[str, ...]):
     for topic in topics:
         yield topic, r.topics[topic].doc_ids, s.topics[topic].doc_ids
 
@@ -215,13 +215,13 @@ def _tau_or_none(r_docs: Sequence[str], s_docs: Sequence[str]) -> float | None:
         return None
 
 
-def tau_union_over_topics(r: Run, s: Run, topics: TopicSet) -> dict[str, float | None]:
+def tau_union_over_topics(r: Run, s: Run, topics: tuple[str, ...]) -> dict[str, float | None]:
     """Per-topic tau-union; None where tau is undefined: fewer than 2 paired
     items or degenerate ties. Any other error propagates."""
     return {topic: _tau_or_none(r_docs, s_docs) for topic, r_docs, s_docs in _doc_lists(r, s, topics)}
 
 
-def rbo_over_topics(r: Run, s: Run, topics: TopicSet, params: RboParams) -> dict[str, float]:
+def rbo_over_topics(r: Run, s: Run, topics: tuple[str, ...], params: RboParams) -> dict[str, float]:
     return {topic: rbo(r_docs, s_docs, params)
             for topic, r_docs, s_docs in _doc_lists(r, s, topics)}
 
@@ -243,7 +243,7 @@ class FullDepth(NamedTuple):
     rbo_at: dict[int, dict[str, float]]  # per cutoff, RBO of both lists truncated to it
 
 
-def full_depth(r: Run, s: Run, topics: TopicSet, params: RboParams,
+def full_depth(r: Run, s: Run, topics: tuple[str, ...], params: RboParams,
                cutoffs: Sequence[int]) -> FullDepth:
     """Tau-union and RBO of each topic on the full lists, and RBO at each cutoff k:
     the full lists' running sum at depth min(k, d), d as in :func:`_rbo_sums`."""

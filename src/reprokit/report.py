@@ -17,7 +17,7 @@ from . import effects, meta, ordering, score_agreement, stats
 from .effectiveness import MeasureConfig, TopicScoreVector, score_run
 from .errors import ConfigError, DegenerateTiesError, OverlapTooSmallError
 from .ordering import RboParams
-from .trec_io import Qrels, Run, TopicSet, topic_intersection
+from .trec_io import Qrels, Run, topic_intersection
 
 CSV_HEADER = (
     "measure,arp_orig,arp_rpl,delta_arp,delta_arp_signed,"
@@ -59,7 +59,7 @@ def _ordering_means(full: ordering.FullDepth, warnings: list[str]) -> tuple[floa
     return tau_mean, ordering.mean_over_topics(full.rbo)[0]
 
 
-def _scored(run: Run, qrels: Qrels, topics: TopicSet, cfgs: tuple[MeasureConfig, ...],
+def _scored(run: Run, qrels: Qrels, topics: tuple[str, ...], cfgs: tuple[MeasureConfig, ...],
             strict: bool) -> tuple[list[TopicScoreVector], list[str]]:
     """:func:`score_run`'s vectors and warnings."""
     found: list[str] = []
@@ -248,7 +248,7 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
     cfgs = tuple(measures)
     # per topic set: the original's vectors and the original baseline's _scored
     # result, whose warnings are replayed for each candidate
-    orig_scores: dict[TopicSet, tuple] = {}
+    orig_scores: dict[tuple[str, ...], tuple] = {}
     for run_id, run_rpl, baseline_rpl in candidates:
         check_baselines(run_id, baseline_orig is not None, baseline_rpl is not None)
         if run_id in raw["tau"]:

@@ -88,30 +88,6 @@ class Qrels(_Record):
         return {t for t, docs in self.topics.items() if any(g > 0 for g in docs.values())}
 
 
-class TopicSet(_Record):
-    """Topic ids in report order; immutable and hashable, it iterates its ids."""
-
-    _fields = ("ids",)
-
-    def __init__(self, ids: tuple[str, ...]):
-        object.__setattr__(self, "ids", ids)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self.ids)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 def _topic_sort_key(topic: str):
     # numeric topic ids sort numerically, then by id (1, 01, 001); anything else lexicographically after
     return (0, int(topic), topic) if topic.isdecimal() else (1, 0, topic)
@@ -260,17 +236,8 @@ def load_qrels(path: str) -> Qrels:
     return _load(path, parse_qrels)
 
 
-def serialize_run(run: Run) -> str:
-    """Render a canonical run back to 6-column text (round-trip stable)."""
-    lines = []
-    for topic, ranking in run.topics.items():
-        for rank, (doc_id, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1):
-            lines.append(f"{topic} Q0 {doc_id} {rank} {score:.6f} {run.tag}")
-    return "\n".join(lines) + "\n"
-
-
-def topic_intersection(a: Run, b: Run, qrels: Qrels) -> TopicSet:
-    """Topics present in both runs and holding >= 1 relevant document.
+def topic_intersection(a: Run, b: Run, qrels: Qrels) -> tuple[str, ...]:
+    """Topic ids present in both runs and holding >= 1 relevant document, in report order.
 
     Topics without any relevant document are dropped, matching how such
     topics are excluded from TREC-style evaluation.
@@ -278,4 +245,4 @@ def topic_intersection(a: Run, b: Run, qrels: Qrels) -> TopicSet:
     shared = set(a.topics) & set(b.topics) & qrels.relevant_topics()
     if not shared:
         raise NoComparableTopicsError("no comparable topics between runs and qrels")
-    return TopicSet(ids=tuple(sorted(shared, key=_topic_sort_key)))
+    return tuple(sorted(shared, key=_topic_sort_key))

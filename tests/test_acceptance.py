@@ -21,7 +21,7 @@ from reprokit.meta import correlation_matrix, flag_equivalences, rank_runs
 from reprokit.ordering import RboParams, kendall_tau, mean_over_topics, rbo, rbo_over_topics, tau_union, tau_union_over_topics
 from reprokit.score_agreement import delta_arp, rmse
 from reprokit.stats import paired_t_test, t_cdf, two_tailed_p
-from reprokit.trec_io import TopicSet, load_qrels, load_run, topic_intersection
+from reprokit.trec_io import load_qrels, load_run, topic_intersection
 
 import oracles
 from conftest import random_qrels, random_run, vector
@@ -58,7 +58,7 @@ def test_criterion_3_self_comparison_suite():
         n_docs = rng.randint(5, 100)
         run = random_run(rng, f"run{trial}", n_topics, n_docs)
         qrels = random_qrels(rng, run)
-        topics = TopicSet(tuple(run.topics))
+        topics = tuple(run.topics)
         depth = rng.randint(1, 1000)
         params = RboParams(phi, depth)
         d = min(depth, n_docs)
@@ -158,7 +158,7 @@ def test_criterion_6_degradation_monotonicity():
     rng = random.Random(6)
     orig = random_run(rng, "orig", 20, 60)
     qrels = random_qrels(rng, orig)
-    topics = TopicSet(tuple(orig.topics))
+    topics = tuple(orig.topics)
     params = RboParams(0.8, 1000)
     cfg = MeasureConfig("nDCG", 1000)
     v_orig = score_run(orig, qrels, topics, (cfg,))[0]

@@ -13,7 +13,6 @@ from reprokit.effectiveness import (
     score_run,
 )
 from reprokit.errors import ConfigError, TopicMismatchError
-from reprokit.trec_io import TopicSet
 
 import oracles
 from conftest import make_qrels, make_run, random_qrels, random_run
@@ -117,7 +116,7 @@ class TestScoreRun:
     def test_deterministic(self, rng):
         run = random_run(rng, "r", 5, 20)
         qrels = random_qrels(rng, run)
-        topics = TopicSet(tuple(run.topics))
+        topics = tuple(run.topics)
         cfg = MeasureConfig("AP", 1000)
         v1 = score_run(run, qrels, topics, (cfg,))[0]
         v2 = score_run(run, qrels, topics, (cfg,))[0]
@@ -127,13 +126,13 @@ class TestScoreRun:
         run = make_run("r", {"1": ["a", "x"], "2": ["b", "y"]})
         qrels = make_qrels({"1": {"a": 1, "x": 1}, "2": {"b": 1}})
         # P@10: topic 1 -> 0.2, topic 2 -> 0.1
-        v = score_run(run, qrels, TopicSet(("1", "2")), (MeasureConfig("P", 10),))[0]
+        v = score_run(run, qrels, ("1", "2"), (MeasureConfig("P", 10),))[0]
         assert v.mean == pytest.approx((0.2 + 0.1) / 2, abs=1e-12)
 
     def test_scores_in_unit_interval(self, rng):
         run = random_run(rng, "r", 10, 30)
         qrels = random_qrels(rng, run)
-        topics = TopicSet(tuple(run.topics))
+        topics = tuple(run.topics)
         for cfg in (MeasureConfig("P", 10), MeasureConfig("AP", 1000), MeasureConfig("nDCG", 1000)):
             for s in score_run(run, qrels, topics, (cfg,))[0].values():
                 assert 0.0 <= s <= 1.0
@@ -141,7 +140,7 @@ class TestScoreRun:
     def test_missing_topic_lenient_vs_strict(self):
         run = make_run("r", {"1": ["a"]})
         qrels = make_qrels({"1": {"a": 1}, "2": {"b": 1}})
-        topics = TopicSet(("1", "2"))
+        topics = ("1", "2")
         warnings = []
         v = score_run(run, qrels, topics, (MeasureConfig("P", 10),), warnings=warnings)[0]
         assert v.scores["2"] == 0.0
@@ -195,7 +194,7 @@ class TestOneWalk:
                  "nDCG": oracles.exact_ndcg_at_k}
         brute = {"P": oracles.brute_precision_at_k, "AP": oracles.brute_average_precision,
                  "nDCG": oracles.brute_ndcg_at_k}
-        vectors = score_run(run, qrels, TopicSet(tuple(topics)), cfgs)
+        vectors = score_run(run, qrels, tuple(topics), cfgs)
         assert [v.measure for v in vectors] == [c.label for c in cfgs]
         for cfg, v in zip(cfgs, vectors):
             assert list(v.scores) == list(topics)
@@ -213,7 +212,7 @@ class TestOneWalk:
         run = make_run("r", {t: ranking for t, (ranking, _) in topics.items()})
         qrels = make_qrels({t: grades for t, (_, grades) in topics.items()}
                            | {"98": {"x": 1}, "99": {"x": 1}})
-        topic_set = TopicSet(("98", *topics, "99"))
+        topic_set = ("98", *topics, "99")
         warnings = []
         vectors = score_run(run, qrels, topic_set, tuple(cfgs), warnings=warnings)
         assert [(v.scores["98"], v.scores["99"]) for v in vectors] == [(0.0, 0.0)] * len(cfgs)
@@ -225,7 +224,7 @@ class TestOneWalk:
     def test_no_relevant_document_raises_for_ap_and_ndcg_only(self):
         run = make_run("r", {"1": ["a", "b"]})
         qrels = make_qrels({"1": {"a": 0}})
-        topics = TopicSet(("1",))
+        topics = ("1",)
         assert score_run(run, qrels, topics, (MeasureConfig("P", 2),))[0].scores == {"1": 0.0}
         for measure in ("AP", "nDCG"):
             with pytest.raises(ValueError, match="no relevant documents"):

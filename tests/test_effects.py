@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from reprokit.effects import (
     EffectInput,
     classify_region,
-    delta_ri,
     effect_ratio,
     er_ri_plot_data,
     per_topic_improvements,
@@ -122,14 +121,14 @@ class TestRelativeImprovement:
 class TestDeltaRi:
     def test_identical_experiment(self):
         inp = quad(b={"1": 0.2}, a={"1": 0.4}, bp={"1": 0.2}, ap={"1": 0.4})
-        assert delta_ri(inp) == 0.0
+        assert summarize_effect(inp).delta_ri == 0.0
 
     def test_sign_convention(self):
         # RI = 0.5, RI' = 0.2 -> delta 0.3 (re-created improvement smaller)
         inp = quad(b={"1": 0.2}, a={"1": 0.3}, bp={"1": 0.5}, ap={"1": 0.6})
-        assert delta_ri(inp) == pytest.approx(0.5 - 0.2)
+        assert summarize_effect(inp).delta_ri == pytest.approx(0.5 - 0.2)
         mirrored = quad(b={"1": 0.5}, a={"1": 0.6}, bp={"1": 0.2}, ap={"1": 0.3})
-        assert delta_ri(mirrored) == pytest.approx(0.2 - 0.5)
+        assert summarize_effect(mirrored).delta_ri == pytest.approx(0.2 - 0.5)
 
 
 class TestClassifyRegion:

@@ -19,7 +19,6 @@ from reprokit.ordering import (
     tau_union,
     tau_union_over_topics,
 )
-from reprokit.trec_io import TopicSet
 
 import oracles
 from conftest import make_run, random_run
@@ -283,7 +282,7 @@ class TestMeanOverTopics:
 class TestOrderingAtCutoffs:
     def test_identical_runs_tau_one_everywhere(self, rng):
         run = random_run(rng, "r", 4, 30)
-        topics = TopicSet(tuple(run.topics))
+        topics = tuple(run.topics)
         params = RboParams(0.8, 1000)
         out = ordering_at_cutoffs(full_depth(run, run, topics, params, [5, 10, 30]))
         for k, (tau_mean, rbo_mean) in out.items():
@@ -293,7 +292,7 @@ class TestOrderingAtCutoffs:
     def test_cutoff_one_same_top_doc(self):
         a = make_run("a", {"1": ["top", "x"]})
         b = make_run("b", {"1": ["top", "y"]})
-        topics = TopicSet(("1",))
+        topics = ("1",)
         params = RboParams(0.8, 1000)
         out = ordering_at_cutoffs(full_depth(a, b, topics, params, [1]))
         # tau degenerate at depth 1 is excluded upstream; RBO = (1-phi) * A_1
@@ -305,7 +304,7 @@ class TestOrderingAtCutoffs:
         topic_docs_b = {str(t): rng.sample(pool, rng.randint(1, 40)) for t in range(1, 7)}
         a = make_run("a", topic_docs_a)
         b = make_run("b", topic_docs_b)
-        topics = TopicSet(tuple(a.topics))
+        topics = tuple(a.topics)
         cutoffs = [1, 2, 5, 13, 30, 60]
         for params in (RboParams(0.8, 1000), RboParams(0.9, 7), RboParams(0.5, 1)):
             out = ordering_at_cutoffs(full_depth(a, b, topics, params, cutoffs))
@@ -316,7 +315,7 @@ class TestOrderingAtCutoffs:
 
     def test_cutoff_below_one_is_config_error(self, rng):
         run = random_run(rng, "r", 2, 10)
-        topics = TopicSet(tuple(run.topics))
+        topics = tuple(run.topics)
         params = RboParams(0.8, 1000)
         with pytest.raises(ConfigError):
             ordering_at_cutoffs(full_depth(run, run, topics, params, [0, 5]))
@@ -324,7 +323,7 @@ class TestOrderingAtCutoffs:
     def test_cutoff_beyond_length_is_noop(self, rng):
         a = random_run(rng, "a", 3, 10)
         b = random_run(rng, "b", 3, 10)
-        topics = TopicSet(tuple(a.topics))
+        topics = tuple(a.topics)
         params = RboParams(0.8, 1000)
         full = ordering_at_cutoffs(full_depth(a, b, topics, params, [10]))[10]
         huge = ordering_at_cutoffs(full_depth(a, b, topics, params, [999]))[999]
@@ -335,7 +334,7 @@ class TestPerTopicUndefinedCases:
     def test_single_item_rankings_give_none(self):
         a = make_run("a", {"1": ["top", "x"], "2": ["p", "q", "r"]})
         b = make_run("b", {"1": ["top", "y"], "2": ["q", "p", "r"]})
-        topics = TopicSet(("1", "2"))
+        topics = ("1", "2")
         params = RboParams(0.8, 1000)
         out = ordering_at_cutoffs(full_depth(a, b, topics, params, [1]))
         assert out[1][0] is None  # None on both topics, so no mean
@@ -347,6 +346,6 @@ class TestPerTopicUndefinedCases:
 
         monkeypatch.setattr(ordering, "tau_union", broken)
         a = make_run("a", {"1": ["p", "q", "r"]})
-        topics = TopicSet(("1",))
+        topics = ("1",)
         with pytest.raises(ValueError, match="kernel bug"):
             tau_union_over_topics(a, a, topics)

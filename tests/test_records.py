@@ -13,11 +13,11 @@ from reprokit.effectiveness import MeasureConfig, TopicScoreVector
 from reprokit.effects import EffectInput, EffectSummary
 from reprokit.errors import ConfigError, TopicMismatchError
 from reprokit.meta import MeasureRanking
-from reprokit.ordering import RboParams
+from reprokit.ordering import FullDepth, RboParams
 from reprokit.score_agreement import ArpDelta
-from reprokit.trec_io import Qrels, Ranking, Run, TopicSet
+from reprokit.trec_io import Qrels, Ranking, Run, topic_intersection
 
-from conftest import vector
+from conftest import make_qrels, make_run, vector
 
 _B, _A = vector({"1": 0.1, "2": 0.2}, "AP"), vector({"1": 0.3, "2": 0.5}, "AP")
 _RANKING = Ranking(("d2", "d1"), array("d", [2.0, 1.0]))
@@ -27,7 +27,8 @@ RECORDS = [
     (Ranking, {"doc_ids": ("d2", "d1"), "scores": array("d", [2.0, 1.0])}),
     (Run, {"tag": "sys", "topics": {"1": _RANKING}, "warnings": ["w"]}),
     (Qrels, {"topics": {"1": {"d1": 2}}, "warnings": ["w"]}),
-    (TopicSet, {"ids": ("1", "2")}),
+    (FullDepth, {"tau": {"1": 0.5}, "rbo": {"1": 0.25}, "docs": {"1": (("d1",), ("d1",))},
+                 "rbo_at": {5: {"1": 0.2}}}),
     (MeasureConfig, {"measure": "nDCG", "cutoff": 10}),
     (TopicScoreVector, {"measure": "AP", "run_tag": "sys", "scores": {"1": 0.25, "2": 0.5}}),
     (EffectInput, {"b": _B, "a": _A, "b_prime": _B, "a_prime": _A, "mode": "reproducibility"}),
@@ -39,6 +40,8 @@ RECORDS = [
     (stats.TestResult, {"t_stat": 2.0, "dof": 49.0, "p_value": 0.05, "warning": None}),
 ]
 FROZEN = [(cls, fields) for cls, fields in RECORDS if cls not in (Run, Qrels)]
+# the value records the README lists; FullDepth is internal to ordering
+VALUE_RECORDS = [(cls, fields) for cls, fields in FROZEN if cls is not FullDepth]
 
 
 def _ID(value):
@@ -67,7 +70,6 @@ def test_pickle_and_deepcopy_round_trip(cls, fields):
 
 
 @pytest.mark.parametrize("cls, fields", [(MeasureConfig, {"measure": "P", "cutoff": 5}),
-                                         (TopicSet, {"ids": ("1", "2")}),
                                          (RboParams, {"phi": 0.5, "depth": 7})], ids=_ID)
 def test_dict_keys_hash_by_value(cls, fields):
     a, b = cls(**fields), cls(*fields.values())
@@ -87,7 +89,7 @@ def test_frozen_records_reject_assignment(cls, fields):
     assert record == cls(**fields)
 
 
-@pytest.mark.parametrize("cls, fields", [r for r in FROZEN if r[0] is not TopicSet], ids=_ID)
+@pytest.mark.parametrize("cls, fields", VALUE_RECORDS, ids=_ID)
 def test_value_records_are_tuples(cls, fields):
     record = cls(**fields)
     assert tuple(record) == tuple(fields.values())
@@ -129,7 +131,7 @@ def test_effect_input_checks_alignment():
 
 def test_missing_or_extra_arguments_raise_type_error():
     for build in (lambda: MeasureConfig("P"), lambda: RboParams(0.5, 10, 1),
-                  lambda: EffectInput(_B, _A, _B), lambda: TopicSet(), lambda: Run("sys")):
+                  lambda: EffectInput(_B, _A, _B), lambda: FullDepth({}), lambda: Run("sys")):
         with pytest.raises(TypeError):
             build()
 
@@ -157,12 +159,12 @@ def test_run_and_qrels_are_mutable_weak_referenceable_and_unhashable():
 
 
 def test_topic_set_iterates_its_ids():
-    topics = TopicSet(("3", "1"))
-    assert list(topics) == ["3", "1"] and len(topics) == 2
-    assert topics != ("3", "1")
+    run = make_run("sys", {"3": ["d"], "1": ["d"], "2": ["d"]})
+    topics = topic_intersection(run, run, make_qrels({"3": {"d": 1}, "1": {"d": 2}, "2": {"d": 0}}))
+    assert type(topics) is tuple and topics == ("1", "3")
+    assert {topics: "x"}[("1", "3")] == "x"
 
 
 def test_repr_names_each_field():
-    assert repr(TopicSet(("1",))) == "TopicSet(ids=('1',))"
     assert repr(Qrels({})) == "Qrels(topics={}, warnings=[])"
     assert repr(MeasureConfig("P", 5)) == "MeasureConfig(measure='P', cutoff=5)"

@@ -6,7 +6,6 @@ import pytest
 from reprokit.effectiveness import MeasureConfig, score_run
 from reprokit.errors import TopicMismatchError
 from reprokit.score_agreement import delta_arp, rmse, rmse_at_cutoffs
-from reprokit.trec_io import TopicSet
 
 import oracles
 from conftest import make_qrels, make_run, random_qrels, random_run, vector
@@ -69,7 +68,7 @@ class TestRmseAtCutoffs:
     def test_identical_runs_zero_everywhere(self, rng):
         run = random_run(rng, "r", 4, 25)
         qrels = random_qrels(rng, run)
-        topics = TopicSet(tuple(run.topics))
+        topics = tuple(run.topics)
         cfgs = tuple(MeasureConfig("nDCG", k) for k in (5, 10, 25))
         vectors = dict(zip(cfgs, score_run(run, qrels, topics, cfgs)))
         out = rmse_at_cutoffs(vectors, vectors, "nDCG", [5, 10, 25])
@@ -83,7 +82,7 @@ class TestRmseAtCutoffs:
             "2": {"r3": 1},
             "3": {"r4": 3},
         })
-        topics = TopicSet(("1", "2", "3"))
+        topics = ("1", "2", "3")
         k = 5
         cfgs = (MeasureConfig("nDCG", k),)
         got = rmse_at_cutoffs(dict(zip(cfgs, score_run(a, qrels, topics, cfgs))),
