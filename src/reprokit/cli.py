@@ -178,10 +178,10 @@ def _arg_paths(args) -> dict[str, str]:
     return {k: v for k, v in vars(args).items() if k.startswith(("run_", "qrels")) and v is not None}
 
 
-def _provenance(paths: dict[str, str]) -> dict:
+def _provenance(paths: dict[str, str], argv: list[str]) -> dict:
     return {
         "inputs": {role: {"path": p, "sha256": _sha256(p)} for role, p in paths.items()},
-        "argv": sys.argv[1:],
+        "argv": argv,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
 
@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         measures = _parse_measures(args.measures)
         rep, paths = handler[args.command](args, measures)
         if args.provenance:
-            rep["provenance"] = _provenance(paths)
+            rep["provenance"] = _provenance(paths, sys.argv[1:] if argv is None else argv)
         _write_output(report.emit(rep, args.format), args.output)
         return 0
     except (ReprokitError, OSError) as e:

@@ -9,9 +9,7 @@ for every (measure, cutoff) asked; :func:`precision_at_k`,
 :func:`average_precision` and :func:`ndcg_at_k` are views of the same walk.
 P@k counts the hits at rank <= k. AP@k reads the running sum of precision at
 each hit at the last hit <= k, the very float a walk stopped at k gives.
-nDCG@k and IDCG@k apply builtin ``sum()`` to a prefix slice of the gain
-terms, never a running ``+=``: from Python 3.12 ``sum()`` of floats is
-compensated, so only the same ``sum()`` of the same terms keeps the bytes.
+nDCG@k and IDCG@k are the ``math.fsum`` of a prefix slice of the gain terms.
 """
 
 from __future__ import annotations
@@ -77,8 +75,7 @@ class TopicScoreVector(NamedTuple):
 
     @property
     def mean(self) -> float:
-        vals = list(self.scores.values())
-        return sum(vals) / len(vals)
+        return math.fsum(self.scores.values()) / len(self.scores)
 
     def values(self) -> list[float]:
         return list(self.scores.values())
@@ -132,7 +129,7 @@ def _topic_scores(ranking: Sequence[str], grades: Mapping[str, int],
                 dcg_terms = [g / math.log2(i + 1) for i, g in hits]
                 ideal = sorted((g for g in grades.values() if g > 0), reverse=True)
                 ideal_terms = [g / math.log2(i + 1) for i, g in enumerate(ideal, start=1)]
-            out.append(sum(dcg_terms[:j]) / sum(ideal_terms[:k]))
+            out.append(math.fsum(dcg_terms[:j]) / math.fsum(ideal_terms[:k]))
     return out
 
 

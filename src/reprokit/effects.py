@@ -71,10 +71,10 @@ def effect_ratio(inp: EffectInput) -> float:
     """
     delta_orig = per_topic_improvements(inp.b, inp.a)
     delta_rep = per_topic_improvements(inp.b_prime, inp.a_prime)
-    mean_orig = sum(delta_orig) / len(delta_orig)
+    mean_orig = math.fsum(delta_orig) / len(delta_orig)
     if mean_orig == 0:
         raise UndefinedEffectError("mean original improvement is zero; ER undefined")
-    return (sum(delta_rep) / len(delta_rep)) / mean_orig
+    return (math.fsum(delta_rep) / len(delta_rep)) / mean_orig
 
 
 def relative_improvement(b: TopicScoreVector, a: TopicScoreVector) -> float:

@@ -59,13 +59,6 @@ def _ordering_means(full: ordering.FullDepth, warnings: list[str]) -> tuple[floa
     return tau_mean, ordering.mean_over_topics(full.rbo)[0]
 
 
-def _scored(run: Run, qrels: Qrels, topics: tuple[str, ...], cfgs: tuple[MeasureConfig, ...],
-            strict: bool) -> tuple[list[TopicScoreVector], list[str]]:
-    """:func:`score_run`'s vectors and warnings."""
-    found: list[str] = []
-    return score_run(run, qrels, topics, cfgs, strict=strict, warnings=found), found
-
-
 def _effect_block(inp: effects.EffectInput) -> dict:
     summary = effects.summarize_effect(inp)
     return {
@@ -79,18 +72,14 @@ def _effect_block(inp: effects.EffectInput) -> dict:
 
 
 def _measure_blocks(measures: list[MeasureConfig], orig: list[TopicScoreVector],
-                    rpl: list[TopicScoreVector], baselines: tuple | None,
-                    warnings: list[str]) -> tuple[dict, dict]:
-    """The paired block of each measure and, given the two baselines'
-    :func:`_scored` results, its effect block. The baselines' warnings are
-    listed measure by measure, as scoring one measure at a time gives them."""
+                    rpl: list[TopicScoreVector], b: list[TopicScoreVector] | None,
+                    b_prime: list[TopicScoreVector] | None, warnings: list[str]) -> tuple[dict, dict]:
+    """The paired block of each measure and, given the two baselines' vectors, its effect block."""
     measure_blocks: dict[str, dict] = {}
     effect_blocks: dict[str, dict] = {}
     for i, cfg in enumerate(measures):
         measure_blocks[cfg.label] = _paired_block(cfg.label, orig[i], rpl[i], warnings)
-        if baselines is not None:
-            (b, b_found), (b_prime, b_prime_found) = baselines
-            warnings += b_found + b_prime_found
+        if b is not None:
             effect_blocks[cfg.label] = _effect_block(
                 effects.EffectInput(b[i], orig[i], b_prime[i], rpl[i]))
     return measure_blocks, effect_blocks
@@ -140,10 +129,11 @@ def build_replicate_report(
                                              for k in cutoffs or () for c in measures)]))
     orig = dict(zip(cfgs, score_run(run_orig, qrels, topics, cfgs)))
     rpl = dict(zip(cfgs, score_run(run_rpl, qrels, topics, cfgs)))
+    # each baseline's missing topics are listed once, before the per-measure warnings
+    b, b_prime = (score_run(run, qrels, topics, tuple(measures), strict=strict, warnings=warnings)
+                  for run in baselines) if baselines else (None, None)
     measure_blocks, effect_blocks = _measure_blocks(
-        measures, [orig[c] for c in measures], [rpl[c] for c in measures],
-        tuple(_scored(b, qrels, topics, tuple(measures), strict) for b in baselines)
-        if baselines else None, warnings)
+        measures, [orig[c] for c in measures], [rpl[c] for c in measures], b, b_prime, warnings)
     cutoff_blocks: dict[int, dict] = {}
     if cutoffs:
         for cfg in measures:
@@ -246,8 +236,8 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
     raw_er: dict[str, dict[str, float]] = {}  # listed after the others, as in replicate
     warnings: list[str] = []
     cfgs = tuple(measures)
-    # per topic set: the original's vectors and the original baseline's _scored
-    # result, whose warnings are replayed for each candidate
+    # per topic set: the vectors of the original and of its baseline, and the
+    # baseline's warnings, which are replayed for each candidate
     orig_scores: dict[tuple[str, ...], tuple] = {}
     for run_id, run_rpl, baseline_rpl in candidates:
         check_baselines(run_id, baseline_orig is not None, baseline_rpl is not None)
@@ -259,15 +249,17 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
         raw["tau"][run_id], raw["rbo"][run_id] = _ordering_means(
             ordering.full_depth(run_orig, run_rpl, topics, params, ()), found)
         if topics not in orig_scores:
+            b_found: list[str] = []
+            b_orig = None if baseline_orig is None else score_run(
+                baseline_orig, qrels, topics, cfgs, strict=strict, warnings=b_found)
             # topics are in both runs, so neither the original nor a candidate can warn or fail
-            orig_scores[topics] = (score_run(run_orig, qrels, topics, cfgs),
-                                   None if baseline_orig is None
-                                   else _scored(baseline_orig, qrels, topics, cfgs, strict))
-        orig, b_orig = orig_scores[topics]
+            orig_scores[topics] = (score_run(run_orig, qrels, topics, cfgs), b_orig, b_found)
+        orig, b_orig, b_found = orig_scores[topics]
+        found += b_found  # each baseline's missing topics once, before the per-measure warnings
+        b_rpl = None if baseline_rpl is None else score_run(
+            baseline_rpl, qrels, topics, cfgs, strict=strict, warnings=found)
         measure_blocks, effect_blocks = _measure_blocks(
-            measures, orig, score_run(run_rpl, qrels, topics, cfgs),
-            None if baseline_rpl is None
-            else (b_orig, _scored(baseline_rpl, qrels, topics, cfgs, strict)), found)
+            measures, orig, score_run(run_rpl, qrels, topics, cfgs), b_orig, b_rpl, found)
         for label, block in measure_blocks.items():
             for key in ("delta_arp", "rmse", "p_value"):
                 raw.setdefault(f"{key}_{label}", {})[run_id] = block[key]

@@ -28,7 +28,7 @@ def delta_arp(original: TopicScoreVector, replicated: TopicScoreVector) -> ArpDe
 def rmse(original: TopicScoreVector, replicated: TopicScoreVector) -> float:
     original.require_aligned(replicated)
     diffs = [a - b for a, b in zip(original.values(), replicated.values())]
-    return math.sqrt(sum(d * d for d in diffs) / len(diffs))
+    return math.sqrt(math.fsum(d * d for d in diffs) / len(diffs))
 
 
 def rmse_at_cutoffs(original: Mapping[MeasureConfig, TopicScoreVector],

@@ -102,8 +102,8 @@ def paired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
     if n < 2:
         raise NoComparableTopicsError(f"paired test needs n >= 2 topics, got {n}")
     d = [a - b for a, b in zip(x.values(), y.values())]
-    mean_d = sum(d) / n
-    var_d = sum((v - mean_d) ** 2 for v in d) / (n - 1)
+    mean_d = math.fsum(d) / n
+    var_d = math.fsum((v - mean_d) ** 2 for v in d) / (n - 1)
     dof = float(n - 1)
     if var_d == 0.0:
         if mean_d == 0.0:
@@ -121,9 +121,9 @@ def unpaired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
     if nx < 2 or ny < 2:
         raise NoComparableTopicsError(f"unpaired test needs n >= 2 per sample, got {nx} and {ny}")
     xv, yv = x.values(), y.values()
-    mx, my = sum(xv) / nx, sum(yv) / ny
-    ssx = sum((v - mx) ** 2 for v in xv)
-    ssy = sum((v - my) ** 2 for v in yv)
+    mx, my = math.fsum(xv) / nx, math.fsum(yv) / ny
+    ssx = math.fsum((v - mx) ** 2 for v in xv)
+    ssy = math.fsum((v - my) ** 2 for v in yv)
     dof = float(nx + ny - 2)
     pooled = (ssx + ssy) / dof
     if pooled == 0.0:

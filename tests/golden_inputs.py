@@ -9,8 +9,8 @@ take the branches a report can show:
 - in ``orig.run`` topic 5 holds one document, so tau is degenerate there and
   tau-intersection is unavailable;
 - ``b_orig.run`` lacks topic 2 and ``b_rpl.run`` and ``cand1_b.run`` lack
-  topic 3, so each measure warns ``missing topic ..., scored 0`` once for
-  each, in the order the baselines are scored.
+  topic 3, so a report (in ``correlate``, each candidate) warns ``missing
+  topic ..., scored 0`` once for each, in the order the baselines are scored.
 
 To regenerate the committed reports (only when a report is meant to change)::
 

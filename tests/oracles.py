@@ -77,9 +77,9 @@ def exact_average_precision(ranking, grades, cutoff=None):
 def exact_ndcg_at_k(ranking, grades, k):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    dcg = sum(g / math.log2(i + 1) for i, g in _judged_hits(ranking, grades, k))
+    dcg = math.fsum(g / math.log2(i + 1) for i, g in _judged_hits(ranking, grades, k))
     ideal = sorted((g for g in grades.values() if g > 0), reverse=True)[:k]
-    idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
+    idcg = math.fsum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
     if idcg == 0:
         raise ValueError("topic has no relevant documents; filter upstream")
     return dcg / idcg

@@ -180,6 +180,15 @@ class TestReplicate:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == rep
 
+    def test_provenance_records_the_argv_given_to_main(self, workspace, tmp_path):
+        _, paths = workspace
+        out = str(tmp_path / "report.json")
+        argv = ["replicate", "--run-orig", str(paths["orig"]), "--run-rpl", str(paths["rpl"]),
+                "--qrels", str(paths["qrels"]), "--format", "json", "--provenance", "--output", out]
+        assert main(argv) == 0
+        with open(out, encoding="utf-8") as f:
+            assert json.load(f)["provenance"]["argv"] == argv
+
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
         code = main([
             "replicate",
@@ -304,6 +313,19 @@ class TestReplicate:
         qrels = make_qrels({"1": {"a": 1}})
         with pytest.raises(ValueError, match="kernel bug"):
             build_replicate_report(run, run, qrels, [parse_measure_spec("P@2")])
+
+    def test_a_baseline_missing_topic_is_listed_once_before_the_per_measure_warnings(self):
+        # P@2 and AP differ by a constant on every topic, so each of their t-tests warns
+        topics = ("301", "302", "303")
+        orig = make_run("orig", {t: ["R1", "R2"] for t in topics})
+        rpl = make_run("rpl", {t: ["R1", "N", "R2"] for t in topics})
+        b_orig = make_run("b_orig", {t: ["R2", "R1"] for t in topics[:2]})
+        qrels = make_qrels({t: {"R1": 1, "R2": 1} for t in topics})
+        measures = [parse_measure_spec(s) for s in ("P@1", "P@2", "AP")]
+        rep = build_replicate_report(orig, rpl, qrels, measures, baselines=(b_orig, rpl))
+        assert rep["warnings"] == ["run 'b_orig' missing topic 303, scored 0",
+                                   "P@2: zero variance with nonzero mean difference",
+                                   "AP@1000: zero variance with nonzero mean difference"]
 
 
 class TestReproduce:
@@ -519,7 +541,7 @@ class TestCorrelate:
             expected += [f"{cand['run']}: {w}" for w in r["warnings"] if "tau-intersection" not in w]
         assert rep["warnings"] == expected
         assert [w for w in expected if "missing" in w] == [
-            "cand2.run: run 'base2' missing topic 303, scored 0"] * 3
+            "cand2.run: run 'base2' missing topic 303, scored 0"]
         assert main(argv) == 0
         assert capsys.readouterr().out.endswith(
             "\nwarnings:\n" + "".join(f"  - {w}\n" for w in expected))
