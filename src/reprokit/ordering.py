@@ -8,9 +8,10 @@ O(n^2 / 64) machine-word operations. In pure Python this matches or beats a
 vectorized O(n log n) merge kernel up to about 10^4 documents per ranking (TREC
 runs hold 1000) and falls behind above that, about 1.5x at 2 * 10^4.
 
-All per-topic kernels are pure; per-topic results average via
-:func:`mean_over_topics`, which excludes degenerate-tie topics explicitly
-instead of silently biasing the mean.
+A ranking holds each doc id once: the kernels raise ValueError naming a
+repeated one. All per-topic kernels are pure; per-topic results average via
+:func:`mean_over_topics`, which excludes topics with fewer than two paired
+documents explicitly instead of silently biasing the mean.
 """
 
 from __future__ import annotations
@@ -106,71 +107,61 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
     return _tau(p, q, tied_x - tied_xy, tied_y - tied_xy)
 
 
+def _ranks(r_docs: Sequence[str], s_docs: Sequence[str]) -> dict[str, int]:
+    """r's 1-based rank of each of its documents; ValueError naming a doc id
+    that either ranking holds twice."""
+    rank = dict(zip(r_docs, range(1, len(r_docs) + 1)))
+    if len(rank) != len(r_docs) or len(set(s_docs)) != len(s_docs):
+        doc = next(d for docs in (r_docs, s_docs) for d, c in Counter(docs).items() if c > 1)
+        raise ValueError(f"doc id {doc!r} repeated in one ranking")
+    return rank
+
+
 def tau_union(r_docs: Sequence[str], s_docs: Sequence[str]) -> float:
     """Kendall's tau between rank positions taken in the union of two rankings.
 
     The union lists r's documents first, then s's unseen documents in s-order.
-    The i-th document of r pairs with the i-th document of s; on unequal
-    lengths only the common prefix min(|r|, |s|) is paired. Equals plain tau
-    when both rankings hold the same document set.
+    The i-th document of r (x = i) pairs with the i-th document of s; on
+    unequal lengths only the common prefix m = min(|r|, |s|) is paired. Equals
+    plain tau when both rankings hold the same document set. y keeps the
+    union's order: a document's rank in r or, if r lacks it, |r| + its s-rank.
     """
-    if not r_docs or not s_docs:
-        raise ValueError("rankings must be nonempty")
-    pos = {doc: i for i, doc in enumerate(r_docs, start=1)}
-    r_distinct = len(pos) == len(r_docs)
-    nxt = len(r_docs) + 1
-    for doc in s_docs:
-        if doc not in pos:
-            pos[doc] = nxt
-            nxt += 1
-    m = min(len(r_docs), len(s_docs))
-    y = [pos[d] for d in s_docs[:m]]
-    if r_distinct and len(set(y)) == m:  # x = 1..m and no ties
-        return _tau_of_positions(y)
-    return kendall_tau([pos[d] for d in r_docs[:m]], y)
+    rank = _ranks(r_docs, s_docs)
+    n = len(r_docs)
+    return _tau_of_positions([rank.get(d, i) for i, d in enumerate(s_docs[:n], start=n + 1)])
 
 
 def tau_intersection(r_docs: Sequence[str], s_docs: Sequence[str]) -> tuple[float, int]:
     """Tau over the relative orders of shared documents, plus the overlap size.
 
     Small overlaps make tau noisy, so the overlap is always reported with it.
+    r's ranks of the shared documents, taken in s-order, have the pairs
+    discordant between the two relative orders as their inversions.
     """
-    shared = set(r_docs) & set(s_docs)
-    if len(shared) < 2:
-        raise OverlapTooSmallError(f"overlap too small: {len(shared)} shared documents")
-    r_order = [d for d in r_docs if d in shared]
-    s_pos = {d: i for i, d in enumerate(s_docs, start=1) if d in shared}
-    y = [s_pos[d] for d in r_order]
-    if len(r_order) == len(shared):  # no duplicate doc, so no tied position
-        return _tau_of_positions(y), len(shared)
-    return kendall_tau(range(1, len(y) + 1), y), len(shared)
+    rank = _ranks(r_docs, s_docs)
+    y = [rank[d] for d in s_docs if d in rank]
+    if len(y) < 2:
+        raise OverlapTooSmallError(f"overlap too small: {len(y)} shared documents")
+    return _tau_of_positions(y), len(y)
 
 
 def _rbo_sums(r_docs: Sequence[str], s_docs: Sequence[str],
               params: RboParams) -> list[float]:
     """Running sums of phi^(i-1) * A_i for i = 1..min(depth, max(|r|, |s|)),
-    where A_i is the prefix-overlap proportion at depth i."""
+    where A_i is the prefix-overlap proportion at depth i. A document at rank
+    a in r and b in s is in both depth-i prefixes from i = max(a, b) on."""
     if not r_docs or not s_docs:
         raise ValueError("rankings must be nonempty")
-    d = min(params.depth, max(len(r_docs), len(s_docs)))
-    seen_r: set[str] = set()
-    seen_s: set[str] = set()
-    overlap = 0
-    total = 0.0
-    weight = 1.0  # phi^(i-1)
-    sums = []
+    rank = _ranks(r_docs, s_docs)
+    n = max(len(r_docs), len(s_docs))
+    d = min(params.depth, n)
+    joins = [0] * (n + 1)
+    for b, a in enumerate(map(rank.get, s_docs), start=1):
+        if a is not None:
+            joins[a if a > b else b] += 1
+    overlap, total, weight, sums = 0, 0.0, 1.0, []  # weight is phi^(i-1)
     for i in range(1, d + 1):
-        # add r's doc first so an identical doc at depth i counts exactly once
-        if i <= len(r_docs):
-            doc = r_docs[i - 1]
-            if doc in seen_s:
-                overlap += 1
-            seen_r.add(doc)
-        if i <= len(s_docs):
-            doc = s_docs[i - 1]
-            if doc in seen_r:
-                overlap += 1
-            seen_s.add(doc)
+        overlap += joins[i]
         total += weight * (overlap / i)
         sums.append(total)
         weight *= params.phi
@@ -180,7 +171,7 @@ def _rbo_sums(r_docs: Sequence[str], s_docs: Sequence[str],
 def rbo(r_docs: Sequence[str], s_docs: Sequence[str], params: RboParams) -> float:
     """Truncated rank-biased overlap: (1-phi) * sum phi^(i-1) * A_i.
 
-    A_i is the prefix-overlap proportion at depth i. Evaluated to
+    A_i is |r[:i] & s[:i]| / i, each shared document counted once. Evaluated to
     d = min(depth, max(|r|, |s|)) with no extrapolation, so the neglected tail
     is at most phi**d: up to 0.8**100 (about 2.0e-10) on 100-document lists,
     and two identical 5-document lists score 1 - 0.8**5 (about 0.672), not 1.
@@ -189,7 +180,7 @@ def rbo(r_docs: Sequence[str], s_docs: Sequence[str], params: RboParams) -> floa
 
 
 def mean_over_topics(per_topic: Mapping[str, float | None]) -> tuple[float, int]:
-    """Average per-topic values; None entries (degenerate ties) are excluded.
+    """Average per-topic values; None entries (undefined values) are excluded.
 
     Returns (mean, number of excluded topics).
     """
@@ -208,17 +199,12 @@ def _doc_lists(r: Run, s: Run, topics: tuple[str, ...]):
 
 
 def _tau_or_none(r_docs: Sequence[str], s_docs: Sequence[str]) -> float | None:
-    if min(len(r_docs), len(s_docs)) < 2:
-        return None
-    try:
-        return tau_union(r_docs, s_docs)
-    except DegenerateTiesError:
-        return None
+    return tau_union(r_docs, s_docs) if min(len(r_docs), len(s_docs)) >= 2 else None
 
 
 def tau_union_over_topics(r: Run, s: Run, topics: tuple[str, ...]) -> dict[str, float | None]:
-    """Per-topic tau-union; None where tau is undefined: fewer than 2 paired
-    items or degenerate ties. Any other error propagates."""
+    """Per-topic tau-union; None where fewer than two documents are paired.
+    Any error propagates."""
     return {topic: _tau_or_none(r_docs, s_docs) for topic, r_docs, s_docs in _doc_lists(r, s, topics)}
 
 
@@ -238,7 +224,7 @@ def check_cutoffs(cutoffs: Sequence[int]) -> None:
 class FullDepth(NamedTuple):
     """Per-topic values of one run pair on the full lists, and what the cutoff sweep reads."""
 
-    tau: dict[str, float | None]  # tau-union, None where undefined
+    tau: dict[str, float | None]  # tau-union, None on fewer than two paired documents
     rbo: dict[str, float]
     docs: dict[str, tuple[Sequence[str], Sequence[str]]]  # both doc lists of each topic
     rbo_at: dict[int, dict[str, float]]  # per cutoff, RBO of both lists truncated to it

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from . import effects, meta, ordering, score_agreement, stats
 from .effectiveness import MeasureConfig, TopicScoreVector, score_run
-from .errors import ConfigError, DegenerateTiesError, OverlapTooSmallError
+from .errors import ConfigError, OverlapTooSmallError
 from .ordering import RboParams
 from .trec_io import Qrels, Run, topic_intersection
 
@@ -110,7 +110,7 @@ def build_replicate_report(
                                                  run_rpl.topics[topic].doc_ids)
             inter_vals[topic] = tau_i
             overlaps.append(ov)
-        except (DegenerateTiesError, OverlapTooSmallError):
+        except OverlapTooSmallError:
             inter_vals[topic] = None
     if overlaps:  # one per topic with a tau-intersection value
         tau_inter_mean, inter_excluded = ordering.mean_over_topics(inter_vals)

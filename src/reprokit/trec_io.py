@@ -201,10 +201,10 @@ def parse_qrels(source: TextSource) -> Qrels:
                 if not (parts := line.split()):
                     continue
                 raise TrecParseError(f"line {line_no}: expected 4 columns, got {len(parts)}: {line.strip()!r}") from None
-            try:
-                grade = int(grade_str)
-            except ValueError as e:
-                raise TrecParseError(f"line {line_no}: non-integer grade {grade_str!r}") from e
+            digits = grade_str[1:] if grade_str[0] in "+-" else grade_str
+            if not (digits.isascii() and digits.isdigit()):  # int() also takes 1_0 and non-ASCII digits
+                raise TrecParseError(f"line {line_no}: non-integer grade {grade_str!r}")
+            grade = int(grade_str)
             if grade < 0:
                 warnings.append(f"line {line_no}: negative grade {grade} for doc {doc_id!r}, clamped to 0")
                 grade = 0

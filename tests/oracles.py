@@ -191,6 +191,42 @@ def brute_rbo(r_docs, s_docs, phi, depth):
     return (1 - phi) * total
 
 
+def running_rbo_sums(r_docs, s_docs, phi, depth):
+    """Running sums of phi^(i-1) * A_i for i = 1..min(depth, max(|r|, |s|)).
+
+    The set walk the package used before it counted join depths: each depth
+    adds r's and s's next document to the set of its list's prefix and counts
+    one against the other's set. On lists of distinct documents it performs the
+    same float operations in the same order as ``ordering._rbo_sums``, so the
+    two must be equal exactly.
+    """
+    if not r_docs or not s_docs:
+        raise ValueError("rankings must be nonempty")
+    d = min(depth, max(len(r_docs), len(s_docs)))
+    seen_r = set()
+    seen_s = set()
+    overlap = 0
+    total = 0.0
+    weight = 1.0  # phi^(i-1)
+    sums = []
+    for i in range(1, d + 1):
+        # add r's doc first so an identical doc at depth i counts exactly once
+        if i <= len(r_docs):
+            doc = r_docs[i - 1]
+            if doc in seen_s:
+                overlap += 1
+            seen_r.add(doc)
+        if i <= len(s_docs):
+            doc = s_docs[i - 1]
+            if doc in seen_r:
+                overlap += 1
+            seen_s.add(doc)
+        total += weight * (overlap / i)
+        sums.append(total)
+        weight *= phi
+    return sums
+
+
 def t_cdf_by_integration(t, dof, n_points=200001):
     """Student-t CDF via trapezoidal integration of the density."""
     if t == 0:

@@ -134,7 +134,7 @@ def _outcome(f, *args):
         return type(e)
 
 
-_DOC_LISTS = st.lists(st.sampled_from("abcdefghijkl"), min_size=1, max_size=12)
+_DOC_LISTS = st.lists(st.sampled_from("abcdefghijkl"), min_size=1, max_size=12, unique=True)
 
 
 class TestPositionTauEqualsKendallTau:
@@ -153,15 +153,6 @@ class TestPositionTauEqualsKendallTau:
         assert _outcome(lambda r, s: tau_intersection(r, s)[0], r_docs, s_docs) \
             == _outcome(kendall_tau, x, y)
 
-    def test_duplicate_doc_ids_take_tied_positions(self):
-        r_docs, s_docs = ["a", "b", "a", "c"], ["b", "a", "c", "c"]
-        x, y = _union_positions(r_docs, s_docs)
-        assert x == [3, 2, 3, 4] and y == [2, 3, 4, 4]
-        assert tau_union(r_docs, s_docs) == kendall_tau(x, y)
-        x, y = _intersection_positions(r_docs, s_docs)
-        assert y == [2, 1, 2, 4]
-        assert tau_intersection(r_docs, s_docs)[0] == kendall_tau(x, y)
-
     def test_deep_rankings(self, rng):
         pool = [f"d{i}" for i in range(3000)]
         for n in (100, 1000, 2000):
@@ -171,6 +162,23 @@ class TestPositionTauEqualsKendallTau:
             assert tau_union(r_docs, s_docs) == kendall_tau(*_union_positions(r_docs, s_docs))
             assert tau_intersection(r_docs, s_docs)[0] \
                 == kendall_tau(*_intersection_positions(r_docs, s_docs))
+
+
+class TestRepeatedDocIds:
+    CASES = [pytest.param(["a", "b", "c", "b"], ["c", "a", "b"], "b", id="in-r"),
+             pytest.param(["a", "b", "c"], ["c", "d", "a", "d"], "d", id="in-s-only"),
+             pytest.param(["a"], ["a", "c", "c"], "c", id="too-short-for-tau"),
+             # a set walk over the two prefixes counts "a" twice: RBO 0.36, brute_rbo 0.28
+             pytest.param(["a", "a"], ["a"], "a", id="counted-twice-by-rbo")]
+
+    @pytest.mark.parametrize("r_docs, s_docs, doc", CASES)
+    def test_each_kernel_rejects_it_by_name(self, r_docs, s_docs, doc):
+        for kernel in (lambda: tau_union(r_docs, s_docs), lambda: tau_intersection(r_docs, s_docs),
+                       lambda: rbo(r_docs, s_docs, RboParams(0.8, 10)),
+                       lambda: full_depth(make_run("r", {"1": r_docs}), make_run("s", {"1": s_docs}),
+                                          ("1",), RboParams(), [2])):
+            with pytest.raises(ValueError, match=f"doc id '{doc}' repeated"):
+                kernel()
 
 
 class TestTauUnion:
@@ -258,6 +266,19 @@ class TestRbo:
             s = rng.sample(pool, 20)
             val = rbo(r, s, RboParams(0.8, 20))
             assert 0.0 <= val < 1.0
+
+
+_DISTINCT_DOCS = st.lists(st.sampled_from([f"d{i}" for i in range(40)]),
+                          min_size=1, max_size=40, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r_docs=_DISTINCT_DOCS, s_docs=_DISTINCT_DOCS, depth=st.integers(1, 60),
+       phi=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_rbo_sums_equal_the_set_walk_exactly(r_docs, s_docs, depth, phi):
+    # depths run below and above both lengths; the sums must agree to the bit
+    assert ordering._rbo_sums(r_docs, s_docs, RboParams(phi, depth)) \
+        == oracles.running_rbo_sums(r_docs, s_docs, phi, depth)
 
 
 class TestMeanOverTopics:

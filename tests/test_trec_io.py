@@ -304,6 +304,20 @@ def test_qrels_non_integer_grade():
         parse_qrels("301 0 A x\n")
 
 
+@pytest.mark.parametrize("grade", ["1_0", "\u0663", "\uff12", "\u00b2", "++1", "+", "-", "1.0"])
+def test_qrels_grade_is_a_sign_and_ascii_digits(grade):
+    # int() reads 1_0 as 10, Arabic-Indic 3 as 3 and fullwidth 2 as 2
+    with pytest.raises(TrecParseError) as info:
+        parse_qrels(f"301 0 A 1\n301 0 B {grade}\n")
+    assert str(info.value) == f"line 2: non-integer grade {grade!r}"
+
+
+def test_qrels_grade_takes_one_sign():
+    q = parse_qrels("301 0 A +2\n301 0 B -1\n")
+    assert (q.grade("301", "A"), q.grade("301", "B")) == (2, 0)
+    assert q.warnings == ["line 2: negative grade -1 for doc 'B', clamped to 0"]
+
+
 @pytest.mark.parametrize("kind", ["str", "bytes"])
 @pytest.mark.parametrize("bad", ["302 0 B", "302 0 B 1 extra"])
 def test_qrels_column_count_error_names_the_line(bad, kind):
