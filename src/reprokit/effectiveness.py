@@ -5,11 +5,11 @@ non-relevant, a document is relevant for P@k and AP when its grade is >= 1,
 and nDCG uses linear gain with a 1/log2(i+1) discount.
 
 :func:`score_run` walks each (run, topic) once, down to the largest cutoff,
-for every (measure, cutoff) asked; :func:`precision_at_k`,
-:func:`average_precision` and :func:`ndcg_at_k` are views of the same walk.
-P@k counts the hits at rank <= k. AP@k reads the running sum of precision at
-each hit at the last hit <= k, the very float a walk stopped at k gives.
-nDCG@k and IDCG@k are the ``math.fsum`` of a prefix slice of the gain terms.
+for every (measure, cutoff) asked; a single ranking is scored as a one-topic
+run. P@k counts the hits at rank <= k. AP@k reads the running sum of
+precision at each hit at the last hit <= k, the very float a walk stopped at
+k gives. nDCG@k and IDCG@k are the ``math.fsum`` of a prefix slice of the
+gain terms.
 """
 
 from __future__ import annotations
@@ -115,8 +115,6 @@ def _topic_scores(ranking: Sequence[str], grades: Mapping[str, int],
     dcg_terms = ideal_terms = None
     out = []
     for measure, k in cfgs:
-        if k < 1 and measure != "AP":
-            raise ValueError(f"k must be >= 1, got {k}")
         j = bisect_right(ranks, k)  # hits at rank <= k
         if measure == "P":
             out.append(j / k)
@@ -131,27 +129,6 @@ def _topic_scores(ranking: Sequence[str], grades: Mapping[str, int],
                 ideal_terms = [g / math.log2(i + 1) for i, g in enumerate(ideal, start=1)]
             out.append(math.fsum(dcg_terms[:j]) / math.fsum(ideal_terms[:k]))
     return out
-
-
-def precision_at_k(ranking: Sequence[str], grades: Mapping[str, int], k: int) -> float:
-    """Fraction of the top-k that is relevant; short lists pad as non-relevant."""
-    return _topic_scores(ranking, grades, [("P", k)])[0]
-
-
-def average_precision(ranking: Sequence[str], grades: Mapping[str, int],
-                      cutoff: int | None = None) -> float:
-    """Mean of precision at the rank of each relevant retrieved document.
-
-    Normalized by the total number of relevant documents R; relevant
-    documents not retrieved (or beyond the cutoff) contribute 0.
-    """
-    return _topic_scores(ranking, grades, [("AP", len(ranking) if cutoff is None else cutoff)])[0]
-
-
-def ndcg_at_k(ranking: Sequence[str], grades: Mapping[str, int], k: int) -> float:
-    """DCG@k over ideal DCG@k with linear gain; the ideal ranking sorts the
-    positive grades descending."""
-    return _topic_scores(ranking, grades, [("nDCG", k)])[0]
 
 
 def score_run(run: Run, qrels: Qrels, topics: tuple[str, ...], cfgs: Sequence[MeasureConfig],

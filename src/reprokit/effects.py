@@ -15,7 +15,7 @@ differ in identity and size.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .effectiveness import TopicScoreVector
 from .errors import UndefinedEffectError
@@ -121,17 +121,3 @@ def summarize_effect(inp: EffectInput) -> EffectSummary:
         delta_ri=dri,
         region=classify_region(er, dri),
     )
-
-
-PLOT_HEADER = "run,measure,er,delta_ri,region,dist"
-
-
-def er_ri_plot_data(summaries: Sequence[EffectSummary]) -> list[str]:
-    """CSV rows for external ER-vs-DeltaRI plotting, input order preserved."""
-    rows = [PLOT_HEADER]
-    for s in summaries:
-        rows.append(
-            f"{s.run_id},{s.measure},{s.er:.6f},{s.delta_ri:.6f},"
-            f"{s.region},{s.distance_to_ideal:.6f}"
-        )
-    return rows

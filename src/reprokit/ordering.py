@@ -214,11 +214,14 @@ def rbo_over_topics(r: Run, s: Run, topics: tuple[str, ...], params: RboParams) 
 
 
 def check_cutoffs(cutoffs: Sequence[int]) -> None:
-    """Raise ConfigError unless the cutoffs ascend and are all >= 1."""
+    """Raise ConfigError unless the cutoffs ascend, are all >= 1 and are distinct."""
     if list(cutoffs) != sorted(cutoffs):
         raise ConfigError("cutoffs must be ascending")
     if cutoffs and cutoffs[0] < 1:
         raise ConfigError(f"cutoff must be >= 1, got {cutoffs[0]}")
+    for k, next_k in zip(cutoffs, cutoffs[1:]):
+        if k == next_k:
+            raise ConfigError(f"cutoff {k} given twice")
 
 
 class FullDepth(NamedTuple):

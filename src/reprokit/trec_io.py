@@ -27,6 +27,7 @@ text.
 from __future__ import annotations
 
 import io
+import math
 from array import array
 from contextlib import contextmanager
 from itertools import chain
@@ -80,9 +81,6 @@ class Qrels(_Record):
     def __init__(self, topics: dict[str, dict[str, int]], warnings: list[str] | None = None):
         self.topics, self.warnings = topics, [] if warnings is None else warnings
 
-    def grade(self, topic: str, doc_id: str) -> int:
-        return self.topics.get(topic, {}).get(doc_id, 0)
-
     def relevant_topics(self) -> set[str]:
         """Topics with at least one document of grade > 0."""
         return {t for t, docs in self.topics.items() if any(g > 0 for g in docs.values())}
@@ -131,7 +129,8 @@ def parse_run(source: TextSource, strict: bool = True) -> Run:
 
     If strict, a duplicate doc-id within a topic is an error; otherwise the
     strictly higher-scored instance wins and a warning is recorded.
-    A NaN score is rejected, since it has no place in a score order.
+    A rank is an optional sign and ASCII digits; a score is an ASCII float
+    without ``_``, and NaN is rejected, since it has no place in a score order.
     """
     tag = topic = docs = None
     by_topic: dict[str, Ranking | dict[str, float]] = {}  # a dict while the topic is open
@@ -145,16 +144,17 @@ def parse_run(source: TextSource, strict: bool = True) -> Run:
                 if not (parts := line.split()):
                     continue
                 raise TrecParseError(f"line {line_no}: expected 6 columns, got {len(parts)}: {line.strip()!r}") from None
-            if not rank_str.isdecimal():
-                try:
-                    int(rank_str)
-                except ValueError as e:
-                    raise TrecParseError(f"line {line_no}: non-integer rank {rank_str!r}") from e
+            # int() and float() also take 1_0 and non-ASCII digits; one isascii() of the line clears most lines
+            ascii_line = line.isascii()
+            if not (ascii_line and rank_str.isdecimal()):
+                digits = rank_str[1:] if rank_str[0] in "+-" else rank_str
+                if not (digits.isascii() and digits.isdigit()):
+                    raise TrecParseError(f"line {line_no}: non-integer rank {rank_str!r}")
             try:
                 score = float(score_str)
-            except ValueError as e:
-                raise TrecParseError(f"line {line_no}: non-numeric score {score_str!r}") from e
-            if score != score:
+            except ValueError:
+                score = math.nan
+            if score != score or "_" in score_str or not (ascii_line or score_str.isascii()):
                 raise TrecParseError(f"line {line_no}: non-numeric score {score_str!r}")
             if line_topic != topic:  # runs list a topic's lines together, so this is rare
                 if topic is not None and topic not in reopened:

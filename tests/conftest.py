@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from reprokit.effectiveness import TopicScoreVector
+from reprokit.effectiveness import MeasureConfig, TopicScoreVector, score_run
 from reprokit.trec_io import Qrels, Ranking, Run
 
 
@@ -21,6 +21,13 @@ def make_run(tag: str, topic_docs: dict[str, list[str]]) -> Run:
 
 def make_qrels(grades: dict[str, dict[str, int]]) -> Qrels:
     return Qrels(topics={t: dict(d) for t, d in grades.items()})
+
+
+def score_ranking(ranking: list[str], grades: dict[str, int], measure: str, k: int) -> float:
+    """The score of one ranking under ``measure@k``, scored as a one-topic run."""
+    vectors = score_run(make_run("r", {"1": ranking}), make_qrels({"1": grades}), ("1",),
+                        (MeasureConfig(measure, k),))
+    return vectors[0].scores["1"]
 
 
 def vector(scores: dict[str, float], measure: str = "M", tag: str = "run") -> TopicScoreVector:

@@ -8,6 +8,7 @@ package, so it can back expected values in the tests.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -84,6 +85,13 @@ def exact_ndcg_at_k(ranking, grades, k):
         raise ValueError("topic has no relevant documents; filter upstream")
     return dcg / idcg
 
+
+# a rank is a sign and ASCII digits; a score is float()'s grammar with ASCII
+# digits, no underscores and no NaN
+_RANK = re.compile(r"[+-]?[0-9]+")
+_SCORE = re.compile(r"[+-]?(?:(?:[0-9]*\.[0-9]+|[0-9]+\.?)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity))")
+
+
 def brute_parse_run(text, mode="strict"):
     """Parse TREC run text with a plain line loop.
 
@@ -105,16 +113,11 @@ def brute_parse_run(text, mode="strict"):
         if len(cols) != 6:
             raise ValueError(f"line {line_no}: expected 6 columns, got {len(cols)}: {raw.strip()!r}")
         topic, _q0, doc, rank_text, score_text, run_tag = cols
-        try:
-            int(rank_text)
-        except ValueError:
-            raise ValueError(f"line {line_no}: non-integer rank {rank_text!r}") from None
-        try:
-            score = float(score_text)
-        except ValueError:
-            score = math.nan
-        if math.isnan(score):
+        if not _RANK.fullmatch(rank_text):
+            raise ValueError(f"line {line_no}: non-integer rank {rank_text!r}")
+        if not _SCORE.fullmatch(score_text):
             raise ValueError(f"line {line_no}: non-numeric score {score_text!r}")
+        score = float(score_text)
         if tag is None:
             tag = run_tag
         docs = by_topic.setdefault(topic, {})

@@ -257,6 +257,7 @@ class TestReplicate:
     @pytest.mark.parametrize("cutoffs, message", [
         ("10,5", "cutoffs must be ascending"),
         ("0,10", "cutoff must be >= 1, got 0"),
+        ("2,2", "cutoff 2 given twice"),
     ])
     def test_cutoffs_are_checked_before_any_input_is_read(self, tmp_path, capsys, cutoffs, message):
         code = main([
@@ -300,7 +301,8 @@ class TestReplicate:
         run = make_run("orig", {"1": ["a", "b"]})  # one topic: the paired test would fail
         qrels = make_qrels({"1": {"a": 1}})
         for cutoffs, message in (([10, 5], "cutoffs must be ascending"),
-                                 ([0, 5], "cutoff must be >= 1, got 0")):
+                                 ([0, 5], "cutoff must be >= 1, got 0"),
+                                 ([2, 2], "cutoff 2 given twice")):
             with pytest.raises(ConfigError, match=message):
                 build_replicate_report(run, run, qrels, [parse_measure_spec("P@2")], cutoffs=cutoffs)
 

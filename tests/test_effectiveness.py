@@ -4,18 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reprokit.effectiveness import (
-    MeasureConfig,
-    average_precision,
-    ndcg_at_k,
-    parse_measure_spec,
-    precision_at_k,
-    score_run,
-)
+from reprokit.effectiveness import MeasureConfig, parse_measure_spec, score_run
 from reprokit.errors import ConfigError, TopicMismatchError
 
 import oracles
-from conftest import make_qrels, make_run, random_qrels, random_run
+from conftest import make_qrels, make_run, random_qrels, random_run, score_ranking
 
 
 def grades_of(*pairs):
@@ -26,17 +19,17 @@ class TestPrecision:
     def test_three_relevant_in_top_ten(self):
         ranking = [f"d{i}" for i in range(10)]
         grades = {"d0": 1, "d4": 2, "d9": 1}
-        assert precision_at_k(ranking, grades, 10) == pytest.approx(0.3)
+        assert score_ranking(ranking, grades, "P", 10) == pytest.approx(0.3)
 
     def test_all_relevant(self):
         ranking = ["a", "b"]
-        assert precision_at_k(ranking, {"a": 1, "b": 1}, 2) == 1.0
+        assert score_ranking(ranking, {"a": 1, "b": 1}, "P", 2) == 1.0
 
     def test_short_run_pads_as_nonrelevant(self):
-        assert precision_at_k(["a"], {"a": 1}, 10) == pytest.approx(0.1)
+        assert score_ranking(["a"], {"a": 1}, "P", 10) == pytest.approx(0.1)
 
     def test_empty_list_is_zero(self):
-        assert precision_at_k([], {"a": 1}, 10) == 0.0
+        assert score_ranking([], {"a": 1}, "P", 10) == 0.0
 
 
 class TestAveragePrecision:
@@ -44,38 +37,39 @@ class TestAveragePrecision:
         # [rel, non, rel] with R=2: (1/1 + 2/3) / 2 = 5/6
         ranking = ["a", "b", "c"]
         grades = {"a": 1, "c": 1}
-        assert average_precision(ranking, grades) == pytest.approx(5 / 6)
+        assert score_ranking(ranking, grades, "AP", 3) == pytest.approx(5 / 6)
 
     def test_perfect_run(self):
         ranking = ["a", "b", "c"]
         grades = {"a": 1, "b": 1, "c": 1}
-        assert average_precision(ranking, grades) == 1.0
+        assert score_ranking(ranking, grades, "AP", 3) == 1.0
 
     def test_no_relevant_retrieved(self):
-        assert average_precision(["x", "y"], {"a": 1}) == 0.0
+        assert score_ranking(["x", "y"], {"a": 1}, "AP", 2) == 0.0
 
     def test_zero_relevant_errors(self):
         with pytest.raises(ValueError):
-            average_precision(["a"], {"a": 0})
+            score_ranking(["a"], {"a": 0}, "AP", 1)
 
 
 class TestNdcg:
     def test_ideal_order_is_one(self):
         ranking = ["a", "b", "c"]
         grades = {"a": 2, "b": 1, "c": 0}
-        assert ndcg_at_k(ranking, grades, 3) == pytest.approx(1.0)
+        assert score_ranking(ranking, grades, "nDCG", 3) == pytest.approx(1.0)
 
     def test_no_relevant_retrieved_is_zero(self):
-        assert ndcg_at_k(["x", "y", "z"], {"a": 1}, 3) == 0.0
+        assert score_ranking(["x", "y", "z"], {"a": 1}, "nDCG", 3) == 0.0
 
     def test_reversal_strictly_decreases(self):
         ranking = ["a", "b", "c"]
         grades = {"a": 3, "b": 2, "c": 1}
-        assert ndcg_at_k(list(reversed(ranking)), grades, 3) < ndcg_at_k(ranking, grades, 3)
+        reversal = score_ranking(list(reversed(ranking)), grades, "nDCG", 3)
+        assert reversal < score_ranking(ranking, grades, "nDCG", 3)
 
     def test_zero_idcg_errors(self):
         with pytest.raises(ValueError):
-            ndcg_at_k(["a"], {"a": 0}, 10)
+            score_ranking(["a"], {"a": 0}, "nDCG", 10)
 
 
 def test_good_swap_never_decreases_ap_or_ndcg(rng):
@@ -91,8 +85,8 @@ def test_good_swap_never_decreases_ap_or_ndcg(rng):
             continue
         better = docs[:]
         better[i], better[i + 1] = better[i + 1], better[i]
-        assert average_precision(better, grades) >= average_precision(docs, grades) - 1e-15
-        assert ndcg_at_k(better, grades, n) >= ndcg_at_k(docs, grades, n) - 1e-15
+        assert score_ranking(better, grades, "AP", n) >= score_ranking(docs, grades, "AP", n) - 1e-15
+        assert score_ranking(better, grades, "nDCG", n) >= score_ranking(docs, grades, "nDCG", n) - 1e-15
 
 
 def test_matches_brute_force_on_random_topics(rng):
@@ -104,11 +98,11 @@ def test_matches_brute_force_on_random_topics(rng):
         if not any(g >= 1 for g in grades.values()):
             grades[docs[0]] = rng.randint(1, 3)
         k = rng.randint(1, 25)
-        assert precision_at_k(ranking, grades, k) == pytest.approx(
+        assert score_ranking(ranking, grades, "P", k) == pytest.approx(
             oracles.brute_precision_at_k(ranking, grades, k), abs=1e-12)
-        assert average_precision(ranking, grades, cutoff=k) == pytest.approx(
+        assert score_ranking(ranking, grades, "AP", k) == pytest.approx(
             oracles.brute_average_precision(ranking, grades, cutoff=k), abs=1e-12)
-        assert ndcg_at_k(ranking, grades, k) == pytest.approx(
+        assert score_ranking(ranking, grades, "nDCG", k) == pytest.approx(
             oracles.brute_ndcg_at_k(ranking, grades, k), abs=1e-12)
 
 
@@ -230,7 +224,3 @@ class TestOneWalk:
             with pytest.raises(ValueError, match="no relevant documents"):
                 score_run(run, qrels, topics, (MeasureConfig("P", 2), MeasureConfig(measure, 2)))
 
-    def test_views_reject_a_cutoff_below_one(self):
-        for view in (precision_at_k, ndcg_at_k):
-            with pytest.raises(ValueError, match="k must be >= 1"):
-                view(["a"], {"a": 1}, 0)

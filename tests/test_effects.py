@@ -9,7 +9,6 @@ from reprokit.effects import (
     EffectInput,
     classify_region,
     effect_ratio,
-    er_ri_plot_data,
     per_topic_improvements,
     relative_improvement,
     summarize_effect,
@@ -194,20 +193,9 @@ class TestSummaryAndPlotData:
         assert s.er == 1.0
         assert s.delta_ri == 0.0
         assert s.distance_to_ideal == 0.0
-        rows = er_ri_plot_data([s])
-        assert rows[0] == "run,measure,er,delta_ri,region,dist"
-        assert rows[1].startswith("self,AP@1000,1.000000,0.000000,")
 
     def test_distance(self):
         assert math.hypot(0.8 - 1.0, -0.1) == pytest.approx(0.2236, abs=1e-4)
         inp = quad(b={"1": 0.2}, a={"1": 0.4}, bp={"1": 0.2}, ap={"1": 0.4})
         s = summarize_effect(inp)
         assert s.distance_to_ideal == 0.0
-
-    def test_two_summaries_preserve_order(self):
-        s1, s2 = (summarize_effect(quad(b={"1": 0.2}, a={"1": 0.4}, bp={"1": 0.2},
-                                        ap={"1": 0.4}, rpl_tag=tag))
-                  for tag in ("first", "second"))
-        rows = er_ri_plot_data([s1, s2])
-        assert rows[1].startswith("first,")
-        assert rows[2].startswith("second,")

@@ -141,13 +141,13 @@ def test_rank_major_run_reopens_each_topic_once(monkeypatch):
 _TOPICS = ("301", "302", "2", "10", "q7", "\u00b2")
 _DOCS = ("A", "B", "BB", "Z", "d10", "d9")
 # "1", "1.0" and "1e0" tie, as do "0" and "-0.0"
-_SCORES = ("1", "1.0", "1e0", "2.5", "0", "-0.0", "-3", "inf", "-inf")
-# int() accepts these ranks although they are not plain ASCII digits
-_ODD_RANKS = ("+7", "1_000", "\u0661\u0662", "\uff11\uff12")
+_SCORES = ("1", "1.0", "1e0", "2.5", "0", "-0.0", "-3", "inf", "-inf", "+.5", "5.", "-Infinity", "2E-1")
+_ODD_RANKS = ("+7", "+0", "007")
 _BAD = {
-    # "\u00b2" and "\u066b" look numeric, but int() rejects them
-    "rank": ("x", "1.5", "r1", "\u00b2", "\u066b"),
-    "score": ("abc", "nan", "-NaN", "1,5"),
+    # "\u00b2" and "\u066b" look numeric, but int() rejects them; int() and float()
+    # take 1_000 and non-ASCII digits, which a rank or score may not hold
+    "rank": ("x", "1.5", "r1", "\u00b2", "\u066b", "1_000", "\u0661\u0662", "\uff11\uff12", "+-1"),
+    "score": ("abc", "nan", "-NaN", "1,5", "1_0.5", "1e1_0", "\u0663", "\uff12.5", "++1"),
 }
 
 
@@ -283,19 +283,19 @@ def test_serialize_round_trip_idempotent():
 
 def test_qrels_basic_and_absence():
     q = parse_qrels("301 0 NYT1 2\n")
-    assert q.grade("301", "NYT1") == 2
-    assert q.grade("301", "NYT9") == 0
+    assert q.topics["301"].get("NYT1", 0) == 2
+    assert q.topics["301"].get("NYT9", 0) == 0
 
 
 def test_qrels_negative_grade_clamped_with_warning():
     q = parse_qrels("301 0 NYT1 -1\n")
-    assert q.grade("301", "NYT1") == 0
+    assert q.topics["301"].get("NYT1", 0) == 0
     assert q.warnings
 
 
 def test_qrels_repeated_pair_takes_last():
     q = parse_qrels("301 0 A 1\n301 0 A 2\n")
-    assert q.grade("301", "A") == 2
+    assert q.topics["301"].get("A", 0) == 2
     assert q.warnings
 
 
@@ -312,9 +312,21 @@ def test_qrels_grade_is_a_sign_and_ascii_digits(grade):
     assert str(info.value) == f"line 2: non-integer grade {grade!r}"
 
 
+@pytest.mark.parametrize("doc", ["B", "\u00e9"])  # an ASCII line, and one that is not
+@pytest.mark.parametrize("field, text", [("rank", "1_0"), ("rank", "\u0663"), ("rank", "\uff12"),
+                                         ("score", "1_0.5"), ("score", "\u0663"), ("score", "\uff12")])
+def test_run_rank_and_score_are_ascii_numbers(field, text, doc):
+    # int() and float() read 1_0 as 10, Arabic-Indic 3 as 3 and fullwidth 2 as 2
+    line = f"301 Q0 {doc} {text} 1.0 t" if field == "rank" else f"301 Q0 {doc} 2 {text} t"
+    with pytest.raises(TrecParseError) as info:
+        parse_run(f"301 Q0 A 1 2.0 t\n{line}\n")
+    kind = "non-integer rank" if field == "rank" else "non-numeric score"
+    assert str(info.value) == f"line 2: {kind} {text!r}"
+
+
 def test_qrels_grade_takes_one_sign():
     q = parse_qrels("301 0 A +2\n301 0 B -1\n")
-    assert (q.grade("301", "A"), q.grade("301", "B")) == (2, 0)
+    assert (q.topics["301"].get("A", 0), q.topics["301"].get("B", 0)) == (2, 0)
     assert q.warnings == ["line 2: negative grade -1 for doc 'B', clamped to 0"]
 
 
