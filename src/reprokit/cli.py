@@ -68,7 +68,7 @@ def _parse_cutoffs(spec: str | None) -> list[int] | None:
 
 def _load_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str | None]]]:
     """Check a correlate manifest whole before any file it names is opened: its
-    shape, that every file it names exists, and that baselines are all or none.
+    shape and keys, that every file it names exists, and that baselines are all or none.
 
     Returns each path by role (the provenance roles), resolved against the
     manifest's directory, and each candidate's (id, run path, baseline path or
@@ -84,6 +84,12 @@ def _load_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str | Non
     base = os.path.dirname(os.path.abspath(path))
     paths = {"manifest": path}
 
+    def check_keys(entry: dict, where: str, keys: tuple[str, ...]) -> None:
+        for key in entry:
+            if key not in keys:
+                raise ConfigError(f"manifest {path}: {where}unknown key {key!r}; "
+                                  f"expected {', '.join(keys[:-1])} or {keys[-1]}")
+
     def resolve(entry: dict, key: str, role: str, required: bool = True) -> str | None:
         rel = entry.get(key)
         if rel is None and not required:
@@ -95,6 +101,7 @@ def _load_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str | Non
             raise ConfigError(f"manifest {path}: {role} {rel!r}: file not found")
         return paths[role]
 
+    check_keys(manifest, "", ("qrels", "run_orig", "run_b_orig", "candidates"))
     resolve(manifest, "qrels", "qrels")
     resolve(manifest, "run_orig", "run_orig")
     has_b_orig = resolve(manifest, "run_b_orig", "run_b_orig", required=False) is not None
@@ -106,6 +113,7 @@ def _load_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str | Non
         entry = {"run": entry} if isinstance(entry, str) else entry
         if not isinstance(entry, dict):
             raise ConfigError(f"manifest {path}: candidates[{i}] must be a path or {{'run': path}}")
+        check_keys(entry, f"candidates[{i}]: ", ("run", "run_b"))
         run = resolve(entry, "run", f"candidates[{i}].run")
         run_b = resolve(entry, "run_b", f"candidates[{i}].run_b", required=False)
         report.check_baselines(entry["run"], has_b_orig, run_b is not None)

@@ -145,38 +145,31 @@ def tau_intersection(r_docs: Sequence[str], s_docs: Sequence[str]) -> tuple[floa
     return _tau_of_positions(y), len(y)
 
 
-def _rbo_sums(r_docs: Sequence[str], s_docs: Sequence[str],
-              params: RboParams) -> list[float]:
-    """Running sums of phi^(i-1) * A_i for i = 1..min(depth, max(|r|, |s|)),
-    where A_i is the prefix-overlap proportion at depth i. A document at rank
-    a in r and b in s is in both depth-i prefixes from i = max(a, b) on."""
+def rbo(r_docs: Sequence[str], s_docs: Sequence[str], params: RboParams) -> float:
+    """Truncated rank-biased overlap: (1-phi) * sum phi^(i-1) * A_i.
+
+    A_i is |r[:i] & s[:i]| / i, each shared document counted once: a document
+    at rank a in r and b in s is in both depth-i prefixes from i = max(a, b) on.
+    Evaluated to d = min(depth, max(|r|, |s|)) with no extrapolation, so the
+    neglected tail is at most phi**d: up to 0.8**100 (about 2.0e-10) on
+    100-document lists, and two identical 5-document lists score 1 - 0.8**5
+    (about 0.672), not 1. The sum to depth k reads only the two depth-k
+    prefixes, so RBO at a cutoff k is ``rbo(r_docs[:k], s_docs[:k], params)``.
+    """
     if not r_docs or not s_docs:
         raise ValueError("rankings must be nonempty")
     rank = _ranks(r_docs, s_docs)
     n = max(len(r_docs), len(s_docs))
-    d = min(params.depth, n)
     joins = [0] * (n + 1)
     for b, a in enumerate(map(rank.get, s_docs), start=1):
         if a is not None:
             joins[a if a > b else b] += 1
-    overlap, total, weight, sums = 0, 0.0, 1.0, []  # weight is phi^(i-1)
-    for i in range(1, d + 1):
+    overlap, total, weight = 0, 0.0, 1.0  # weight is phi^(i-1)
+    for i in range(1, min(params.depth, n) + 1):
         overlap += joins[i]
         total += weight * (overlap / i)
-        sums.append(total)
         weight *= params.phi
-    return sums
-
-
-def rbo(r_docs: Sequence[str], s_docs: Sequence[str], params: RboParams) -> float:
-    """Truncated rank-biased overlap: (1-phi) * sum phi^(i-1) * A_i.
-
-    A_i is |r[:i] & s[:i]| / i, each shared document counted once. Evaluated to
-    d = min(depth, max(|r|, |s|)) with no extrapolation, so the neglected tail
-    is at most phi**d: up to 0.8**100 (about 2.0e-10) on 100-document lists,
-    and two identical 5-document lists score 1 - 0.8**5 (about 0.672), not 1.
-    """
-    return (1.0 - params.phi) * _rbo_sums(r_docs, s_docs, params)[-1]
+    return (1.0 - params.phi) * total
 
 
 def mean_over_topics(per_topic: Mapping[str, float | None]) -> tuple[float, int]:
@@ -209,8 +202,7 @@ def tau_union_over_topics(r: Run, s: Run, topics: tuple[str, ...]) -> dict[str, 
 
 
 def rbo_over_topics(r: Run, s: Run, topics: tuple[str, ...], params: RboParams) -> dict[str, float]:
-    return {topic: rbo(r_docs, s_docs, params)
-            for topic, r_docs, s_docs in _doc_lists(r, s, topics)}
+    return {topic: rbo(r_docs, s_docs, params) for topic, r_docs, s_docs in _doc_lists(r, s, topics)}
 
 
 def check_cutoffs(cutoffs: Sequence[int]) -> None:
@@ -225,44 +217,40 @@ def check_cutoffs(cutoffs: Sequence[int]) -> None:
 
 
 class FullDepth(NamedTuple):
-    """Per-topic values of one run pair on the full lists, and what the cutoff sweep reads."""
+    """Per-topic values of one run pair on the full lists, and the lists the cutoff sweep truncates."""
 
     tau: dict[str, float | None]  # tau-union, None on fewer than two paired documents
     rbo: dict[str, float]
     docs: dict[str, tuple[Sequence[str], Sequence[str]]]  # both doc lists of each topic
-    rbo_at: dict[int, dict[str, float]]  # per cutoff, RBO of both lists truncated to it
+    params: RboParams
 
 
-def full_depth(r: Run, s: Run, topics: tuple[str, ...], params: RboParams,
-               cutoffs: Sequence[int]) -> FullDepth:
-    """Tau-union and RBO of each topic on the full lists, and RBO at each cutoff k:
-    the full lists' running sum at depth min(k, d), d as in :func:`_rbo_sums`."""
-    check_cutoffs(cutoffs)
-    full = FullDepth({}, {}, {topic: (r.topics[topic].doc_ids, s.topics[topic].doc_ids)
-                              for topic in topics}, {k: {} for k in cutoffs})
-    for topic, (r_docs, s_docs) in full.docs.items():
-        full.tau[topic] = _tau_or_none(r_docs, s_docs)
-        sums = _rbo_sums(r_docs, s_docs, params)
-        full.rbo[topic] = (1.0 - params.phi) * sums[-1]
-        for k, rbo_k in full.rbo_at.items():
-            rbo_k[topic] = (1.0 - params.phi) * sums[min(k, len(sums)) - 1]
-    return full
+def full_depth(r: Run, s: Run, topics: tuple[str, ...], params: RboParams) -> FullDepth:
+    """Tau-union and RBO of each topic on the full lists, and both doc lists for
+    :func:`ordering_at_cutoffs`."""
+    return FullDepth(tau_union_over_topics(r, s, topics), rbo_over_topics(r, s, topics, params),
+                     {topic: (r_docs, s_docs) for topic, r_docs, s_docs in _doc_lists(r, s, topics)},
+                     params)
 
 
-def ordering_at_cutoffs(full: FullDepth) -> dict[int, tuple[float | None, float]]:
-    """Mean tau-union and mean RBO after truncating both runs of ``full`` to each of its cutoffs.
+def ordering_at_cutoffs(full: FullDepth, cutoffs: Sequence[int]) -> dict[int, tuple[float | None, float]]:
+    """Mean tau-union and mean RBO after truncating both runs of ``full`` to each cutoff.
 
-    Tau-union is computed anew only on a topic where k truncates one of the
-    two lists; where k >= |r| and k >= |s| it is the full-depth value.
+    At k, a topic's values are those of its two lists truncated to k. They are
+    computed anew only on a topic where k truncates one of the two lists; where
+    k >= |r| and k >= |s| they are the full-depth values.
     """
+    check_cutoffs(cutoffs)
     out: dict[int, tuple[float | None, float]] = {}
-    for k, rbo_k in full.rbo_at.items():
-        taus = {topic: full.tau[topic] if k >= len(r_docs) and k >= len(s_docs)
-                else _tau_or_none(r_docs[:k], s_docs[:k])
-                for topic, (r_docs, s_docs) in full.docs.items()}
+    for k in cutoffs:
+        taus, rbos = dict(full.tau), dict(full.rbo)
+        for topic, (r_docs, s_docs) in full.docs.items():
+            if k < len(r_docs) or k < len(s_docs):
+                r_k, s_k = r_docs[:k], s_docs[:k]
+                taus[topic], rbos[topic] = _tau_or_none(r_k, s_k), rbo(r_k, s_k, full.params)
         try:
             tau_mean, _ = mean_over_topics(taus)
         except DegenerateTiesError:
             tau_mean = None  # tau undefined everywhere, e.g. at cutoff 1
-        out[k] = (tau_mean, mean_over_topics(rbo_k)[0])
+        out[k] = (tau_mean, mean_over_topics(rbos)[0])
     return out

@@ -100,7 +100,8 @@ def build_replicate_report(
     warnings = _load_warnings(run_orig, run_rpl, qrels, *baselines or ())
     topics = topic_intersection(run_orig, run_rpl, qrels)
 
-    full = ordering.full_depth(run_orig, run_rpl, topics, params, cutoffs or ())
+    full = ordering.full_depth(run_orig, run_rpl, topics, params)
+    cutoff_ordering = ordering.ordering_at_cutoffs(full, cutoffs or ())  # a bad cutoff raises here
     tau_mean, rbo_mean = _ordering_means(full, warnings)
     inter_vals = {}
     overlaps = []
@@ -139,7 +140,7 @@ def build_replicate_report(
         for cfg in measures:
             for k, v in score_agreement.rmse_at_cutoffs(orig, rpl, cfg.measure, cutoffs).items():
                 cutoff_blocks.setdefault(k, {})[cfg.label] = {"rmse": v}
-        for k, (t_mean, r_mean) in ordering.ordering_at_cutoffs(full).items():
+        for k, (t_mean, r_mean) in cutoff_ordering.items():
             cutoff_blocks[k]["ordering"] = {"tau_union": t_mean, "rbo": r_mean}
 
     return {
@@ -247,7 +248,7 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
         topics = topic_intersection(run_orig, run_rpl, qrels)
         # not bound to a name: the record holds the candidate's doc lists
         raw["tau"][run_id], raw["rbo"][run_id] = _ordering_means(
-            ordering.full_depth(run_orig, run_rpl, topics, params, ()), found)
+            ordering.full_depth(run_orig, run_rpl, topics, params), found)
         if topics not in orig_scores:
             b_found: list[str] = []
             b_orig = None if baseline_orig is None else score_run(

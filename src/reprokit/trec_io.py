@@ -95,13 +95,14 @@ def _topic_sort_key(topic: str):
 def _text_lines(source: TextSource) -> Iterator[Iterator[str]]:
     """Text lines of the source, read one at a time, less one leading BOM. ``bytes`` and
     binary streams are UTF-8, and a binary stream is left open for the caller; bytes that
-    are not UTF-8 raise :class:`TrecParseError`, from any source."""
+    are not UTF-8 raise :class:`TrecParseError`, from any source. ``\\n``, ``\\r\\n`` and
+    ``\\r`` each end a line, as in a file opened in text mode."""
     if isinstance(source, str):
-        source = io.StringIO(source)
+        source = io.StringIO(source, newline=None)
     elif isinstance(source, bytes):
         source = io.BytesIO(source)
     binary = isinstance(source, (io.RawIOBase, io.BufferedIOBase))
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="\n") if binary else source
+    text = io.TextIOWrapper(source, encoding="utf-8", newline=None) if binary else source
     try:
         lines = iter(text)
         yield chain((next(lines, "").removeprefix("\ufeff"),), lines)

@@ -98,15 +98,16 @@ def brute_parse_run(text, mode="strict"):
     Returns ``(tag, topics, warnings)``, where ``topics`` is a list of
     ``(topic, [(doc_id, score), ...])`` in canonical order: numeric topic ids
     ascending, then the others lexicographically; within a topic score
-    descending, ties by doc id descending. Bad input raises ``ValueError``
-    carrying the message the package's parse error should carry.
+    descending, ties by doc id descending. ``\\n``, ``\\r\\n`` and ``\\r`` each
+    end a line. Bad input raises ``ValueError`` carrying the message the
+    package's parse error should carry.
     """
     if text.startswith("\ufeff"):
         text = text[1:]
     tag = None
     by_topic = {}
     warnings = []
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         cols = raw.split()
         if not cols:
             continue
@@ -200,8 +201,8 @@ def running_rbo_sums(r_docs, s_docs, phi, depth):
     The set walk the package used before it counted join depths: each depth
     adds r's and s's next document to the set of its list's prefix and counts
     one against the other's set. On lists of distinct documents it performs the
-    same float operations in the same order as ``ordering._rbo_sums``, so the
-    two must be equal exactly.
+    same float operations in the same order as the loop of ``ordering.rbo``, so
+    ``(1 - phi) * sums[d - 1]`` must equal ``rbo`` at depth d exactly.
     """
     if not r_docs or not s_docs:
         raise ValueError("rankings must be nonempty")

@@ -676,6 +676,11 @@ class TestCorrelate:
         ({"candidates": ["cand0.run", {"run": "cand1.run", "run_b": 5}]},
          "candidates[1].run_b must be a path, got 5"),
         ({"candidates": ["cand0.run", "ghost.run"]}, "candidates[1].run 'ghost.run': file not found"),
+        # a misspelled key was ignored: correlate exited 0 and ranked no er_*
+        ({"run_b_orgi": "cand1.run"},
+         "unknown key 'run_b_orgi'; expected qrels, run_orig, run_b_orig or candidates"),
+        ({"candidates": ["cand0.run", {"run": "cand1.run", "run_bb": "cand0.run"}]},
+         "candidates[1]: unknown key 'run_bb'; expected run or run_b"),
     ])
     def test_a_malformed_manifest_is_a_config_error_before_any_read(
             self, workspace, rng, capsys, monkeypatch, manifest, message):

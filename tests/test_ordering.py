@@ -176,7 +176,7 @@ class TestRepeatedDocIds:
         for kernel in (lambda: tau_union(r_docs, s_docs), lambda: tau_intersection(r_docs, s_docs),
                        lambda: rbo(r_docs, s_docs, RboParams(0.8, 10)),
                        lambda: full_depth(make_run("r", {"1": r_docs}), make_run("s", {"1": s_docs}),
-                                          ("1",), RboParams(), [2])):
+                                          ("1",), RboParams())):
             with pytest.raises(ValueError, match=f"doc id '{doc}' repeated"):
                 kernel()
 
@@ -276,9 +276,10 @@ _DISTINCT_DOCS = st.lists(st.sampled_from([f"d{i}" for i in range(40)]),
 @given(r_docs=_DISTINCT_DOCS, s_docs=_DISTINCT_DOCS, depth=st.integers(1, 60),
        phi=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 def test_rbo_sums_equal_the_set_walk_exactly(r_docs, s_docs, depth, phi):
-    # depths run below and above both lengths; the sums must agree to the bit
-    assert ordering._rbo_sums(r_docs, s_docs, RboParams(phi, depth)) \
-        == oracles.running_rbo_sums(r_docs, s_docs, phi, depth)
+    # at every depth from 1 to the drawn one, below and above both lengths, to the bit
+    sums = oracles.running_rbo_sums(r_docs, s_docs, phi, depth)
+    for d in range(1, depth + 1):
+        assert rbo(r_docs, s_docs, RboParams(phi, d)) == (1 - phi) * sums[min(d, len(sums)) - 1]
 
 
 class TestMeanOverTopics:
@@ -305,7 +306,7 @@ class TestOrderingAtCutoffs:
         run = random_run(rng, "r", 4, 30)
         topics = tuple(run.topics)
         params = RboParams(0.8, 1000)
-        out = ordering_at_cutoffs(full_depth(run, run, topics, params, [5, 10, 30]))
+        out = ordering_at_cutoffs(full_depth(run, run, topics, params), [5, 10, 30])
         for k, (tau_mean, rbo_mean) in out.items():
             assert tau_mean == 1.0
             assert rbo_mean == pytest.approx(1 - 0.8 ** k, abs=1e-12)
@@ -315,7 +316,7 @@ class TestOrderingAtCutoffs:
         b = make_run("b", {"1": ["top", "y"]})
         topics = ("1",)
         params = RboParams(0.8, 1000)
-        out = ordering_at_cutoffs(full_depth(a, b, topics, params, [1]))
+        out = ordering_at_cutoffs(full_depth(a, b, topics, params), [1])
         # tau degenerate at depth 1 is excluded upstream; RBO = (1-phi) * A_1
         assert out[1][1] == pytest.approx(0.2, abs=1e-12)
 
@@ -328,26 +329,30 @@ class TestOrderingAtCutoffs:
         topics = tuple(a.topics)
         cutoffs = [1, 2, 5, 13, 30, 60]
         for params in (RboParams(0.8, 1000), RboParams(0.9, 7), RboParams(0.5, 1)):
-            out = ordering_at_cutoffs(full_depth(a, b, topics, params, cutoffs))
+            out = ordering_at_cutoffs(full_depth(a, b, topics, params), cutoffs)
             for k in cutoffs:
                 per_topic = {t: rbo(topic_docs_a[t][:k], topic_docs_b[t][:k], params)
                              for t in topics}
                 assert out[k][1] == mean_over_topics(per_topic)[0]
+                # tau leaves out a topic with fewer than two paired documents
+                taus = {t: tau_union(topic_docs_a[t][:k], topic_docs_b[t][:k]) for t in topics
+                        if min(k, len(topic_docs_a[t]), len(topic_docs_b[t])) >= 2}
+                assert out[k][0] == (mean_over_topics(taus)[0] if taus else None)
 
     def test_cutoff_below_one_is_config_error(self, rng):
         run = random_run(rng, "r", 2, 10)
         topics = tuple(run.topics)
         params = RboParams(0.8, 1000)
         with pytest.raises(ConfigError):
-            ordering_at_cutoffs(full_depth(run, run, topics, params, [0, 5]))
+            ordering_at_cutoffs(full_depth(run, run, topics, params), [0, 5])
 
     def test_cutoff_beyond_length_is_noop(self, rng):
         a = random_run(rng, "a", 3, 10)
         b = random_run(rng, "b", 3, 10)
         topics = tuple(a.topics)
         params = RboParams(0.8, 1000)
-        full = ordering_at_cutoffs(full_depth(a, b, topics, params, [10]))[10]
-        huge = ordering_at_cutoffs(full_depth(a, b, topics, params, [999]))[999]
+        full = ordering_at_cutoffs(full_depth(a, b, topics, params), [10])[10]
+        huge = ordering_at_cutoffs(full_depth(a, b, topics, params), [999])[999]
         assert full == huge
 
 
@@ -357,7 +362,7 @@ class TestPerTopicUndefinedCases:
         b = make_run("b", {"1": ["top", "y"], "2": ["q", "p", "r"]})
         topics = ("1", "2")
         params = RboParams(0.8, 1000)
-        out = ordering_at_cutoffs(full_depth(a, b, topics, params, [1]))
+        out = ordering_at_cutoffs(full_depth(a, b, topics, params), [1])
         assert out[1][0] is None  # None on both topics, so no mean
         assert tau_union_over_topics(a, b, topics)["2"] == pytest.approx(1 / 3)
 

@@ -28,7 +28,7 @@ RECORDS = [
     (Run, {"tag": "sys", "topics": {"1": _RANKING}, "warnings": ["w"]}),
     (Qrels, {"topics": {"1": {"d1": 2}}, "warnings": ["w"]}),
     (FullDepth, {"tau": {"1": 0.5}, "rbo": {"1": 0.25}, "docs": {"1": (("d1",), ("d1",))},
-                 "rbo_at": {5: {"1": 0.2}}}),
+                 "params": RboParams(0.9, 5)}),
     (MeasureConfig, {"measure": "nDCG", "cutoff": 10}),
     (TopicScoreVector, {"measure": "AP", "run_tag": "sys", "scores": {"1": 0.25, "2": 0.5}}),
     (EffectInput, {"b": _B, "a": _A, "b_prime": _B, "a_prime": _A, "mode": "reproducibility"}),

@@ -1,7 +1,7 @@
 """How often a replicate report scores and orders each run pair, counted with
 wrappers (never timed): one ``score_run`` call per run for every measure and
-cutoff, one RBO pass per topic, and tau-union at a cutoff only where the
-cutoff truncates a list."""
+cutoff, and tau-union and RBO once per topic on the full lists and again at a
+cutoff only where the cutoff truncates a list."""
 
 import pytest
 
@@ -44,22 +44,23 @@ def test_replicate_scores_each_run_once(runs, monkeypatch):
     assert all(type(args[3]) is tuple for args in calls)
 
 
-def test_rbo_sums_run_once_per_topic(runs, monkeypatch):
+def test_rbo_is_recomputed_only_where_a_list_is_truncated(runs, monkeypatch):
     orig, rpl, qrels, _, _ = runs
-    calls = counting(monkeypatch, ordering, "_rbo_sums")
+    calls = counting(monkeypatch, ordering, "rbo")
     rep = build_replicate_report(orig, rpl, qrels, MEASURES, cutoffs=[5, 10, 20])
-    assert len(calls) == rep["topics"] == 5
+    # the full 12-document lists, then cutoffs 5 and 10; 20 truncates no list
+    assert rep["topics"] == 5
+    assert [len(args[0]) for args in calls] == [12] * 5 + [5] * 5 + [10] * 5
 
 
 def test_tau_union_is_reused_where_no_list_is_truncated(runs, monkeypatch):
     orig, rpl, qrels, _, _ = runs
     topics = topic_intersection(orig, rpl, qrels)
-    untruncated, truncated = (full_depth(orig, rpl, topics, RboParams(), cutoffs)
-                              for cutoffs in ([12, 50], [5, 12, 50]))
+    full = full_depth(orig, rpl, topics, RboParams())
     calls = counting(monkeypatch, ordering, "tau_union")
-    ordering_at_cutoffs(untruncated)
+    ordering_at_cutoffs(full, [12, 50])
     assert calls == []
-    ordering_at_cutoffs(truncated)
+    ordering_at_cutoffs(full, [5, 12, 50])
     assert [len(args[0]) for args in calls] == [5] * len(topics)
 
 
@@ -72,5 +73,5 @@ def test_a_cutoff_beyond_both_lists_gives_the_full_depth_means(runs, phi, depth)
         assert rep["cutoffs"][k]["ordering"] == {"tau_union": rep["ordering"]["tau_union_mean"],
                                                  "rbo": rep["ordering"]["rbo_mean"]}
     topics = topic_intersection(orig, rpl, qrels)
-    assert ordering_at_cutoffs(full_depth(orig, rpl, topics, params, [100]))[100] == (
+    assert ordering_at_cutoffs(full_depth(orig, rpl, topics, params), [100])[100] == (
         rep["ordering"]["tau_union_mean"], rep["ordering"]["rbo_mean"])

@@ -172,27 +172,38 @@ def _run_texts(draw):
         else:
             bad[3 if fault == "rank" else 4] = draw(st.sampled_from(_BAD[fault]))
         lines.insert(draw(st.integers(0, len(lines))), " ".join(bad))
-    eol = draw(st.sampled_from(("\n", "\r\n")))
+    eol = draw(st.sampled_from(("\n", "\r\n", "\r")))
     text = eol.join(lines) + draw(st.sampled_from(("", eol)))
     if draw(st.booleans()):
         text = "\ufeff" + text
     return text
 
 
+@pytest.fixture(scope="module")
+def run_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse_run") / "run.txt"
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=_run_texts(), mode=st.sampled_from(("strict", "lenient")),
-       kind=st.sampled_from(("str", "bytes", "binary stream", "text stream")))
-def test_parse_run_matches_brute_force_parser(text, mode, kind):
-    source = {"str": text, "bytes": text.encode(), "binary stream": io.BytesIO(text.encode()),
-              "text stream": io.StringIO(text, newline="")}[kind]
+       kind=st.sampled_from(("str", "bytes", "binary stream", "text stream", "path")))
+def test_parse_run_matches_brute_force_parser(run_file, text, mode, kind):
+    strict = mode == "strict"
+    if kind == "path":
+        run_file.write_bytes(text.encode())  # the drawn line ends, untranslated
+        parse, prefix = (lambda: load_run(str(run_file), strict)), f"{run_file}: "
+    else:
+        source = {"str": text, "bytes": text.encode(), "binary stream": io.BytesIO(text.encode()),
+                  "text stream": io.StringIO(text, newline="")}[kind]
+        parse, prefix = (lambda: parse_run(source, strict=strict)), ""
     try:
         expected = oracles.brute_parse_run(text, mode)
     except ValueError as e:
         with pytest.raises(TrecParseError) as info:
-            parse_run(source, strict=mode == "strict")
-        assert str(info.value) == str(e)
+            parse()
+        assert str(info.value) == prefix + str(e)
         return
-    run = parse_run(source, strict=mode == "strict")
+    run = parse()
     got = [(t, list(zip(r.doc_ids, r.scores))) for t, r in run.topics.items()]
     assert (run.tag, got, run.warnings) == expected
 
