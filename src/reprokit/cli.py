@@ -66,6 +66,20 @@ def _parse_cutoffs(spec: str | None) -> list[int] | None:
     return cutoffs
 
 
+def _rbo_params(phi: str, depth: str) -> RboParams:
+    """``--phi`` is ASCII ``float()`` text without ``_``, as a run score is, and
+    ``--depth`` is ASCII digits, as a cutoff is."""
+    try:
+        value = float(phi) if phi.isascii() and "_" not in phi else None
+    except ValueError:
+        value = None
+    if value is None:
+        raise ConfigError(f"bad --phi {phi!r}; expected a number like 0.8")
+    if not is_cutoff(depth):
+        raise ConfigError(f"bad --depth {depth!r}; expected an integer like 1000")
+    return RboParams(value, int(depth))
+
+
 def _load_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str | None]]]:
     """Check a correlate manifest whole before any file it names is opened: its
     shape and keys, that every file it names exists, and that baselines are all or none.
@@ -150,8 +164,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_rpl.add_argument("--qrels", required=True)
     p_rpl.add_argument("--run-b-orig", default=None, help="original baseline run (enables ER)")
     p_rpl.add_argument("--run-b-rpl", default=None, help="re-created baseline run")
-    p_rpl.add_argument("--phi", type=float, default=rbo.phi)
-    p_rpl.add_argument("--depth", type=int, default=rbo.depth)
+    p_rpl.add_argument("--phi", default=str(rbo.phi))
+    p_rpl.add_argument("--depth", default=str(rbo.depth))
     p_rpl.add_argument("--cutoffs", default=None, help="ascending, e.g. 10,100,1000")
     _add_common(p_rpl)
 
@@ -167,8 +181,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_cor = sub.add_parser("correlate", help="cross-measure correlation over candidates")
     p_cor.add_argument("--manifest", required=True,
                        help="JSON with keys qrels, run_orig, candidates (>= 2)")
-    p_cor.add_argument("--phi", type=float, default=rbo.phi)
-    p_cor.add_argument("--depth", type=int, default=rbo.depth)
+    p_cor.add_argument("--phi", default=str(rbo.phi))
+    p_cor.add_argument("--depth", default=str(rbo.depth))
     _add_common(p_cor)
     return parser
 
@@ -198,7 +212,7 @@ def _cmd_replicate(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
     if (args.run_b_orig is None) != (args.run_b_rpl is None):
         raise ConfigError("--run-b-orig and --run-b-rpl must be given together")
     cutoffs = _parse_cutoffs(args.cutoffs)  # settings before any input is read
-    params = RboParams(args.phi, args.depth)
+    params = _rbo_params(args.phi, args.depth)
     return build_replicate_report(
         load_run(args.run_orig, args.strict), load_run(args.run_rpl, args.strict), load_qrels(args.qrels),
         measures, params, cutoffs,
@@ -218,7 +232,7 @@ def _cmd_reproduce(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
 
 
 def _cmd_correlate(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
-    params = RboParams(args.phi, args.depth)  # settings before any input is read
+    params = _rbo_params(args.phi, args.depth)  # settings before any input is read
     paths, entries = _load_manifest(args.manifest)
     qrels = load_qrels(paths["qrels"])
     run_orig = load_run(paths["run_orig"], args.strict)

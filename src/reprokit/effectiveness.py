@@ -1,8 +1,8 @@
 """Per-topic effectiveness scoring: P@k, AP, and nDCG@k.
 
-Conventions follow trec_eval's defaults: unjudged documents count as
-non-relevant, a document is relevant for P@k and AP when its grade is >= 1,
-and nDCG uses linear gain with a 1/log2(i+1) discount.
+Conventions follow trec_eval's defaults: a document is relevant when
+:class:`~reprokit.trec_io.Qrels` holds it, so unjudged documents count as
+non-relevant, and nDCG uses linear gain with a 1/log2(i+1) discount.
 
 :func:`score_run` walks each (run, topic) once, down to the largest cutoff,
 for every (measure, cutoff) asked; a single ranking is scored as a one-topic
@@ -93,11 +93,8 @@ class TopicScoreVector(NamedTuple):
 
 def _judged_hits(ranking: Sequence[str], grades: Mapping[str, int],
                  k: int | None) -> list[tuple[int, int]]:
-    """(rank, grade) of each relevant top-k document, in rank order.
-
-    Grades are >= 0 (:class:`Qrels`), so a nonzero grade is a relevant
-    document; an unjudged or grade-0 one adds no term to any sum below.
-    """
+    """(rank, grade) of each relevant top-k document, in rank order: those
+    that ``grades``, one topic of a :class:`Qrels`, holds."""
     return [(i, g) for i, g in enumerate(map(grades.get, ranking[:k]), start=1) if g]
 
 
@@ -107,7 +104,7 @@ def _topic_scores(ranking: Sequence[str], grades: Mapping[str, int],
     read from one walk down to the largest cutoff (see the module docstring)."""
     hits = _judged_hits(ranking, grades, max((k for _, k in cfgs), default=0))
     ranks = [i for i, _ in hits]
-    n_rel = sum(1 for g in grades.values() if g > 0)
+    n_rel = len(grades)
     ap_sums, total = [0.0], 0.0  # ap_sums[j]: the AP sum over the first j hits
     for n_hits, i in enumerate(ranks, start=1):
         total += n_hits / i
@@ -125,7 +122,7 @@ def _topic_scores(ranking: Sequence[str], grades: Mapping[str, int],
         else:
             if dcg_terms is None:
                 dcg_terms = [g / math.log2(i + 1) for i, g in hits]
-                ideal = sorted((g for g in grades.values() if g > 0), reverse=True)
+                ideal = sorted(grades.values(), reverse=True)
                 ideal_terms = [g / math.log2(i + 1) for i, g in enumerate(ideal, start=1)]
             out.append(math.fsum(dcg_terms[:j]) / math.fsum(ideal_terms[:k]))
     return out

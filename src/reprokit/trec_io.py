@@ -71,24 +71,28 @@ class Run(_Record):
 
 
 class Qrels(_Record):
-    """Graded relevance judgments: topic -> doc -> grade (>= 0).
+    """Relevant judgments: topic -> doc -> grade, holding only grades > 0.
 
-    A document absent from a topic's map is unjudged and treated as grade 0.
+    The relevance rule: a document absent from a topic's map (unjudged, or
+    judged 0 or below) is not relevant; an all-zero topic keeps an empty map.
     """
 
     _fields = ("topics", "warnings")
 
     def __init__(self, topics: dict[str, dict[str, int]], warnings: list[str] | None = None):
-        self.topics, self.warnings = topics, [] if warnings is None else warnings
-
-    def relevant_topics(self) -> set[str]:
-        """Topics with at least one document of grade > 0."""
-        return {t for t, docs in self.topics.items() if any(g > 0 for g in docs.values())}
+        self.topics = {t: {d: g for d, g in docs.items() if g > 0} for t, docs in topics.items()}
+        self.warnings = [] if warnings is None else warnings
 
 
 def _topic_sort_key(topic: str):
     # numeric topic ids sort numerically, then by id (1, 01, 001); anything else lexicographically after
     return (0, int(topic), topic) if topic.isdecimal() else (1, 0, topic)
+
+
+def _is_integer(text: str) -> bool:
+    """An optional sign and ASCII digits: ``int()`` also takes ``1_0`` and non-ASCII digits."""
+    digits = text[1:] if text[0] in "+-" else text
+    return digits.isascii() and digits.isdigit()
 
 
 @contextmanager
@@ -147,10 +151,8 @@ def parse_run(source: TextSource, strict: bool = True) -> Run:
                 raise TrecParseError(f"line {line_no}: expected 6 columns, got {len(parts)}: {line.strip()!r}") from None
             # int() and float() also take 1_0 and non-ASCII digits; one isascii() of the line clears most lines
             ascii_line = line.isascii()
-            if not (ascii_line and rank_str.isdecimal()):
-                digits = rank_str[1:] if rank_str[0] in "+-" else rank_str
-                if not (digits.isascii() and digits.isdigit()):
-                    raise TrecParseError(f"line {line_no}: non-integer rank {rank_str!r}")
+            if not (ascii_line and rank_str.isdecimal() or _is_integer(rank_str)):
+                raise TrecParseError(f"line {line_no}: non-integer rank {rank_str!r}")
             try:
                 score = float(score_str)
             except ValueError:
@@ -189,7 +191,8 @@ def parse_qrels(source: TextSource) -> Qrels:
     """Parse a 4-column qrels file.
 
     Repeated (topic, doc) pairs take the last value with a warning; negative
-    grades clamp to 0 (some TREC qrels use -1 for "not relevant").
+    grades clamp to 0 (some TREC qrels use -1 for "not relevant"). Every
+    judged topic is kept, and :class:`Qrels` keeps its relevant documents.
     """
     topic = docs = None
     topics: dict[str, dict[str, int]] = {}
@@ -202,8 +205,7 @@ def parse_qrels(source: TextSource) -> Qrels:
                 if not (parts := line.split()):
                     continue
                 raise TrecParseError(f"line {line_no}: expected 4 columns, got {len(parts)}: {line.strip()!r}") from None
-            digits = grade_str[1:] if grade_str[0] in "+-" else grade_str
-            if not (digits.isascii() and digits.isdigit()):  # int() also takes 1_0 and non-ASCII digits
+            if not _is_integer(grade_str):
                 raise TrecParseError(f"line {line_no}: non-integer grade {grade_str!r}")
             grade = int(grade_str)
             if grade < 0:
@@ -243,7 +245,7 @@ def topic_intersection(a: Run, b: Run, qrels: Qrels) -> tuple[str, ...]:
     Topics without any relevant document are dropped, matching how such
     topics are excluded from TREC-style evaluation.
     """
-    shared = set(a.topics) & set(b.topics) & qrels.relevant_topics()
+    shared = set(a.topics) & set(b.topics) & {t for t, docs in qrels.topics.items() if docs}
     if not shared:
         raise NoComparableTopicsError("no comparable topics between runs and qrels")
     return tuple(sorted(shared, key=_topic_sort_key))

@@ -141,6 +141,50 @@ def brute_parse_run(text, mode="strict"):
     return tag, topics, warnings
 
 
+_GRADE = re.compile(r"[+-]?[0-9]+")
+
+
+def brute_parse_qrels(text):
+    """Parse qrels text with a plain line loop.
+
+    Returns ``(topics, warnings)``, where ``topics`` is a list of
+    ``(topic, {doc_id: grade})``, numeric topic ids first by value and then by
+    string, the others by string after them, each map holding only the
+    documents of grade > 0. A grade is an optional sign and ASCII digits. The
+    last judgment of a (topic, doc) pair wins, with a warning, and a negative
+    grade counts as 0, with a warning. Bad input raises ``ValueError``
+    carrying the message the package's parse error should carry.
+    """
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    judged = {}
+    warnings = []
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        cols = raw.split()
+        if not cols:
+            continue
+        if len(cols) != 4:
+            raise ValueError(f"line {line_no}: expected 4 columns, got {len(cols)}: {raw.strip()!r}")
+        topic, _iteration, doc, grade_text = cols
+        if not _GRADE.fullmatch(grade_text):
+            raise ValueError(f"line {line_no}: non-integer grade {grade_text!r}")
+        grade = int(grade_text)
+        if grade < 0:
+            warnings.append(f"line {line_no}: negative grade {grade} for doc {doc!r}, clamped to 0")
+            grade = 0
+        docs = judged.setdefault(topic, {})
+        if doc in docs:
+            warnings.append(f"line {line_no}: repeated judgment for doc {doc!r} in topic {topic}, kept last")
+        docs[doc] = grade
+    if not judged:
+        raise ValueError("empty qrels input")
+    numeric = sorted((t for t in judged if t.isdecimal()), key=lambda t: (int(t), t))
+    other = sorted(t for t in judged if not t.isdecimal())
+    topics = [(topic, {doc: grade for doc, grade in judged[topic].items() if grade > 0})
+              for topic in numeric + other]
+    return topics, warnings
+
+
 def brute_canonical_order(scores):
     """``[(doc_id, score), ...]`` of a ``{doc_id: score}`` map in canonical order.
 

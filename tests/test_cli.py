@@ -782,6 +782,11 @@ class TestCorrelate:
 @pytest.mark.parametrize("flag, value, message", [
     ("--phi", "1.5", "phi must be in (0,1), got 1.5"),
     ("--depth", "0", "depth must be >= 1, got 0"),
+    # int() and float() also take 1_0, a sign and non-ASCII digits
+    *(("--depth", v, f"bad --depth {v!r}; expected an integer like 1000")
+      for v in ("1_0", "\u0663", "+5", "-5", "1.0", "")),
+    *(("--phi", v, f"bad --phi {v!r}; expected a number like 0.8")
+      for v in ("\uff10.\uff15", "0.5_0", "0.\u0665", "x", "")),
 ])
 def test_rbo_settings_are_checked_before_any_input_is_read(tmp_path, capsys, command,
                                                            flag, value, message):

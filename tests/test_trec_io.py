@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from reprokit import trec_io
 from reprokit.errors import NoComparableTopicsError, TrecParseError
 from reprokit.trec_io import (
+    Qrels,
     load_qrels,
     load_run,
     parse_qrels,
@@ -180,18 +181,18 @@ def _run_texts(draw):
 
 
 @pytest.fixture(scope="module")
-def run_file(tmp_path_factory):
-    return tmp_path_factory.mktemp("parse_run") / "run.txt"
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse") / "input.txt"
 
 
 @settings(max_examples=200, deadline=None)
 @given(text=_run_texts(), mode=st.sampled_from(("strict", "lenient")),
        kind=st.sampled_from(("str", "bytes", "binary stream", "text stream", "path")))
-def test_parse_run_matches_brute_force_parser(run_file, text, mode, kind):
+def test_parse_run_matches_brute_force_parser(input_file, text, mode, kind):
     strict = mode == "strict"
     if kind == "path":
-        run_file.write_bytes(text.encode())  # the drawn line ends, untranslated
-        parse, prefix = (lambda: load_run(str(run_file), strict)), f"{run_file}: "
+        input_file.write_bytes(text.encode())  # the drawn line ends, untranslated
+        parse, prefix = (lambda: load_run(str(input_file), strict)), f"{input_file}: "
     else:
         source = {"str": text, "bytes": text.encode(), "binary stream": io.BytesIO(text.encode()),
                   "text stream": io.StringIO(text, newline="")}[kind]
@@ -206,6 +207,59 @@ def test_parse_run_matches_brute_force_parser(run_file, text, mode, kind):
     run = parse()
     got = [(t, list(zip(r.doc_ids, r.scores))) for t, r in run.topics.items()]
     assert (run.tag, got, run.warnings) == expected
+
+
+_GRADES = ("0", "1", "2", "3", "10", "-1", "-2", "+2", "+0", "-0", "007")
+_BAD_GRADES = ("x", "1.5", "1_0", "\u0663", "\uff12", "\u00b2", "++1", "+", "-", "1e1")
+
+
+@st.composite
+def _qrels_texts(draw):
+    def row(topic=None, grades=_GRADES):
+        return [topic or draw(st.sampled_from(_TOPICS)), draw(st.sampled_from(("0", "Q0"))),
+                draw(st.sampled_from(_DOCS)), draw(st.sampled_from(grades))]
+
+    rows = [row() for _ in range(draw(st.integers(0, 25)))]
+    for _ in range(draw(st.integers(0, 3))):  # a topic whose judgments are all 0 or negative
+        rows.insert(draw(st.integers(0, len(rows))), row("999", ("0", "-1", "+0", "-0")))
+    lines = [draw(st.sampled_from((" ", "\t", "  "))).join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", "  ", "\t"))))
+    fault = draw(st.sampled_from((None, "columns", "grade")))
+    if fault is not None:
+        bad = row()
+        if fault == "columns":
+            bad = (bad + ["extra"])[:draw(st.sampled_from((1, 2, 3, 5)))]
+        else:
+            bad[3] = draw(st.sampled_from(_BAD_GRADES))
+        lines.insert(draw(st.integers(0, len(lines))), " ".join(bad))
+    eol = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    text = eol.join(lines) + draw(st.sampled_from(("", eol)))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_qrels_texts(),
+       kind=st.sampled_from(("str", "bytes", "binary stream", "text stream", "path")))
+def test_parse_qrels_matches_brute_force_parser(input_file, text, kind):
+    if kind == "path":
+        input_file.write_bytes(text.encode())  # the drawn line ends, untranslated
+        parse, prefix = (lambda: load_qrels(str(input_file))), f"{input_file}: "
+    else:
+        source = {"str": text, "bytes": text.encode(), "binary stream": io.BytesIO(text.encode()),
+                  "text stream": io.StringIO(text, newline="")}[kind]
+        parse, prefix = (lambda: parse_qrels(source)), ""
+    try:
+        expected = oracles.brute_parse_qrels(text)
+    except ValueError as e:
+        with pytest.raises(TrecParseError) as info:
+            parse()
+        assert str(info.value) == prefix + str(e)
+        return
+    qrels = parse()
+    assert (list(qrels.topics.items()), qrels.warnings) == expected
 
 
 def _run_text(run) -> str:
@@ -249,14 +303,14 @@ def test_parse_reads_binary_and_text_streams():
     with pytest.raises(TrecParseError, match="line 2: non-numeric score '\u00bd'"):
         parse_run(bad)
     assert not bad.closed
-    qrels_text = "301 0 A 1\r\n\r\n301 0 C 0\n"
+    qrels_text = "301 0 A 1\r\n\r\n301 0 C 2\n"
     for source in (io.BytesIO(b"\xef\xbb\xbf" + qrels_text.encode()), io.StringIO(qrels_text)):
-        assert parse_qrels(source).topics == {"301": {"A": 1, "C": 0}}
+        assert parse_qrels(source).topics == {"301": {"A": 1, "C": 2}}
 
 
 def test_utf8_bom_does_not_split_a_topic(tmp_path):
     run_text = "301 Q0 A 1 2.0 sys\n301 Q0 B 2 1.0 sys\n"
-    qrels_text = "301 0 A 1\n301 0 B 0\n"
+    qrels_text = "301 0 A 1\n301 0 B 2\n"
     run_path = tmp_path / "run.txt"
     qrels_path = tmp_path / "qrels.txt"
     run_path.write_bytes(b"\xef\xbb\xbf" + run_text.encode())
@@ -273,7 +327,7 @@ def test_utf8_bom_does_not_split_a_topic(tmp_path):
     for qrels in (load_qrels(str(qrels_path)), parse_qrels(qrels_path.read_bytes()),
                   parse_qrels("\ufeff" + qrels_text), parse_qrels(io.StringIO("\ufeff" + qrels_text)),
                   from_text_stream):
-        assert qrels.topics == {"301": {"A": 1, "B": 0}}
+        assert qrels.topics == {"301": {"A": 1, "B": 2}}
 
 
 def test_permuting_lines_gives_identical_run(rng):
@@ -339,6 +393,21 @@ def test_qrels_grade_takes_one_sign():
     q = parse_qrels("301 0 A +2\n301 0 B -1\n")
     assert (q.topics["301"].get("A", 0), q.topics["301"].get("B", 0)) == (2, 0)
     assert q.warnings == ["line 2: negative grade -1 for doc 'B', clamped to 0"]
+
+
+def test_qrels_hold_only_relevant_documents():
+    # grades 2, 0 and -1, a repeated 2 -> 0, and a topic judged only 0 or below
+    text = "301 0 A 2\n301 0 B 0\n301 0 C -1\n301 0 D 2\n302 0 E 0\n301 0 D 0\n302 0 F -3\n"
+    warnings = ["line 3: negative grade -1 for doc 'C', clamped to 0",
+                "line 6: repeated judgment for doc 'D' in topic 301, kept last",
+                "line 7: negative grade -3 for doc 'F', clamped to 0"]
+    judged = {"301": {"A": 2, "B": 0, "C": -1, "D": 0}, "302": {"E": 0, "F": -3}}
+    run = make_run("sys", {"301": ["D", "C", "B", "A"], "302": ["E", "F"]})
+    for qrels in (parse_qrels(text), Qrels(judged, list(warnings))):
+        assert list(qrels.topics.items()) == [("301", {"A": 2}), ("302", {})]
+        assert qrels.warnings == warnings
+        assert topic_intersection(run, run, qrels) == ("301",)
+    assert judged["301"] == {"A": 2, "B": 0, "C": -1, "D": 0}  # the caller's maps are not changed
 
 
 @pytest.mark.parametrize("kind", ["str", "bytes"])
