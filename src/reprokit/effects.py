@@ -43,18 +43,15 @@ class EffectInput(_EffectInput):  # a NamedTuple cannot define __new__ itself
 
 
 class EffectSummary(NamedTuple):
-    run_id: str
-    measure: str
+    """The effect block of one measure; ``dist`` is the Euclidean distance of
+    (ER, Delta RI) to the perfect re-creation point (1, 0)."""
+
     er: float
     ri: float
     ri_prime: float
     delta_ri: float
     region: str
-
-    @property
-    def distance_to_ideal(self) -> float:
-        """Euclidean distance to the perfect re-creation point (1, 0)."""
-        return math.hypot(self.er - 1.0, self.delta_ri)
+    dist: float
 
 
 def per_topic_improvements(b: TopicScoreVector, a: TopicScoreVector) -> list[float]:
@@ -106,18 +103,10 @@ def classify_region(er: float, dri: float) -> str:
 
 
 def summarize_effect(inp: EffectInput) -> EffectSummary:
-    """ER, RI, RI' and Delta RI of the re-created run ``inp.a_prime`` under
-    the measure of ``inp.a``."""
+    """The effect block of the re-created pair ``inp.b_prime``, ``inp.a_prime``
+    against the original pair ``inp.b``, ``inp.a``."""
     er = effect_ratio(inp)
     ri = relative_improvement(inp.b, inp.a)
     ri_prime = relative_improvement(inp.b_prime, inp.a_prime)
     dri = ri - ri_prime
-    return EffectSummary(
-        run_id=inp.a_prime.run_tag,
-        measure=inp.a.measure,
-        er=er,
-        ri=ri,
-        ri_prime=ri_prime,
-        delta_ri=dri,
-        region=classify_region(er, dri),
-    )
+    return EffectSummary(er, ri, ri_prime, dri, classify_region(er, dri), math.hypot(er - 1.0, dri))

@@ -59,18 +59,6 @@ def _ordering_means(full: ordering.FullDepth, warnings: list[str]) -> tuple[floa
     return tau_mean, ordering.mean_over_topics(full.rbo)[0]
 
 
-def _effect_block(inp: effects.EffectInput) -> dict:
-    summary = effects.summarize_effect(inp)
-    return {
-        "er": summary.er,
-        "ri": summary.ri,
-        "ri_prime": summary.ri_prime,
-        "delta_ri": summary.delta_ri,
-        "region": summary.region,
-        "dist": summary.distance_to_ideal,
-    }
-
-
 def _measure_blocks(measures: list[MeasureConfig], orig: list[TopicScoreVector],
                     rpl: list[TopicScoreVector], b: list[TopicScoreVector] | None,
                     b_prime: list[TopicScoreVector] | None, warnings: list[str]) -> tuple[dict, dict]:
@@ -80,8 +68,8 @@ def _measure_blocks(measures: list[MeasureConfig], orig: list[TopicScoreVector],
     for i, cfg in enumerate(measures):
         measure_blocks[cfg.label] = _paired_block(cfg.label, orig[i], rpl[i], warnings)
         if b is not None:
-            effect_blocks[cfg.label] = _effect_block(
-                effects.EffectInput(b[i], orig[i], b_prime[i], rpl[i]))
+            effect_blocks[cfg.label] = effects.summarize_effect(
+                effects.EffectInput(b[i], orig[i], b_prime[i], rpl[i]))._asdict()
     return measure_blocks, effect_blocks
 
 
@@ -200,8 +188,8 @@ def build_reproduce_report(sides: Iterable[tuple[Run, Run, Qrels]],
             "t_stat_baseline": test_b.t_stat,
             "p_value_baseline": test_b.p_value,
         }
-        effect_blocks[cfg.label] = _effect_block(
-            effects.EffectInput(b, a, b_prime, a_prime, "reproducibility"))
+        effect_blocks[cfg.label] = effects.summarize_effect(
+            effects.EffectInput(b, a, b_prime, a_prime, "reproducibility"))._asdict()
 
     return {
         "mode": "reproduce",

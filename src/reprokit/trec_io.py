@@ -35,7 +35,7 @@ from typing import IO, Iterator, NamedTuple, Union
 
 from .errors import NoComparableTopicsError, TrecParseError
 
-TextSource = Union[str, bytes, IO]
+TextSource = Union[str, IO[str]]
 
 
 class Ranking(NamedTuple):
@@ -75,6 +75,8 @@ class Qrels(_Record):
 
     The relevance rule: a document absent from a topic's map (unjudged, or
     judged 0 or below) is not relevant; an all-zero topic keeps an empty map.
+    The rule is applied when a Qrels is built: a caller who edits ``topics``
+    afterwards builds a new ``Qrels(qrels.topics, qrels.warnings)`` to apply it again.
     """
 
     _fields = ("topics", "warnings")
@@ -97,24 +99,19 @@ def _is_integer(text: str) -> bool:
 
 @contextmanager
 def _text_lines(source: TextSource) -> Iterator[Iterator[str]]:
-    """Text lines of the source, read one at a time, less one leading BOM. ``bytes`` and
-    binary streams are UTF-8, and a binary stream is left open for the caller; bytes that
-    are not UTF-8 raise :class:`TrecParseError`, from any source. ``\\n``, ``\\r\\n`` and
-    ``\\r`` each end a line, as in a file opened in text mode."""
+    """Text lines of the source, read one at a time, less one leading BOM. A ``str`` is
+    read as a file opened in text mode: ``\\n``, ``\\r\\n`` and ``\\r`` each end a line.
+    ``bytes`` and binary streams are a ``TypeError``; a UTF-8 text stream over bytes that
+    are not UTF-8 raises :class:`TrecParseError`."""
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
-    elif isinstance(source, bytes):
-        source = io.BytesIO(source)
-    binary = isinstance(source, (io.RawIOBase, io.BufferedIOBase))
-    text = io.TextIOWrapper(source, encoding="utf-8", newline=None) if binary else source
+    elif isinstance(source, (bytes, bytearray, io.RawIOBase, io.BufferedIOBase)):
+        raise TypeError(f"expected a str or a text stream, got {type(source).__name__}; decode it first")
     try:
-        lines = iter(text)
+        lines = iter(source)
         yield chain((next(lines, "").removeprefix("\ufeff"),), lines)
     except UnicodeDecodeError as e:
         raise TrecParseError(f"not UTF-8 text: byte {e.object[e.start]:#04x} ({e.reason})") from None
-    finally:
-        if binary:
-            text.detach()
 
 
 def _canonical_ranking(scores: dict[str, float]) -> Ranking:

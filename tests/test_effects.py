@@ -192,10 +192,12 @@ class TestSummaryAndPlotData:
         s = summarize_effect(inp)
         assert s.er == 1.0
         assert s.delta_ri == 0.0
-        assert s.distance_to_ideal == 0.0
+        assert s.dist == 0.0
 
     def test_distance(self):
         assert math.hypot(0.8 - 1.0, -0.1) == pytest.approx(0.2236, abs=1e-4)
         inp = quad(b={"1": 0.2}, a={"1": 0.4}, bp={"1": 0.2}, ap={"1": 0.4})
-        s = summarize_effect(inp)
-        assert s.distance_to_ideal == 0.0
+        assert summarize_effect(inp).dist == 0.0
+        # half the improvement: ER 0.5, RI 1.0, RI' 0.5, so Delta RI 0.5
+        s = summarize_effect(quad(b={"1": 0.2}, a={"1": 0.4}, bp={"1": 0.2}, ap={"1": 0.3}))
+        assert s.dist == math.hypot(s.er - 1.0, s.delta_ri) == pytest.approx(math.hypot(0.5, 0.5))

@@ -32,8 +32,8 @@ RECORDS = [
     (MeasureConfig, {"measure": "nDCG", "cutoff": 10}),
     (TopicScoreVector, {"measure": "AP", "run_tag": "sys", "scores": {"1": 0.25, "2": 0.5}}),
     (EffectInput, {"b": _B, "a": _A, "b_prime": _B, "a_prime": _A, "mode": "reproducibility"}),
-    (EffectSummary, {"run_id": "r", "measure": "AP", "er": 0.9, "ri": 0.2, "ri_prime": 0.1,
-                     "delta_ri": 0.1, "region": "success"}),
+    (EffectSummary, {"er": 0.9, "ri": 0.2, "ri_prime": 0.1, "delta_ri": 0.1, "region": "1",
+                     "dist": 0.1414}),
     (MeasureRanking, {"measure_id": "rmse_AP", "run_ids": ("a", "b"), "badness": (0.1, 0.2)}),
     (RboParams, {"phi": 0.9, "depth": 100}),
     (ArpDelta, {"signed": -0.5, "absolute": 0.5}),
@@ -45,11 +45,12 @@ FROZEN = [(cls, fields) for cls, fields in RECORDS if cls not in (Run, Qrels)]
 VALUE_RECORDS = [(cls, fields) for cls, fields in FROZEN if cls is not FullDepth]
 
 
-def _ID(value):
-    return getattr(value, "__name__", None)  # the type names the case
+def _cases(records):
+    """One case per record type, named by the type alone."""
+    return [pytest.param(cls, fields, id=cls.__name__) for cls, fields in records]
 
 
-@pytest.mark.parametrize("cls, fields", RECORDS, ids=_ID)
+@pytest.mark.parametrize("cls, fields", _cases(RECORDS))
 def test_built_by_position_or_keyword_equals_by_value(cls, fields):
     by_position = cls(*fields.values())
     by_keyword = cls(**fields)
@@ -61,7 +62,7 @@ def test_built_by_position_or_keyword_equals_by_value(cls, fields):
         assert cls(**{**fields, next(iter(fields)): OTHER.get(cls, "other")}) != by_keyword
 
 
-@pytest.mark.parametrize("cls, fields", RECORDS, ids=_ID)
+@pytest.mark.parametrize("cls, fields", _cases(RECORDS))
 def test_pickle_and_deepcopy_round_trip(cls, fields):
     record = cls(**fields)
     for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
@@ -70,8 +71,8 @@ def test_pickle_and_deepcopy_round_trip(cls, fields):
         assert again is not record
 
 
-@pytest.mark.parametrize("cls, fields", [(MeasureConfig, {"measure": "P", "cutoff": 5}),
-                                         (RboParams, {"phi": 0.5, "depth": 7})], ids=_ID)
+@pytest.mark.parametrize("cls, fields", _cases([(MeasureConfig, {"measure": "P", "cutoff": 5}),
+                                                 (RboParams, {"phi": 0.5, "depth": 7})]))
 def test_dict_keys_hash_by_value(cls, fields):
     a, b = cls(**fields), cls(*fields.values())
     assert hash(a) == hash(b)
@@ -79,7 +80,7 @@ def test_dict_keys_hash_by_value(cls, fields):
     assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
 
 
-@pytest.mark.parametrize("cls, fields", FROZEN, ids=_ID)
+@pytest.mark.parametrize("cls, fields", _cases(FROZEN))
 def test_frozen_records_reject_assignment(cls, fields):
     record = cls(**fields)
     for name in (next(iter(fields)), "extra"):
@@ -90,7 +91,7 @@ def test_frozen_records_reject_assignment(cls, fields):
     assert record == cls(**fields)
 
 
-@pytest.mark.parametrize("cls, fields", VALUE_RECORDS, ids=_ID)
+@pytest.mark.parametrize("cls, fields", _cases(VALUE_RECORDS))
 def test_value_records_are_tuples(cls, fields):
     record = cls(**fields)
     assert tuple(record) == tuple(fields.values())

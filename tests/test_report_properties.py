@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reprokit.effectiveness import parse_measure_spec
+from reprokit.effects import EffectSummary
 from reprokit.errors import UndefinedEffectError
-from reprokit.report import build_replicate_report, emit
+from reprokit.report import build_replicate_report, build_reproduce_report, emit
 from reprokit.trec_io import Qrels, Run, parse_qrels, parse_run
 
 from conftest import make_run, random_qrels, random_run, swap_noise
@@ -124,3 +125,16 @@ def test_effects_do_not_depend_on_topic_order(seed, order):
     # every mean is a math.fsum, exactly rounded whatever the order of its terms, so
     # each block is equal: er, ri, ri_prime, delta_ri, region and dist
     assert got == expected
+
+
+def test_every_effect_block_holds_exactly_the_summary_fields():
+    orig = make_run("orig", {"1": ["a", "b", "c"], "2": ["d", "e", "f"]})
+    rpl = make_run("rpl", {"1": ["b", "c", "a"], "2": ["e", "d", "f"]})
+    b = make_run("b", {"1": ["x", "y", "z", "w", "a"], "2": ["e", "x", "y", "z", "w"]})
+    qrels = parse_qrels("1 0 a 1\n1 0 b 1\n2 0 d 2\n2 0 e 1\n")
+    replicate = build_replicate_report(orig, rpl, qrels, MEASURES, baselines=(b, b))
+    reproduce = build_reproduce_report([(orig, b, qrels), (rpl, b, qrels)], MEASURES)
+    for rep in (replicate, reproduce):
+        assert list(rep["effects"]) == [c.label for c in MEASURES]
+        for block in rep["effects"].values():
+            assert tuple(block) == EffectSummary._fields
