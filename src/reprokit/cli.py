@@ -93,6 +93,8 @@ def _load_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str | Non
             manifest = json.load(f)
     except json.JSONDecodeError as e:
         raise ConfigError(f"manifest {path}: invalid JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"manifest {path}: not UTF-8 text: byte {e.object[e.start]:#04x} ({e.reason})") from None
     if not isinstance(manifest, dict):
         raise ConfigError(f"manifest {path}: expected a JSON object, got {manifest!r}")
     base = os.path.dirname(os.path.abspath(path))

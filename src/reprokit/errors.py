@@ -31,15 +31,10 @@ class NoComparableTopicsError(ReprokitError, ValueError):
 
 
 class DegenerateTiesError(ReprokitError, ArithmeticError):
-    """Kendall's tau is undefined because one list is entirely tied."""
+    """Tau-union is undefined on every topic of a comparison: no topic pairs two
+    documents, so the report has no mean to give."""
 
     category = "degenerate-ties"
-
-
-class OverlapTooSmallError(ReprokitError, ValueError):
-    """Intersection of two rankings holds fewer than two documents."""
-
-    category = "overlap-too-small"
 
 
 class UndefinedEffectError(ReprokitError, ArithmeticError):

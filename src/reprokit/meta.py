@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import ConfigError, DegenerateTiesError
+from .errors import ConfigError
 from .ordering import kendall_tau
 
 # badness of each kind of value correlate ranks; a value's id is its kind, then "_"
@@ -82,10 +82,9 @@ def correlation_matrix(rankings: Sequence[MeasureRanking]) -> list[list[float]]:
     mat = [[1.0 if i == j else math.nan for j in range(k)] for i in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            try:
-                mat[i][j] = mat[j][i] = kendall_tau(vectors[i], vectors[j])
-            except DegenerateTiesError:
-                pass  # stays NaN
+            tau = kendall_tau(vectors[i], vectors[j])
+            if tau is not None:  # else the cell stays NaN
+                mat[i][j] = mat[j][i] = tau
     return mat
 
 

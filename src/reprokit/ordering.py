@@ -9,9 +9,10 @@ vectorized O(n log n) merge kernel up to about 10^4 documents per ranking (TREC
 runs hold 1000) and falls behind above that, about 1.5x at 2 * 10^4.
 
 A ranking holds each doc id once: the kernels raise ValueError naming a
-repeated one. All per-topic kernels are pure; per-topic results average via
-:func:`mean_over_topics`, which excludes topics with fewer than two paired
-documents explicitly instead of silently biasing the mean.
+repeated one. A tau that is undefined (fewer than two paired items, or every
+pair tied) is None. All per-topic kernels are pure; per-topic results average
+via :func:`mean_over_topics`, which counts the None values it leaves out
+instead of silently biasing the mean.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from collections import Counter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ConfigError, DegenerateTiesError, OverlapTooSmallError
+from .errors import ConfigError
 from .trec_io import Run
 
 
@@ -61,29 +62,26 @@ def _tied_pairs(values: Iterable[Hashable]) -> int:
     return sum(c * (c - 1) for c in Counter(values).values()) // 2
 
 
-def _tau(p: int, q: int, u: int, v: int) -> float:
+def _tau(p: int, q: int, u: int, v: int) -> float | None:
     denom = math.sqrt((p + q + u) * (p + q + v))
-    if denom == 0:
-        raise DegenerateTiesError("all pairs tied in one list; tau undefined")
-    return (p - q) / denom
+    return (p - q) / denom if denom else None
 
 
-def _tau_of_positions(y: Sequence[int]) -> float:
+def _tau_of_positions(y: Sequence[int]) -> float | None:
     """Tau of x = 1..len(y) against distinct positions y: no pair is tied, so
-    Q is the inversion count of y and U = V = 0."""
+    Q is the inversion count of y and U = V = 0. None below two items."""
     n = len(y)
-    if n < 2:
-        raise ValueError("need at least 2 paired items")
     q = _inversions(y)
     return _tau(n * (n - 1) // 2 - q, q, 0, 0)
 
 
-def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
+def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float | None:
     """Tie-aware Kendall correlation over all index pairs.
 
     (P - Q) / sqrt((P + Q + U) (P + Q + V)) with P/Q concordant/discordant
     pairs and U/V pairs tied in x only / y only; pairs tied in both lists
-    enter neither factor.
+    enter neither factor. None when a factor is 0: below two items, or one
+    list entirely tied. Unequal lengths and NaN are a ValueError.
 
     Knight's method: after sorting by (x, y), Q is the number of strict
     inversions of y, which is the inversion count of y's stable argsort, and
@@ -93,8 +91,6 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
     if len(x) != len(y):
         raise ValueError(f"paired lists differ in length: {len(x)} vs {len(y)}")
     n = len(x)
-    if n < 2:
-        raise ValueError("need at least 2 paired items")
     if any(a != a for a in x) or any(b != b for b in y):
         raise ValueError("NaN has no order; tau undefined")
     pairs = sorted(zip(x, y))
@@ -117,7 +113,7 @@ def _ranks(r_docs: Sequence[str], s_docs: Sequence[str]) -> dict[str, int]:
     return rank
 
 
-def tau_union(r_docs: Sequence[str], s_docs: Sequence[str]) -> float:
+def tau_union(r_docs: Sequence[str], s_docs: Sequence[str]) -> float | None:
     """Kendall's tau between rank positions taken in the union of two rankings.
 
     The union lists r's documents first, then s's unseen documents in s-order.
@@ -125,23 +121,22 @@ def tau_union(r_docs: Sequence[str], s_docs: Sequence[str]) -> float:
     unequal lengths only the common prefix m = min(|r|, |s|) is paired. Equals
     plain tau when both rankings hold the same document set. y keeps the
     union's order: a document's rank in r or, if r lacks it, |r| + its s-rank.
+    None when fewer than two positions are paired.
     """
     rank = _ranks(r_docs, s_docs)
     n = len(r_docs)
     return _tau_of_positions([rank.get(d, i) for i, d in enumerate(s_docs[:n], start=n + 1)])
 
 
-def tau_intersection(r_docs: Sequence[str], s_docs: Sequence[str]) -> tuple[float, int]:
+def tau_intersection(r_docs: Sequence[str], s_docs: Sequence[str]) -> tuple[float | None, int]:
     """Tau over the relative orders of shared documents, plus the overlap size.
 
-    Small overlaps make tau noisy, so the overlap is always reported with it.
-    r's ranks of the shared documents, taken in s-order, have the pairs
-    discordant between the two relative orders as their inversions.
+    Small overlaps make tau noisy, so the overlap is always reported with it
+    (tau is None below 2). r's ranks of the shared documents, taken in s-order,
+    have the pairs discordant between the two relative orders as their inversions.
     """
     rank = _ranks(r_docs, s_docs)
     y = [rank[d] for d in s_docs if d in rank]
-    if len(y) < 2:
-        raise OverlapTooSmallError(f"overlap too small: {len(y)} shared documents")
     return _tau_of_positions(y), len(y)
 
 
@@ -172,18 +167,15 @@ def rbo(r_docs: Sequence[str], s_docs: Sequence[str], params: RboParams) -> floa
     return (1.0 - params.phi) * total
 
 
-def mean_over_topics(per_topic: Mapping[str, float | None]) -> tuple[float, int]:
+def mean_over_topics(per_topic: Mapping[str, float | None]) -> tuple[float | None, int]:
     """Average per-topic values; None entries (undefined values) are excluded.
 
-    Returns (mean, number of excluded topics).
+    Returns (mean, number of excluded topics); the mean is None if all are.
     """
     if not per_topic:
         raise ValueError("no topics to average")
     vals = [v for v in per_topic.values() if v is not None]
-    excluded = len(per_topic) - len(vals)
-    if not vals:
-        raise DegenerateTiesError("tau degenerate on every topic")
-    return math.fsum(vals) / len(vals), excluded
+    return (math.fsum(vals) / len(vals) if vals else None), len(per_topic) - len(vals)
 
 
 def _doc_lists(r: Run, s: Run, topics: tuple[str, ...]):
@@ -191,14 +183,9 @@ def _doc_lists(r: Run, s: Run, topics: tuple[str, ...]):
         yield topic, r.topics[topic].doc_ids, s.topics[topic].doc_ids
 
 
-def _tau_or_none(r_docs: Sequence[str], s_docs: Sequence[str]) -> float | None:
-    return tau_union(r_docs, s_docs) if min(len(r_docs), len(s_docs)) >= 2 else None
-
-
 def tau_union_over_topics(r: Run, s: Run, topics: tuple[str, ...]) -> dict[str, float | None]:
-    """Per-topic tau-union; None where fewer than two documents are paired.
-    Any error propagates."""
-    return {topic: _tau_or_none(r_docs, s_docs) for topic, r_docs, s_docs in _doc_lists(r, s, topics)}
+    """Per-topic tau-union; None where fewer than two documents are paired."""
+    return {topic: tau_union(r_docs, s_docs) for topic, r_docs, s_docs in _doc_lists(r, s, topics)}
 
 
 def rbo_over_topics(r: Run, s: Run, topics: tuple[str, ...], params: RboParams) -> dict[str, float]:
@@ -238,7 +225,8 @@ def ordering_at_cutoffs(full: FullDepth, cutoffs: Sequence[int]) -> dict[int, tu
 
     At k, a topic's values are those of its two lists truncated to k. They are
     computed anew only on a topic where k truncates one of the two lists; where
-    k >= |r| and k >= |s| they are the full-depth values.
+    k >= |r| and k >= |s| they are the full-depth values. The mean tau-union
+    is None where tau is undefined on every topic, as at cutoff 1.
     """
     check_cutoffs(cutoffs)
     out: dict[int, tuple[float | None, float]] = {}
@@ -247,10 +235,6 @@ def ordering_at_cutoffs(full: FullDepth, cutoffs: Sequence[int]) -> dict[int, tu
         for topic, (r_docs, s_docs) in full.docs.items():
             if k < len(r_docs) or k < len(s_docs):
                 r_k, s_k = r_docs[:k], s_docs[:k]
-                taus[topic], rbos[topic] = _tau_or_none(r_k, s_k), rbo(r_k, s_k, full.params)
-        try:
-            tau_mean, _ = mean_over_topics(taus)
-        except DegenerateTiesError:
-            tau_mean = None  # tau undefined everywhere, e.g. at cutoff 1
-        out[k] = (tau_mean, mean_over_topics(rbos)[0])
+                taus[topic], rbos[topic] = tau_union(r_k, s_k), rbo(r_k, s_k, full.params)
+        out[k] = (mean_over_topics(taus)[0], mean_over_topics(rbos)[0])
     return out

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from . import effects, meta, ordering, score_agreement, stats
 from .effectiveness import MeasureConfig, TopicScoreVector, score_run
-from .errors import ConfigError, OverlapTooSmallError
+from .errors import ConfigError, DegenerateTiesError
 from .ordering import RboParams
 from .trec_io import Qrels, Run, topic_intersection
 
@@ -52,8 +52,11 @@ def _paired_block(label: str, v_orig: TopicScoreVector, v_rpl: TopicScoreVector,
 
 
 def _ordering_means(full: ordering.FullDepth, warnings: list[str]) -> tuple[float, float]:
-    """Mean tau-union and mean RBO of :func:`ordering.full_depth`'s values."""
+    """Mean tau-union and mean RBO of :func:`ordering.full_depth`'s values;
+    DegenerateTiesError when tau-union is undefined on every topic."""
     tau_mean, excluded = ordering.mean_over_topics(full.tau)
+    if tau_mean is None:
+        raise DegenerateTiesError("tau degenerate on every topic")
     if excluded:
         warnings.append(f"tau degenerate on {excluded} topic(s), excluded from mean")
     return tau_mean, ordering.mean_over_topics(full.rbo)[0]
@@ -91,26 +94,14 @@ def build_replicate_report(
     full = ordering.full_depth(run_orig, run_rpl, topics, params)
     cutoff_ordering = ordering.ordering_at_cutoffs(full, cutoffs or ())  # a bad cutoff raises here
     tau_mean, rbo_mean = _ordering_means(full, warnings)
-    inter_vals = {}
-    overlaps = []
-    for topic in topics:
-        try:
-            tau_i, ov = ordering.tau_intersection(run_orig.topics[topic].doc_ids,
-                                                 run_rpl.topics[topic].doc_ids)
-            inter_vals[topic] = tau_i
-            overlaps.append(ov)
-        except OverlapTooSmallError:
-            inter_vals[topic] = None
-    if overlaps:  # one per topic with a tau-intersection value
-        tau_inter_mean, inter_excluded = ordering.mean_over_topics(inter_vals)
-        mean_overlap = sum(overlaps) / len(overlaps)
-        if inter_excluded:
-            warnings.append(
-                f"tau-intersection unavailable on {inter_excluded} topic(s), excluded from mean"
-            )
-    else:
-        tau_inter_mean, mean_overlap = None, None
+    inter = {topic: ordering.tau_intersection(*docs) for topic, docs in full.docs.items()}
+    tau_inter_mean, inter_excluded = ordering.mean_over_topics({t: tau for t, (tau, _) in inter.items()})
+    overlaps = [ov for tau, ov in inter.values() if tau is not None]  # of the topics in the mean
+    mean_overlap = sum(overlaps) / len(overlaps) if overlaps else None
+    if tau_inter_mean is None:
         warnings.append("tau-intersection unavailable on every topic")
+    elif inter_excluded:
+        warnings.append(f"tau-intersection unavailable on {inter_excluded} topic(s), excluded from mean")
 
     # the measures first, then each at every cutoff: each run is walked once;
     # topics are in both runs, so neither can warn or, under strict, fail

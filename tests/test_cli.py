@@ -697,6 +697,14 @@ class TestCorrelate:
         assert err["message"].startswith(f"manifest {mpath}: ")
         assert message in err["message"]
 
+    def test_a_manifest_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        mpath = tmp_path / "m.json"
+        mpath.write_bytes(b'{"qrels": "q\xff.txt"}')
+        self._refuse_loads(monkeypatch)
+        assert main(["correlate", "--manifest", str(mpath)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "message": f"manifest {mpath}: not UTF-8 text: byte 0xff (invalid start byte)"}
+
     @pytest.mark.parametrize("lacking, run_b_orig, message", [
         ((), None, "candidate 'cand0.run' has a baseline run and the original lacks one"),
         (("base1",), "b_orig.run", "candidate 'cand1.run' lacks a baseline run and the original has one"),
@@ -832,6 +840,24 @@ def test_one_comparable_topic_is_exit_4(tmp_path, capsys, command):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "no-comparable-topics"
     assert "n >= 2" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["replicate", "correlate"])
+def test_tau_undefined_on_every_topic_is_exit_1(tmp_path, capsys, command):
+    # one document per topic pairs no two positions, so no topic has a tau-union
+    (tmp_path / "a.run").write_text("301 Q0 A 1 2.0 a\n302 Q0 C 1 2.0 a\n")
+    (tmp_path / "b.run").write_text("301 Q0 B 1 2.0 b\n302 Q0 C 1 2.0 b\n")
+    (tmp_path / "q.txt").write_text("301 0 A 1\n302 0 C 1\n")
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"qrels": "q.txt", "run_orig": "a.run", "candidates": ["b.run", "a.run"]}))
+    a, b, q = (str(tmp_path / name) for name in ("a.run", "b.run", "q.txt"))
+    argv = {
+        "replicate": ["--run-orig", a, "--run-rpl", b, "--qrels", q],
+        "correlate": ["--manifest", str(tmp_path / "m.json")],
+    }[command]
+    assert main([command, *argv]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "degenerate-ties",
+                                                   "message": "tau degenerate on every topic"}
 
 
 def test_cli_import_loads_no_numpy():

@@ -8,7 +8,7 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reprokit.effectiveness import parse_measure_spec
+from reprokit.effectiveness import MeasureConfig, parse_measure_spec
 from reprokit.effects import EffectSummary
 from reprokit.errors import UndefinedEffectError
 from reprokit.report import build_replicate_report, build_reproduce_report, emit
@@ -47,6 +47,22 @@ def test_shuffled_lines_give_the_same_report(seed, shuffler):
     for lines in files:
         shuffler.shuffle(lines)
     assert _replicate_json(*files) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_cutoff_rmse_row_holds_its_measure_at_that_cutoff(seed):
+    # the row keeps the measure's label: P@5 under cutoff 10 is the RMSE of P@10
+    rng = random.Random(seed)
+    orig = random_run(rng, "orig", 4, 15)
+    rpl = random_run(rng, "rpl", 4, 15)
+    qrels = random_qrels(rng, orig)
+    rep = build_replicate_report(orig, rpl, qrels, MEASURES, cutoffs=[3, 10])
+    for k in (3, 10):
+        at_k = [MeasureConfig(cfg.measure, k) for cfg in MEASURES]
+        plain = build_replicate_report(orig, rpl, qrels, at_k)
+        for cfg, cfg_k in zip(MEASURES, at_k):
+            assert rep["cutoffs"][k][cfg.label]["rmse"] == plain["measures"][cfg_k.label]["rmse"]
 
 
 @settings(max_examples=50, deadline=None)
