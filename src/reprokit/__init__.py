@@ -9,7 +9,7 @@ and unpaired t-tests).
 """
 
 from .effectiveness import MeasureConfig, TopicScoreVector, parse_measure_spec, score_run
-from .effects import EffectInput, EffectSummary, classify_region, effect_ratio, summarize_effect
+from .effects import EffectSummary, classify_region, effect_ratio, summarize_effect
 from .ordering import RboParams, kendall_tau, rbo, tau_intersection, tau_union
 from .score_agreement import delta_arp, rmse
 from .stats import TestResult, paired_t_test, t_cdf, unpaired_t_test
@@ -22,7 +22,6 @@ __all__ = [
     "TopicScoreVector",
     "parse_measure_spec",
     "score_run",
-    "EffectInput",
     "EffectSummary",
     "classify_region",
     "effect_ratio",

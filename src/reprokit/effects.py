@@ -6,10 +6,9 @@ mean(a' - b') / mean(a - b). The Relative Improvement delta
 (Delta RI = RI - RI') complements it with an absolute-score view; plotting
 ER against Delta RI places an ideal re-creation at (1, 0).
 
-In replicability mode all four runs live on the same collection and share a
-topic set. In reproducibility mode the re-created pair lives on a different
-collection; only mean improvements cross the boundary, so topic sets may
-differ in identity and size.
+Each mean is taken over the topics of its own pair, so one formula serves
+replicated runs (same collection and topics) and reproduced runs (another
+collection, whose topic set may differ in identity and size).
 """
 
 from __future__ import annotations
@@ -19,28 +18,6 @@ from typing import NamedTuple
 
 from .effectiveness import TopicScoreVector
 from .errors import UndefinedEffectError
-
-class _EffectInput(NamedTuple):
-    b: TopicScoreVector
-    a: TopicScoreVector
-    b_prime: TopicScoreVector
-    a_prime: TopicScoreVector
-    mode: str = "replicability"  # or "reproducibility"
-
-
-class EffectInput(_EffectInput):  # a NamedTuple cannot define __new__ itself
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.mode not in ("replicability", "reproducibility"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        self.b.require_aligned(self.a)
-        self.b_prime.require_aligned(self.a_prime)
-        if self.mode == "replicability":
-            self.b.require_aligned(self.b_prime)
-        return self
-
 
 class EffectSummary(NamedTuple):
     """The effect block of one measure; ``dist`` is the Euclidean distance of
@@ -60,14 +37,12 @@ def per_topic_improvements(b: TopicScoreVector, a: TopicScoreVector) -> list[flo
     return [av - bv for av, bv in zip(a.values(), b.values())]
 
 
-def effect_ratio(inp: EffectInput) -> float:
-    """Mean re-created improvement over mean original improvement.
-
-    Works with different topic counts in reproducibility mode since only
-    the two means are compared.
-    """
-    delta_orig = per_topic_improvements(inp.b, inp.a)
-    delta_rep = per_topic_improvements(inp.b_prime, inp.a_prime)
+def effect_ratio(b: TopicScoreVector, a: TopicScoreVector,
+                 b_prime: TopicScoreVector, a_prime: TopicScoreVector) -> float:
+    """Mean re-created improvement over mean original improvement; only the
+    two means are compared, so the pairs may hold different topics."""
+    delta_orig = per_topic_improvements(b, a)
+    delta_rep = per_topic_improvements(b_prime, a_prime)
     mean_orig = math.fsum(delta_orig) / len(delta_orig)
     if mean_orig == 0:
         raise UndefinedEffectError("mean original improvement is zero; ER undefined")
@@ -102,11 +77,12 @@ def classify_region(er: float, dri: float) -> str:
     return "boundary[1,4]" if er > 0 else "boundary[2,3]"
 
 
-def summarize_effect(inp: EffectInput) -> EffectSummary:
-    """The effect block of the re-created pair ``inp.b_prime``, ``inp.a_prime``
-    against the original pair ``inp.b``, ``inp.a``."""
-    er = effect_ratio(inp)
-    ri = relative_improvement(inp.b, inp.a)
-    ri_prime = relative_improvement(inp.b_prime, inp.a_prime)
+def summarize_effect(b: TopicScoreVector, a: TopicScoreVector,
+                     b_prime: TopicScoreVector, a_prime: TopicScoreVector) -> EffectSummary:
+    """The effect block of the re-created pair ``b_prime``, ``a_prime``
+    against the original pair ``b``, ``a``."""
+    er = effect_ratio(b, a, b_prime, a_prime)
+    ri = relative_improvement(b, a)
+    ri_prime = relative_improvement(b_prime, a_prime)
     dri = ri - ri_prime
     return EffectSummary(er, ri, ri_prime, dri, classify_region(er, dri), math.hypot(er - 1.0, dri))

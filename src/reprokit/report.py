@@ -36,15 +36,15 @@ def _load_warnings(*inputs: Run | Qrels | None) -> list[str]:
 def _paired_block(label: str, v_orig: TopicScoreVector, v_rpl: TopicScoreVector,
                   warnings: list[str]) -> dict:
     """Score agreement and paired t-test of one measure over one topic set."""
-    arp = score_agreement.delta_arp(v_orig, v_rpl)
+    signed = score_agreement.delta_arp(v_orig, v_rpl)
     test = stats.paired_t_test(v_orig, v_rpl)
     if test.warning:
         warnings.append(f"{label}: {test.warning}")
     return {
         "arp_orig": v_orig.mean,
         "arp_rpl": v_rpl.mean,
-        "delta_arp": arp.absolute,
-        "delta_arp_signed": arp.signed,
+        "delta_arp": abs(signed),
+        "delta_arp_signed": signed,
         "rmse": score_agreement.rmse(v_orig, v_rpl),
         "t_stat": test.t_stat,
         "p_value": test.p_value,
@@ -71,8 +71,7 @@ def _measure_blocks(measures: list[MeasureConfig], orig: list[TopicScoreVector],
     for i, cfg in enumerate(measures):
         measure_blocks[cfg.label] = _paired_block(cfg.label, orig[i], rpl[i], warnings)
         if b is not None:
-            effect_blocks[cfg.label] = effects.summarize_effect(
-                effects.EffectInput(b[i], orig[i], b_prime[i], rpl[i]))._asdict()
+            effect_blocks[cfg.label] = effects.summarize_effect(b[i], orig[i], b_prime[i], rpl[i])._asdict()
     return measure_blocks, effect_blocks
 
 
@@ -102,6 +101,9 @@ def build_replicate_report(
         warnings.append("tau-intersection unavailable on every topic")
     elif inter_excluded:
         warnings.append(f"tau-intersection unavailable on {inter_excluded} topic(s), excluded from mean")
+    # at k >= 2 a topic lacks tau exactly where it does at full depth, so only k = 1 can be null unsaid
+    warnings.extend(f"tau-union unavailable on every topic at cutoff {k}"
+                    for k, (t_mean, _) in cutoff_ordering.items() if t_mean is None)
 
     # the measures first, then each at every cutoff: each run is walked once;
     # topics are in both runs, so neither can warn or, under strict, fail
@@ -179,8 +181,7 @@ def build_reproduce_report(sides: Iterable[tuple[Run, Run, Qrels]],
             "t_stat_baseline": test_b.t_stat,
             "p_value_baseline": test_b.p_value,
         }
-        effect_blocks[cfg.label] = effects.summarize_effect(
-            effects.EffectInput(b, a, b_prime, a_prime, "reproducibility"))._asdict()
+        effect_blocks[cfg.label] = effects.summarize_effect(b, a, b_prime, a_prime)._asdict()
 
     return {
         "mode": "reproduce",

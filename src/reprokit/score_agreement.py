@@ -8,21 +8,15 @@ errors that a mean comparison hides.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .effectiveness import MeasureConfig, TopicScoreVector
 
 
-class ArpDelta(NamedTuple):
-    signed: float
-    absolute: float
-
-
-def delta_arp(original: TopicScoreVector, replicated: TopicScoreVector) -> ArpDelta:
-    """Difference in mean score; the absolute form is the canonical output."""
+def delta_arp(original: TopicScoreVector, replicated: TopicScoreVector) -> float:
+    """Signed difference in mean score; reports give its absolute value as ``delta_arp``."""
     original.require_aligned(replicated)
-    signed = original.mean - replicated.mean
-    return ArpDelta(signed=signed, absolute=abs(signed))
+    return original.mean - replicated.mean
 
 
 def rmse(original: TopicScoreVector, replicated: TopicScoreVector) -> float:

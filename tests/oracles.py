@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -273,6 +274,32 @@ def running_rbo_sums(r_docs, s_docs, phi, depth):
         sums.append(total)
         weight *= phi
     return sums
+
+
+def brute_effect(b, a, b_prime, a_prime):
+    """ER, RI, RI', Delta RI, their region and the distance to (1, 0), from the
+    paper's definitions in exact arithmetic, for both replicated and reproduced
+    pairs: each mean is over its own pair's topics. Arguments are score lists,
+    b and a topic-aligned, b_prime and a_prime topic-aligned.
+
+    ER is the exact mean of the per-topic float differences a' - b' over that
+    of a - b; RI is (mean(a) - mean(b)) / mean(b) on the exact scores. The
+    values are Fractions, except ``dist``; ``region`` is None where ER or
+    Delta RI is zero. ZeroDivisionError where a denominator is zero.
+    """
+    def mean(xs):
+        return sum(map(Fraction, xs), Fraction(0)) / len(xs)
+
+    er = mean([x - y for x, y in zip(a_prime, b_prime)]) / mean([x - y for x, y in zip(a, b)])
+    ri = (mean(a) - mean(b)) / mean(b)
+    ri_prime = (mean(a_prime) - mean(b_prime)) / mean(b_prime)
+    delta_ri = ri - ri_prime
+    region = None
+    if er != 0 and delta_ri != 0:
+        region = {(True, True): "1", (False, True): "2", (False, False): "3", (True, False): "4"}[
+            (er > 0, delta_ri > 0)]
+    return {"er": er, "ri": ri, "ri_prime": ri_prime, "delta_ri": delta_ri, "region": region,
+            "dist": math.hypot(er - 1, delta_ri)}
 
 
 def t_cdf_by_integration(t, dof, n_points=200001):

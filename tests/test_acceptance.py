@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from reprokit.effectiveness import MeasureConfig, score_run
-from reprokit.effects import EffectInput, effect_ratio, summarize_effect
+from reprokit.effects import effect_ratio, summarize_effect
 from reprokit.meta import correlation_matrix, flag_equivalences, rank_runs
 from reprokit.ordering import RboParams, kendall_tau, mean_over_topics, rbo, rbo_over_topics, tau_union, tau_union_over_topics
 from reprokit.score_agreement import delta_arp, rmse
@@ -38,13 +38,8 @@ def test_criterion_1_tau_union_worked_examples():
 
 
 def test_criterion_2_er_swap_example():
-    inp = EffectInput(
-        b=vector({"i": 0.0, "j": 0.0}),
-        a=vector({"i": 0.2, "j": 0.8}),
-        b_prime=vector({"i": 0.0, "j": 0.0}),
-        a_prime=vector({"i": 0.8, "j": 0.2}),
-    )
-    assert effect_ratio(inp) == 1.0
+    b = vector({"i": 0.0, "j": 0.0})
+    assert effect_ratio(b, vector({"i": 0.2, "j": 0.8}), b, vector({"i": 0.8, "j": 0.2})) == 1.0
     assert rmse(vector({"i": 0.2, "j": 0.8}), vector({"i": 0.8, "j": 0.2})) > 0.0
     _report(2, "ER = 1 with strictly positive delta-vector RMSE")
 
@@ -71,13 +66,13 @@ def test_criterion_3_self_comparison_suite():
         cfg = MeasureConfig("AP", 1000)
         v = score_run(run, qrels, topics, (cfg,))[0]
         assert rmse(v, v) == 0.0
-        assert delta_arp(v, v).absolute == 0.0
+        assert delta_arp(v, v) == 0.0
         assert paired_t_test(v, v).p_value == 1.0
 
         baseline = random_run(rng, "base", n_topics, n_docs)
         bv = score_run(baseline, qrels, topics, (cfg,))[0]
         if bv.mean > 0 and v.mean != bv.mean:
-            summary = summarize_effect(EffectInput(b=bv, a=v, b_prime=bv, a_prime=v))
+            summary = summarize_effect(bv, v, bv, v)
             assert summary.er == pytest.approx(1.0, abs=1e-12)
             assert summary.delta_ri == pytest.approx(0.0, abs=1e-12)
     elapsed = time.monotonic() - start
@@ -176,8 +171,8 @@ def test_criterion_6_degradation_monotonicity():
                f"RMSE non-decreasing {['%.3f' % v for v in rmses]} ({elapsed:.2f}s)")
 
 
-DATASET_URL = ("https://github.com/irgroup/sigir2020-measure-reproducibility"
-               "/archive/refs/heads/master.tar.gz")
+DATASET_URL = ("https://github.com/irgroup/sigir2020-measure-reproducibility/archive"
+               "/refs/heads/master.tar.gz")
 DATASET_DIR = os.environ.get("REPROKIT_DATASET", "")
 QRELS_CORE17 = os.environ.get("REPROKIT_QRELS_CORE17", "")
 
@@ -222,13 +217,8 @@ def test_criterion_7_dataset_fixtures():
     a_rpl = load_run(paths["rpl_wcr0405_tf_1"], strict=False)
     topics = topic_intersection(orig, a, qrels)
     cfg = MeasureConfig("AP", 1000)
-    inp = EffectInput(
-        b=score_run(orig, qrels, topics, (cfg,))[0],
-        a=score_run(a, qrels, topics, (cfg,))[0],
-        b_prime=score_run(rpl, qrels, topics, (cfg,))[0],
-        a_prime=score_run(a_rpl, qrels, topics, (cfg,))[0],
-    )
-    assert effect_ratio(inp) == pytest.approx(1.0330, abs=1e-3)
+    b, a, b_prime, a_prime = (score_run(run, qrels, topics, (cfg,))[0] for run in (orig, a, rpl, a_rpl))
+    assert effect_ratio(b, a, b_prime, a_prime) == pytest.approx(1.0330, abs=1e-3)
     _report(7, "dataset fixtures within tolerance")
 
 

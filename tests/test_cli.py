@@ -297,6 +297,19 @@ class TestReplicate:
         assert rep["ordering"]["tau_intersection_mean"] == -1.0
         assert any("tau-intersection unavailable on 1 topic" in w for w in rep["warnings"])
 
+    def test_a_null_cutoff_tau_union_is_warned_after_the_full_depth_warnings(self, tmp_path, capsys):
+        # at cutoff 1 no topic pairs two documents; at cutoff 2 and at full depth every topic does
+        write_run(tmp_path / "o.run", make_run("o", {"1": ["A", "B", "C"], "2": ["A", "B"]}))
+        write_run(tmp_path / "r.run", make_run("r", {"1": ["B", "A", "C"], "2": ["A", "C"]}))
+        (tmp_path / "q.txt").write_text("1 0 A 1\n2 0 B 1\n")
+        assert main(["replicate", "--run-orig", str(tmp_path / "o.run"), "--run-rpl", str(tmp_path / "r.run"),
+                     "--qrels", str(tmp_path / "q.txt"), "--cutoffs", "1,2", "--measures", "P@2",
+                     "--format", "json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert [rep["cutoffs"][k]["ordering"]["tau_union"] is None for k in ("1", "2")] == [True, False]
+        assert rep["warnings"] == ["tau-intersection unavailable on 1 topic(s), excluded from mean",
+                                   "tau-union unavailable on every topic at cutoff 1"]
+
     def test_cutoffs_are_checked_before_the_comparison(self):
         run = make_run("orig", {"1": ["a", "b"]})  # one topic: the paired test would fail
         qrels = make_qrels({"1": {"a": 1}})

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reprokit.effects import (
-    EffectInput,
     classify_region,
     effect_ratio,
     per_topic_improvements,
@@ -17,11 +16,12 @@ from reprokit.errors import TopicMismatchError, UndefinedEffectError
 from reprokit.score_agreement import rmse
 
 from conftest import vector
+from oracles import brute_effect
 
 
-def quad(b, a, bp, ap, mode="replicability", measure="M", rpl_tag="run"):
-    return EffectInput(b=vector(b, measure), a=vector(a, measure), b_prime=vector(bp, measure),
-                       a_prime=vector(ap, measure, tag=rpl_tag), mode=mode)
+def quad(b, a, bp, ap, measure="M", rpl_tag="run"):
+    """The four vectors b, a, b', a' that the effect functions take."""
+    return vector(b, measure), vector(a, measure), vector(bp, measure), vector(ap, measure, tag=rpl_tag)
 
 
 class TestPerTopicImprovements:
@@ -51,30 +51,29 @@ class TestEffectRatio:
             b={"1": 0.0, "2": 0.0}, a={"1": 0.2, "2": 0.8},
             bp={"1": 0.0, "2": 0.0}, ap={"1": 0.8, "2": 0.2},
         )
-        assert effect_ratio(inp) == 1.0
+        assert effect_ratio(*inp) == 1.0
         # but the per-topic delta vectors differ
         assert rmse(vector({"1": 0.2, "2": 0.8}), vector({"1": 0.8, "2": 0.2})) > 0
 
     def test_identity(self):
         inp = quad(b={"1": 0.1}, a={"1": 0.4}, bp={"1": 0.1}, ap={"1": 0.4})
-        assert effect_ratio(inp) == 1.0
+        assert effect_ratio(*inp) == 1.0
 
     def test_zero_replicated_improvement(self):
         inp = quad(b={"1": 0.1}, a={"1": 0.4}, bp={"1": 0.2}, ap={"1": 0.2})
-        assert effect_ratio(inp) == 0.0
+        assert effect_ratio(*inp) == 0.0
 
     def test_zero_original_improvement_errors(self):
         inp = quad(b={"1": 0.3}, a={"1": 0.3}, bp={"1": 0.1}, ap={"1": 0.4})
         with pytest.raises(UndefinedEffectError):
-            effect_ratio(inp)
+            effect_ratio(*inp)
 
-    def test_different_topic_counts_in_reproducibility(self):
+    def test_pairs_on_different_topic_sets(self):
         inp = quad(
             b={"1": 0.2, "2": 0.2}, a={"1": 0.4, "2": 0.4},
             bp={"x": 0.1, "y": 0.1, "z": 0.1}, ap={"x": 0.2, "y": 0.2, "z": 0.2},
-            mode="reproducibility",
         )
-        assert effect_ratio(inp) == pytest.approx(0.5)
+        assert effect_ratio(*inp) == pytest.approx(0.5)
 
     def test_scale_equivariance(self, rng):
         for _ in range(100):
@@ -84,8 +83,8 @@ class TestEffectRatio:
             c = rng.uniform(0.1, 3.0)
             bp = dict(b)
             ap = {str(i): b[str(i)] + c * (a[str(i)] - b[str(i)]) for i in range(n)}
-            base = effect_ratio(quad(b, a, b, a))
-            scaled = effect_ratio(quad(b, a, bp, ap))
+            base = effect_ratio(*quad(b, a, b, a))
+            scaled = effect_ratio(*quad(b, a, bp, ap))
             assert scaled == pytest.approx(c * base, rel=1e-9)
 
     def test_topic_permutation_invariance(self, rng):
@@ -96,7 +95,16 @@ class TestEffectRatio:
         bp = {t: b[t] for t in order}
         ap = {t: a[t] for t in order}
         # permuted topic order, same scores: the means are untouched
-        assert effect_ratio(quad(b, a, bp, ap, mode="reproducibility")) == pytest.approx(1.0)
+        assert effect_ratio(*quad(b, a, bp, ap)) == pytest.approx(1.0)
+
+    def test_each_pair_must_be_aligned(self):
+        b, a = vector({"1": 0.1, "2": 0.2}, "AP"), vector({"1": 0.3, "2": 0.5}, "AP")
+        other = vector({"1": 0.1, "3": 0.2}, "AP")
+        for args in ((b, other, b, a), (b, a, b, other), (b, a, vector({"2": 0.2, "1": 0.1}, "AP"), a)):
+            with pytest.raises(TopicMismatchError):
+                summarize_effect(*args)
+        # only each pair's means meet, so the re-created pair may hold other topics
+        assert summarize_effect(b, a, other, other).er == 0.0
 
 
 class TestRelativeImprovement:
@@ -120,14 +128,14 @@ class TestRelativeImprovement:
 class TestDeltaRi:
     def test_identical_experiment(self):
         inp = quad(b={"1": 0.2}, a={"1": 0.4}, bp={"1": 0.2}, ap={"1": 0.4})
-        assert summarize_effect(inp).delta_ri == 0.0
+        assert summarize_effect(*inp).delta_ri == 0.0
 
     def test_sign_convention(self):
         # RI = 0.5, RI' = 0.2 -> delta 0.3 (re-created improvement smaller)
         inp = quad(b={"1": 0.2}, a={"1": 0.3}, bp={"1": 0.5}, ap={"1": 0.6})
-        assert summarize_effect(inp).delta_ri == pytest.approx(0.5 - 0.2)
+        assert summarize_effect(*inp).delta_ri == pytest.approx(0.5 - 0.2)
         mirrored = quad(b={"1": 0.5}, a={"1": 0.6}, bp={"1": 0.2}, ap={"1": 0.3})
-        assert summarize_effect(mirrored).delta_ri == pytest.approx(0.2 - 0.5)
+        assert summarize_effect(*mirrored).delta_ri == pytest.approx(0.2 - 0.5)
 
 
 class TestClassifyRegion:
@@ -176,7 +184,7 @@ def test_effect_ladder(lam, pairs):
     topics = [str(i) for i in range(len(pairs))]
     b = {t: bv for t, (_, bv) in zip(topics, pairs)}
     a = {t: av for t, (av, _) in zip(topics, pairs)}
-    s = summarize_effect(quad(b=b, a=a, bp=b, ap={t: b[t] + lam * (a[t] - b[t]) for t in topics}))
+    s = summarize_effect(*quad(b=b, a=a, bp=b, ap={t: b[t] + lam * (a[t] - b[t]) for t in topics}))
     assert abs(s.er - lam) <= 1e-12
     assert abs(s.delta_ri - (1 - lam) * s.ri) <= 1e-12
     if lam == 0:
@@ -184,12 +192,43 @@ def test_effect_ladder(lam, pairs):
         assert s.region.startswith("boundary[")
 
 
+@st.composite
+def effect_quads(draw):
+    """b, a on n topics and b', a' on the same topic ids, or on other ids and another count."""
+    n = draw(st.integers(2, 8))
+    same_topics = draw(st.booleans())
+    m = n if same_topics else draw(st.integers(2, 8).filter(lambda m: m != n))
+    ids = [str(i) for i in range(n)]
+    ids_prime = ids if same_topics else [f"x{i}" for i in range(m)]
+    score = st.integers(0, 20).map(lambda k: k * 0.05)
+    return [dict(zip(t, draw(st.lists(score, min_size=len(t), max_size=len(t)))))
+            for t in (ids, ids, ids_prime, ids_prime)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(quads=effect_quads())
+def test_effect_matches_the_oracle_on_both_settings(quads):
+    try:
+        want = brute_effect(*(list(q.values()) for q in quads))
+    except ZeroDivisionError:  # a zero mean improvement or a zero baseline mean
+        with pytest.raises(UndefinedEffectError):
+            summarize_effect(*map(vector, quads))
+        return
+    got = summarize_effect(*map(vector, quads))
+    for key in ("er", "ri", "ri_prime", "delta_ri", "dist"):
+        assert getattr(got, key) == pytest.approx(float(want[key]), rel=1e-9, abs=1e-9), key
+    # ER's sign is exact; a Delta RI within rounding of zero (RI = RI' on the decimal
+    # scores) has a sign of noise, and like an exact zero its region is left open
+    if want["region"] is not None and abs(want["delta_ri"]) > 1e-9:
+        assert got.region == want["region"]
+
+
 class TestSummaryAndPlotData:
     def test_perfect_replication_at_ideal_point(self):
         inp = quad(b={"1": 0.2, "2": 0.4}, a={"1": 0.4, "2": 0.6},
                    bp={"1": 0.2, "2": 0.4}, ap={"1": 0.4, "2": 0.6},
                    measure="AP@1000", rpl_tag="self")
-        s = summarize_effect(inp)
+        s = summarize_effect(*inp)
         assert s.er == 1.0
         assert s.delta_ri == 0.0
         assert s.dist == 0.0
@@ -197,7 +236,7 @@ class TestSummaryAndPlotData:
     def test_distance(self):
         assert math.hypot(0.8 - 1.0, -0.1) == pytest.approx(0.2236, abs=1e-4)
         inp = quad(b={"1": 0.2}, a={"1": 0.4}, bp={"1": 0.2}, ap={"1": 0.4})
-        assert summarize_effect(inp).dist == 0.0
+        assert summarize_effect(*inp).dist == 0.0
         # half the improvement: ER 0.5, RI 1.0, RI' 0.5, so Delta RI 0.5
-        s = summarize_effect(quad(b={"1": 0.2}, a={"1": 0.4}, bp={"1": 0.2}, ap={"1": 0.3}))
+        s = summarize_effect(*quad(b={"1": 0.2}, a={"1": 0.4}, bp={"1": 0.2}, ap={"1": 0.3}))
         assert s.dist == math.hypot(s.er - 1.0, s.delta_ri) == pytest.approx(math.hypot(0.5, 0.5))

@@ -1,6 +1,7 @@
 """What every invocation pays before it reads a line: importing the CLI loads
 neither ``dataclasses`` (with ``inspect``, ``ast`` and ``dis`` behind it) nor
-``hashlib``, which only ``--provenance`` needs and imports when it runs."""
+``hashlib``, which only ``--provenance`` needs and imports when it runs, and
+nothing outside the standard library."""
 
 import hashlib
 import json
@@ -30,6 +31,13 @@ def test_importing_the_cli_loads_no_dataclasses_or_hashlib():
     added = set(json.loads(_fresh_python("-c", _PROBE)))
     assert "reprokit.cli" in added
     assert added.isdisjoint(HEAVY), sorted(added & set(HEAVY))
+
+
+def test_importing_the_cli_loads_only_the_standard_library():
+    # the package depends on nothing, though numpy and scipy may be installed for the tests
+    added = json.loads(_fresh_python("-c", _PROBE))
+    outside = [m for m in added if m.split(".")[0] not in ("reprokit", *sys.stdlib_module_names)]
+    assert not outside, outside
 
 
 def test_provenance_digests_equal_hashlib(tmp_path):

@@ -10,16 +10,14 @@ import pytest
 
 from reprokit import stats
 from reprokit.effectiveness import MeasureConfig, TopicScoreVector
-from reprokit.effects import EffectInput, EffectSummary
-from reprokit.errors import ConfigError, TopicMismatchError
+from reprokit.effects import EffectSummary
+from reprokit.errors import ConfigError
 from reprokit.meta import MeasureRanking
 from reprokit.ordering import FullDepth, RboParams
-from reprokit.score_agreement import ArpDelta
 from reprokit.trec_io import Qrels, Ranking, Run, topic_intersection
 
-from conftest import make_qrels, make_run, vector
+from conftest import make_qrels, make_run
 
-_B, _A = vector({"1": 0.1, "2": 0.2}, "AP"), vector({"1": 0.3, "2": 0.5}, "AP")
 _RANKING = Ranking(("d2", "d1"), array("d", [2.0, 1.0]))
 
 # (type, fields in order): each record is built from these by position and by keyword
@@ -31,12 +29,10 @@ RECORDS = [
                  "params": RboParams(0.9, 5)}),
     (MeasureConfig, {"measure": "nDCG", "cutoff": 10}),
     (TopicScoreVector, {"measure": "AP", "run_tag": "sys", "scores": {"1": 0.25, "2": 0.5}}),
-    (EffectInput, {"b": _B, "a": _A, "b_prime": _B, "a_prime": _A, "mode": "reproducibility"}),
     (EffectSummary, {"er": 0.9, "ri": 0.2, "ri_prime": 0.1, "delta_ri": 0.1, "region": "1",
                      "dist": 0.1414}),
     (MeasureRanking, {"measure_id": "rmse_AP", "run_ids": ("a", "b"), "badness": (0.1, 0.2)}),
     (RboParams, {"phi": 0.9, "depth": 100}),
-    (ArpDelta, {"signed": -0.5, "absolute": 0.5}),
     (stats.TestResult, {"t_stat": 2.0, "dof": 49.0, "p_value": 0.05, "warning": None}),
 ]
 OTHER = {Qrels: {"2": {"d1": 1}}}  # Qrels filters the topics it is given, so "other" must be a map
@@ -58,7 +54,7 @@ def test_built_by_position_or_keyword_equals_by_value(cls, fields):
     assert by_keyword == cls(**copy.deepcopy(fields))
     for name, value in fields.items():
         assert getattr(by_keyword, name) == value
-    if cls not in (MeasureConfig, EffectInput, RboParams):  # these reject "other"
+    if cls not in (MeasureConfig, RboParams):  # these reject "other"
         assert cls(**{**fields, next(iter(fields)): OTHER.get(cls, "other")}) != by_keyword
 
 
@@ -103,7 +99,6 @@ def test_value_records_are_tuples(cls, fields):
 def test_defaults():
     assert RboParams() == RboParams(0.8, 1000)
     assert RboParams(0.5).depth == 1000
-    assert EffectInput(_B, _A, _B, _A).mode == "replicability"
     assert stats.TestResult(1.0, 2.0, 0.5).warning is None
     assert MeasureConfig("AP", 100).label == "AP@100"
 
@@ -114,7 +109,6 @@ def test_defaults():
     (lambda: RboParams(1.5), ConfigError, "phi must be in (0,1), got 1.5"),
     (lambda: RboParams(phi=0.0), ConfigError, "phi must be in (0,1), got 0.0"),
     (lambda: RboParams(depth=0), ConfigError, "depth must be >= 1, got 0"),
-    (lambda: EffectInput(_B, _A, _B, _A, mode="x"), ValueError, "unknown mode 'x'"),
 ])
 def test_invalid_arguments_raise(build, error, message):
     with pytest.raises(error) as info:
@@ -122,18 +116,9 @@ def test_invalid_arguments_raise(build, error, message):
     assert str(info.value) == message
 
 
-def test_effect_input_checks_alignment():
-    other = vector({"1": 0.1, "3": 0.2}, "AP")
-    with pytest.raises(TopicMismatchError):
-        EffectInput(_B, other, _B, _A)
-    with pytest.raises(TopicMismatchError):
-        EffectInput(_B, _A, other, other)  # replicability: one topic set
-    EffectInput(_B, _A, other, other, "reproducibility")
-
-
 def test_missing_or_extra_arguments_raise_type_error():
     for build in (lambda: MeasureConfig("P"), lambda: RboParams(0.5, 10, 1),
-                  lambda: EffectInput(_B, _A, _B), lambda: FullDepth({}), lambda: Run("sys")):
+                  lambda: FullDepth({}), lambda: Run("sys")):
         with pytest.raises(TypeError):
             build()
 

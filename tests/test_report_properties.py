@@ -154,3 +154,5 @@ def test_every_effect_block_holds_exactly_the_summary_fields():
         assert list(rep["effects"]) == [c.label for c in MEASURES]
         for block in rep["effects"].values():
             assert tuple(block) == EffectSummary._fields
+    # the four runs share one topic set, so one formula gives both commands the same blocks
+    assert replicate["effects"] == reproduce["effects"]
