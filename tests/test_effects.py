@@ -74,6 +74,20 @@ class TestEffectRatio:
             bp={"x": 0.1, "y": 0.1, "z": 0.1}, ap={"x": 0.2, "y": 0.2, "z": 0.2},
         )
         assert effect_ratio(*inp) == pytest.approx(0.5)
+        # only each pair's means meet: a re-created pair with no improvement gives ER 0
+        b, a = vector({"1": 0.1, "2": 0.2}), vector({"1": 0.3, "2": 0.5})
+        other = vector({"1": 0.1, "3": 0.2})
+        assert summarize_effect(b, a, other, other).er == 0.0
+
+    @pytest.mark.parametrize("fn", [effect_ratio, summarize_effect])
+    def test_takes_the_four_vectors_by_position_or_keyword(self, fn):
+        b, a, bp, ap = quad(b={"1": 0.2, "2": 0.3}, a={"1": 0.4, "2": 0.4},
+                            bp={"1": 0.1, "2": 0.2}, ap={"1": 0.2, "2": 0.4})
+        assert fn(b=b, a=a, b_prime=bp, a_prime=ap) == fn(b, a, bp, ap)
+        with pytest.raises(TypeError):
+            fn(b, a, bp)
+        with pytest.raises(TypeError):
+            fn(b, a, bp, ap, "reproducibility")
 
     def test_scale_equivariance(self, rng):
         for _ in range(100):
@@ -97,14 +111,18 @@ class TestEffectRatio:
         # permuted topic order, same scores: the means are untouched
         assert effect_ratio(*quad(b, a, bp, ap)) == pytest.approx(1.0)
 
-    def test_each_pair_must_be_aligned(self):
-        b, a = vector({"1": 0.1, "2": 0.2}, "AP"), vector({"1": 0.3, "2": 0.5}, "AP")
-        other = vector({"1": 0.1, "3": 0.2}, "AP")
-        for args in ((b, other, b, a), (b, a, b, other), (b, a, vector({"2": 0.2, "1": 0.1}, "AP"), a)):
-            with pytest.raises(TopicMismatchError):
-                summarize_effect(*args)
-        # only each pair's means meet, so the re-created pair may hold other topics
-        assert summarize_effect(b, a, other, other).er == 0.0
+    @pytest.mark.parametrize("args", [
+        ({"1": 0.1, "2": 0.2}, {"1": 0.1, "3": 0.2}, {"1": 0.1, "2": 0.2}, {"1": 0.3, "2": 0.5}),
+        ({"1": 0.1, "2": 0.2}, {"1": 0.3, "2": 0.5}, {"1": 0.1, "2": 0.2}, {"1": 0.1, "3": 0.2}),
+        ({"1": 0.1, "2": 0.2}, {"1": 0.3, "2": 0.5}, {"2": 0.2, "1": 0.1}, {"1": 0.3, "2": 0.5}),
+        # zero original improvement: the mismatch is raised before the division would fail
+        ({"1": 0.1, "2": 0.2}, {"1": 0.1, "2": 0.2}, {"1": 0.1, "2": 0.2}, {"1": 0.1, "3": 0.2}),
+    ], ids=["b-a", "b_prime-a_prime", "b_prime-a_prime-order", "before-division"])
+    def test_each_pair_must_be_aligned(self, args):
+        with pytest.raises(TopicMismatchError):
+            summarize_effect(*map(vector, args))
+        with pytest.raises(TopicMismatchError):
+            effect_ratio(*map(vector, args))
 
 
 class TestRelativeImprovement:

@@ -66,6 +66,25 @@ def test_a_cutoff_rmse_row_holds_its_measure_at_that_cutoff(seed):
 
 
 @settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       cutoffs=st.sets(st.sampled_from([1, 2, 3, 5]), min_size=1).map(sorted))
+def test_a_cutoff_tau_union_is_null_only_at_cutoff_1_and_says_so(seed, cutoffs):
+    # lists of 1-4 documents; topic 301 holds at least two on each side, so the
+    # full-depth tau-union is defined and every topic a cutoff k >= 2 leaves out
+    # is one the full-depth warning already counts
+    rng = random.Random(seed)
+    pool = [f"d{i}" for i in range(6)]
+    orig, rpl = ({str(300 + t): rng.sample(pool, rng.randint(2 if t == 1 else 1, 4)) for t in (1, 2, 3)}
+                 for _ in range(2))
+    orig, rpl = make_run("orig", orig), make_run("rpl", rpl)
+    rep = build_replicate_report(orig, rpl, random_qrels(rng, orig), MEASURES, cutoffs=cutoffs)
+    null = [k for k in cutoffs if rep["cutoffs"][k]["ordering"]["tau_union"] is None]
+    assert null == [k for k in cutoffs if k == 1]
+    assert [w for w in rep["warnings"] if "at cutoff" in w] == [
+        f"tau-union unavailable on every topic at cutoff {k}" for k in null]
+
+
+@settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_swaps=st.integers(0, 30))
 def test_swapping_sides_negates_only_the_signed_delta(seed, n_swaps):
     # rpl permutes orig's documents: on different document sets the union
@@ -79,6 +98,7 @@ def test_swapping_sides_negates_only_the_signed_delta(seed, n_swaps):
     assert backward["ordering"]["tau_union_mean"] == forward["ordering"]["tau_union_mean"]
     for label, block in forward["measures"].items():
         assert backward["measures"][label]["delta_arp_signed"] == -block["delta_arp_signed"]
+        assert block["delta_arp"] == abs(block["delta_arp_signed"])
         assert backward["measures"][label]["rmse"] == block["rmse"]
 
 

@@ -28,6 +28,13 @@ class TestDeltaArp:
         with pytest.raises(TopicMismatchError):
             delta_arp(vector({"1": 0.2}), vector({"2": 0.2}))
 
+    def test_signed_and_antisymmetric(self, rng):
+        for _ in range(50):
+            n = rng.randint(1, 20)
+            a = vector({str(i): rng.random() for i in range(n)})
+            b = vector({str(i): rng.random() for i in range(n)})
+            assert delta_arp(a, b) == a.mean - b.mean == -delta_arp(b, a)
+
 
 class TestRmse:
     def test_identical_vectors(self):
