@@ -1,4 +1,5 @@
-"""Exception types shared across the package, each with its stderr ``category`` and CLI ``exit_code``."""
+"""Exception types shared across the package, each with its stderr ``category`` and CLI ``exit_code``.
+An undefined value (a tau, an effect or a t-test) is not an error but None."""
 
 
 class ReprokitError(Exception):
@@ -23,24 +24,10 @@ class TopicMismatchError(ReprokitError, ValueError):
 
 
 class NoComparableTopicsError(ReprokitError, ValueError):
-    """Topic intersection of two runs (restricted to relevant topics) is empty,
-    or too small for a t-test."""
+    """Topic intersection of two runs (restricted to relevant topics) is empty."""
 
     category = "no-comparable-topics"
     exit_code = 4
-
-
-class DegenerateTiesError(ReprokitError, ArithmeticError):
-    """Tau-union is undefined on every topic of a comparison: no topic pairs two
-    documents, so the report has no mean to give."""
-
-    category = "degenerate-ties"
-
-
-class UndefinedEffectError(ReprokitError, ArithmeticError):
-    """Effect ratio or relative improvement has a zero denominator."""
-
-    category = "undefined-effect"
 
 
 class ConfigError(ReprokitError, ValueError):

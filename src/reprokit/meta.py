@@ -4,7 +4,8 @@ Raw measure outputs point in different directions (high tau is good, high
 RMSE is bad), so each is first mapped to a "badness" scale where lower is
 better (``_BADNESS``). Runs are then ranked per measure and the rankings
 compared with tie-aware Kendall correlation; pairs above 0.9 are flagged
-equivalent, below 0.8 noticeably different.
+equivalent, below 0.8 noticeably different. A value undefined for a run
+(None) has badness None, ranks last and leaves its measure uncorrelated.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ DIFFERENT_THRESHOLD = 0.8
 class MeasureRanking(NamedTuple):
     measure_id: str
     run_ids: tuple[str, ...]  # best (lowest badness) first
-    badness: tuple[float, ...]  # aligned with run_ids, non-decreasing
+    badness: tuple[float | None, ...]  # aligned with run_ids, non-decreasing, None last
 
 
 def consistency_transform(measure_id: str, raw: float) -> float:
@@ -44,13 +45,15 @@ def consistency_transform(measure_id: str, raw: float) -> float:
     return _BADNESS[kind](raw)
 
 
-def rank_runs(measure_id: str, raw_by_run: Mapping[str, float]) -> MeasureRanking:
-    """Order runs by badness ascending, run-id as deterministic tie-break."""
-    items = sorted((consistency_transform(measure_id, v), run) for run, v in raw_by_run.items())
+def rank_runs(measure_id: str, raw_by_run: Mapping[str, float | None]) -> MeasureRanking:
+    """Order runs by badness ascending, run-id as deterministic tie-break; a
+    None value has badness None and ranks last."""
+    items = sorted((v is None, v if v is None else consistency_transform(measure_id, v), run)
+                   for run, v in raw_by_run.items())
     return MeasureRanking(
         measure_id=measure_id,
-        run_ids=tuple(run for _, run in items),
-        badness=tuple(b for b, _ in items),
+        run_ids=tuple(run for _, _, run in items),
+        badness=tuple(b for _, b, _ in items),
     )
 
 
@@ -59,9 +62,9 @@ def correlation_matrix(rankings: Sequence[MeasureRanking]) -> list[list[float]]:
 
     Correlations pair badness values per run (ties handled by the tau
     kernel's tie terms), so equal-badness runs do not inject noise. A pair
-    with no defined tau (one measure gives every run the same badness) is NaN:
-    a blank cell in :func:`matrix_to_csv` and no flag. Rows are lists, indexed
-    ``matrix[i][j]``.
+    with no defined tau (one measure gives every run the same badness, or a
+    None badness to some run) is NaN: a blank cell in :func:`matrix_to_csv`
+    and no flag. Rows are lists, indexed ``matrix[i][j]``.
     """
     if len(rankings) < 2:
         raise ConfigError("need at least 2 measure rankings")
@@ -82,7 +85,7 @@ def correlation_matrix(rankings: Sequence[MeasureRanking]) -> list[list[float]]:
     mat = [[1.0 if i == j else math.nan for j in range(k)] for i in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            tau = kendall_tau(vectors[i], vectors[j])
+            tau = None if None in vectors[i] + vectors[j] else kendall_tau(vectors[i], vectors[j])
             if tau is not None:  # else the cell stays NaN
                 mat[i][j] = mat[j][i] = tau
     return mat

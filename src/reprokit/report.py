@@ -5,6 +5,8 @@ function from loaded runs and qrels. Emission is byte-deterministic for
 identical inputs: JSON keys are sorted, the CSV column order is fixed (see
 CSV_HEADER), and the text table groups columns as ARP | Correlation | RMSE |
 p-value. No timestamps unless provenance was explicitly requested upstream.
+A value that is undefined (a tau, an effect, a t-test) is None, and the
+report's ``warnings`` give the reason; it never stops the report.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable
 
 from . import effects, meta, ordering, score_agreement, stats
 from .effectiveness import MeasureConfig, TopicScoreVector, score_run
-from .errors import ConfigError, DegenerateTiesError
+from .errors import ConfigError
 from .ordering import RboParams
 from .trec_io import Qrels, Run, topic_intersection
 
@@ -51,15 +53,26 @@ def _paired_block(label: str, v_orig: TopicScoreVector, v_rpl: TopicScoreVector,
     }
 
 
-def _ordering_means(full: ordering.FullDepth, warnings: list[str]) -> tuple[float, float]:
-    """Mean tau-union and mean RBO of :func:`ordering.full_depth`'s values;
-    DegenerateTiesError when tau-union is undefined on every topic."""
+def _ordering_means(full: ordering.FullDepth, warnings: list[str]) -> tuple[float | None, float]:
+    """Mean tau-union (None when undefined on every topic) and mean RBO of
+    :func:`ordering.full_depth`'s values."""
     tau_mean, excluded = ordering.mean_over_topics(full.tau)
     if tau_mean is None:
-        raise DegenerateTiesError("tau degenerate on every topic")
-    if excluded:
+        warnings.append("tau-union unavailable on every topic")
+    elif excluded:
         warnings.append(f"tau degenerate on {excluded} topic(s), excluded from mean")
     return tau_mean, ordering.mean_over_topics(full.rbo)[0]
+
+
+def _effect_block(label: str, b: TopicScoreVector, a: TopicScoreVector, b_prime: TopicScoreVector,
+                  a_prime: TopicScoreVector, warnings: list[str]) -> dict:
+    """The effect block of one measure, with a warning for each undefined value."""
+    block = effects.summarize_effect(b, a, b_prime, a_prime)._asdict()
+    if block["er"] is None:
+        warnings.append(f"{label}: er, region and dist undefined: the original pair has no mean improvement")
+    warnings.extend(f"{label}: {key}, delta_ri, region and dist undefined: baseline run {run.run_tag!r} "
+                    "has zero mean score" for key, run in (("ri", b), ("ri_prime", b_prime)) if block[key] is None)
+    return block
 
 
 def _measure_blocks(measures: list[MeasureConfig], orig: list[TopicScoreVector],
@@ -71,7 +84,7 @@ def _measure_blocks(measures: list[MeasureConfig], orig: list[TopicScoreVector],
     for i, cfg in enumerate(measures):
         measure_blocks[cfg.label] = _paired_block(cfg.label, orig[i], rpl[i], warnings)
         if b is not None:
-            effect_blocks[cfg.label] = effects.summarize_effect(b[i], orig[i], b_prime[i], rpl[i])._asdict()
+            effect_blocks[cfg.label] = _effect_block(cfg.label, b[i], orig[i], b_prime[i], rpl[i], warnings)
     return measure_blocks, effect_blocks
 
 
@@ -166,11 +179,8 @@ def build_reproduce_report(sides: Iterable[tuple[Run, Run, Qrels]],
     measure_blocks: dict[str, dict] = {}
     effect_blocks: dict[str, dict] = {}
     for cfg, (a, b), (a_prime, b_prime) in zip(measures, orig, rpd):
-        test_a = stats.unpaired_t_test(a, a_prime)
-        test_b = stats.unpaired_t_test(b, b_prime)
-        for test in (test_a, test_b):
-            if test.warning:
-                warnings.append(f"{cfg.label}: {test.warning}")
+        test_a, test_b = stats.unpaired_t_test(a, a_prime), stats.unpaired_t_test(b, b_prime)
+        warnings.extend(f"{cfg.label}: {test.warning}" for test in (test_a, test_b) if test.warning)
         measure_blocks[cfg.label] = {
             "arp_orig": a.mean,
             "arp_b_orig": b.mean,
@@ -181,7 +191,7 @@ def build_reproduce_report(sides: Iterable[tuple[Run, Run, Qrels]],
             "t_stat_baseline": test_b.t_stat,
             "p_value_baseline": test_b.p_value,
         }
-        effect_blocks[cfg.label] = effects.summarize_effect(b, a, b_prime, a_prime)._asdict()
+        effect_blocks[cfg.label] = _effect_block(cfg.label, b, a, b_prime, a_prime, warnings)
 
     return {
         "mode": "reproduce",
@@ -213,8 +223,8 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
     ``warnings`` holds, for each candidate, the warnings replicate gives on it
     (except those on tau-intersection, which is not ranked), prefixed with its id.
     """
-    raw: dict[str, dict[str, float]] = {"tau": {}, "rbo": {}}  # measure_id -> run_id -> raw value
-    raw_er: dict[str, dict[str, float]] = {}  # listed after the others, as in replicate
+    raw: dict[str, dict[str, float | None]] = {"tau": {}, "rbo": {}}  # measure_id -> run_id -> raw value
+    raw_er: dict[str, dict[str, float | None]] = {}  # listed after the others, as in replicate
     warnings: list[str] = []
     cfgs = tuple(measures)
     # per topic set: the vectors of the original and of its baseline, and the
@@ -368,7 +378,7 @@ def emit_table(report: dict) -> str:
             lines.append(
                 f"{label:<12}{_fmt(eff['er']):>10}{_fmt(eff['ri']):>10}"
                 f"{_fmt(eff['ri_prime']):>10}{_fmt(eff['delta_ri']):>10}"
-                f"  {eff['region']:<16}{_fmt(eff['dist']):>8}"
+                f"  {_fmt(eff['region']):<16}{_fmt(eff['dist']):>8}"
             )
     cutoffs = report.get("cutoffs")
     if cutoffs:

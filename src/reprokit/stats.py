@@ -5,7 +5,8 @@ function, evaluated by a modified Lentz continued fraction (absolute error
 below 1e-10 over the ranges used here). Paired tests compare two runs on
 the same topic set; the unpaired test uses the pooled-variance Student form,
 which tolerates different sample sizes better than Welch's variant when the
-larger sample also has the larger variance.
+larger sample also has the larger variance. Neither test raises: below two
+topics (per sample) ``t_stat`` and ``p_value`` are None, with a ``warning``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from typing import NamedTuple
 
 from .effectiveness import TopicScoreVector
-from .errors import NoComparableTopicsError
 
 _MAX_ITER = 300
 _EPS = 3e-16
@@ -22,9 +22,9 @@ _FPMIN = 1e-300
 
 
 class TestResult(NamedTuple):
-    t_stat: float
+    t_stat: float | None
     dof: float
-    p_value: float
+    p_value: float | None
     warning: str | None = None
 
 
@@ -92,15 +92,13 @@ def two_tailed_p(t: float, dof: float) -> float:
 def paired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
     """Two-tailed paired test on per-topic differences x_j - y_j.
 
-    Zero-variance differences get a defined outcome instead of an error so
-    batch reports never abort: identical vectors -> p = 1, constant nonzero
-    shift -> p = 0 with a warning. Fewer than two topics raise
-    :class:`NoComparableTopicsError`, a ``ValueError``.
+    Zero-variance differences: identical vectors -> p = 1, constant nonzero
+    shift -> p = 0 with a warning. Fewer than two topics -> undefined.
     """
     x.require_aligned(y)
     n = len(x.scores)
     if n < 2:
-        raise NoComparableTopicsError(f"paired test needs n >= 2 topics, got {n}")
+        return TestResult(None, float(n - 1), None, warning=f"paired test needs n >= 2 topics, got {n}")
     d = [a - b for a, b in zip(x.values(), y.values())]
     mean_d = math.fsum(d) / n
     var_d = math.fsum((v - mean_d) ** 2 for v in d) / (n - 1)
@@ -116,10 +114,11 @@ def paired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
 
 def unpaired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
     """Two-tailed pooled-variance Student test; samples may differ in size but
-    need two topics each, else :class:`NoComparableTopicsError` (a ``ValueError``)."""
+    need two topics each, else the test is undefined."""
     nx, ny = len(x.scores), len(y.scores)
     if nx < 2 or ny < 2:
-        raise NoComparableTopicsError(f"unpaired test needs n >= 2 per sample, got {nx} and {ny}")
+        return TestResult(None, float(nx + ny - 2), None,
+                          warning=f"unpaired test needs n >= 2 per sample, got {nx} and {ny}")
     xv, yv = x.values(), y.values()
     mx, my = math.fsum(xv) / nx, math.fsum(yv) / ny
     ssx = math.fsum((v - mx) ** 2 for v in xv)

@@ -285,21 +285,28 @@ def brute_effect(b, a, b_prime, a_prime):
     ER is the exact mean of the per-topic float differences a' - b' over that
     of a - b; RI is (mean(a) - mean(b)) / mean(b) on the exact scores. The
     values are Fractions, except ``dist``; ``region`` is None where ER or
-    Delta RI is zero. ZeroDivisionError where a denominator is zero.
+    Delta RI is zero. A value whose denominator is zero is None, and so is
+    each value computed from it: Delta RI from RI and RI', region and dist
+    from ER and Delta RI.
     """
     def mean(xs):
         return sum(map(Fraction, xs), Fraction(0)) / len(xs)
 
-    er = mean([x - y for x, y in zip(a_prime, b_prime)]) / mean([x - y for x, y in zip(a, b)])
-    ri = (mean(a) - mean(b)) / mean(b)
-    ri_prime = (mean(a_prime) - mean(b_prime)) / mean(b_prime)
-    delta_ri = ri - ri_prime
-    region = None
-    if er != 0 and delta_ri != 0:
-        region = {(True, True): "1", (False, True): "2", (False, False): "3", (True, False): "4"}[
-            (er > 0, delta_ri > 0)]
+    def ratio(num, den):
+        return None if den == 0 else num / den
+
+    er = ratio(mean([x - y for x, y in zip(a_prime, b_prime)]), mean([x - y for x, y in zip(a, b)]))
+    ri = ratio(mean(a) - mean(b), mean(b))
+    ri_prime = ratio(mean(a_prime) - mean(b_prime), mean(b_prime))
+    delta_ri = None if ri is None or ri_prime is None else ri - ri_prime
+    region = dist = None
+    if er is not None and delta_ri is not None:
+        dist = math.hypot(er - 1, delta_ri)
+        if er != 0 and delta_ri != 0:
+            region = {(True, True): "1", (False, True): "2", (False, False): "3", (True, False): "4"}[
+                (er > 0, delta_ri > 0)]
     return {"er": er, "ri": ri, "ri_prime": ri_prime, "delta_ri": delta_ri, "region": region,
-            "dist": math.hypot(er - 1, delta_ri)}
+            "dist": dist}
 
 
 def t_cdf_by_integration(t, dof, n_points=200001):

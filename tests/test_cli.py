@@ -834,45 +834,6 @@ def test_a_cutoff_is_ascii_digits(tmp_path, capsys, flag, value):
     assert repr(value) in err["message"]
 
 
-@pytest.mark.parametrize("command", ["replicate", "reproduce", "correlate"])
-def test_one_comparable_topic_is_exit_4(tmp_path, capsys, command):
-    # a t-test needs two topics: one is an error record, not a traceback
-    (tmp_path / "a.run").write_text("301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n")
-    (tmp_path / "b.run").write_text("301 Q0 B 1 2.0 b\n301 Q0 A 2 1.0 b\n")
-    (tmp_path / "q.txt").write_text("301 0 A 1\n")
-    (tmp_path / "m.json").write_text(json.dumps(
-        {"qrels": "q.txt", "run_orig": "a.run", "candidates": ["b.run", "a.run"]}))
-    a, b, q = (str(tmp_path / name) for name in ("a.run", "b.run", "q.txt"))
-    argv = {
-        "replicate": ["--run-orig", a, "--run-rpl", b, "--qrels", q],
-        "reproduce": ["--run-a-orig", a, "--run-b-orig", b, "--qrels-orig", q,
-                      "--run-a-rpd", b, "--run-b-rpd", a, "--qrels-rpd", q],
-        "correlate": ["--manifest", str(tmp_path / "m.json")],
-    }[command]
-    assert main([command, *argv]) == 4
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "no-comparable-topics"
-    assert "n >= 2" in err["message"]
-
-
-@pytest.mark.parametrize("command", ["replicate", "correlate"])
-def test_tau_undefined_on_every_topic_is_exit_1(tmp_path, capsys, command):
-    # one document per topic pairs no two positions, so no topic has a tau-union
-    (tmp_path / "a.run").write_text("301 Q0 A 1 2.0 a\n302 Q0 C 1 2.0 a\n")
-    (tmp_path / "b.run").write_text("301 Q0 B 1 2.0 b\n302 Q0 C 1 2.0 b\n")
-    (tmp_path / "q.txt").write_text("301 0 A 1\n302 0 C 1\n")
-    (tmp_path / "m.json").write_text(json.dumps(
-        {"qrels": "q.txt", "run_orig": "a.run", "candidates": ["b.run", "a.run"]}))
-    a, b, q = (str(tmp_path / name) for name in ("a.run", "b.run", "q.txt"))
-    argv = {
-        "replicate": ["--run-orig", a, "--run-rpl", b, "--qrels", q],
-        "correlate": ["--manifest", str(tmp_path / "m.json")],
-    }[command]
-    assert main([command, *argv]) == 1
-    assert json.loads(capsys.readouterr().err) == {"error": "degenerate-ties",
-                                                   "message": "tau degenerate on every topic"}
-
-
 def test_cli_import_loads_no_numpy():
     src = str(pathlib.Path(reprokit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -884,8 +845,8 @@ def test_cli_import_loads_no_numpy():
 
 @pytest.mark.parametrize("command", ["replicate", "correlate"])
 def test_strict_baseline_without_the_one_comparable_topic_is_a_topic_mismatch(tmp_path, capsys, command):
-    # baselines are scored with their run pair, before any t-test: the missing
-    # topic is the error, not the single comparable topic (no-comparable-topics)
+    # baselines are scored with their run pair: under --strict the missing topic
+    # is the error; leniently it is scored 0, and the one-topic t-test is null
     (tmp_path / "a.run").write_text("301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n")
     (tmp_path / "b.run").write_text("301 Q0 B 1 2.0 b\n301 Q0 A 2 1.0 b\n")
     (tmp_path / "c.run").write_text("302 Q0 A 1 2.0 c\n302 Q0 B 2 1.0 c\n")
@@ -902,8 +863,11 @@ def test_strict_baseline_without_the_one_comparable_topic_is_a_topic_mismatch(tm
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "topic-mismatch"
     assert "301" in err["message"]
-    assert main([command, *argv]) == 4  # lenient: scored 0, then the t-test needs two topics
-    assert json.loads(capsys.readouterr().err)["error"] == "no-comparable-topics"
+    assert main([command, *argv, "--format", "json"]) == 0
+    warnings = json.loads(capsys.readouterr().out)["warnings"]
+    prefixes = [""] if command == "replicate" else ["b.run: ", "a.run: "]  # one per candidate
+    assert [w for w in warnings if "301" in w] == [f"{p}run 'c' missing topic 301, scored 0" for p in prefixes]
+    assert all(f"{p}P@10: paired test needs n >= 2 topics, got 1" in warnings for p in prefixes)
 
 
 @pytest.mark.parametrize("command", ["replicate", "reproduce"])

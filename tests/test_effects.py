@@ -12,7 +12,7 @@ from reprokit.effects import (
     relative_improvement,
     summarize_effect,
 )
-from reprokit.errors import TopicMismatchError, UndefinedEffectError
+from reprokit.errors import TopicMismatchError
 from reprokit.score_agreement import rmse
 
 from conftest import vector
@@ -63,10 +63,18 @@ class TestEffectRatio:
         inp = quad(b={"1": 0.1}, a={"1": 0.4}, bp={"1": 0.2}, ap={"1": 0.2})
         assert effect_ratio(*inp) == 0.0
 
-    def test_zero_original_improvement_errors(self):
+    def test_zero_original_improvement_is_none(self):
         inp = quad(b={"1": 0.3}, a={"1": 0.3}, bp={"1": 0.1}, ap={"1": 0.4})
-        with pytest.raises(UndefinedEffectError):
-            effect_ratio(*inp)
+        assert effect_ratio(*inp) is None
+
+    def test_equal_original_means_are_none_whatever_the_rounding_of_the_differences(self):
+        # P@20 scores 1/20, 6/20 against 3/20, 4/20: equal means, but the float
+        # differences 0.1 and -0.1 do not cancel; dividing by their sum would give ER 7.2e15
+        inp = quad(b={"1": 0.05, "2": 0.30}, a={"1": 0.15, "2": 0.20},
+                   bp={"1": 0.05, "2": 0.05}, ap={"1": 0.10, "2": 0.10})
+        assert math.fsum(per_topic_improvements(*inp[:2])) != 0
+        assert effect_ratio(*inp) is None
+        assert summarize_effect(*inp) == (None, 0.0, 1.0, -1.0, None, None)
 
     def test_pairs_on_different_topic_sets(self):
         inp = quad(
@@ -138,9 +146,8 @@ class TestRelativeImprovement:
         a = vector({"1": 0.3711})
         assert relative_improvement(b, a) == pytest.approx((0.3711 - 0.6460) / 0.6460)
 
-    def test_zero_baseline_errors(self):
-        with pytest.raises(UndefinedEffectError):
-            relative_improvement(vector({"1": 0.0}), vector({"1": 0.2}))
+    def test_zero_baseline_is_none(self):
+        assert relative_improvement(vector({"1": 0.0}), vector({"1": 0.2})) is None
 
 
 class TestDeltaRi:
@@ -189,6 +196,15 @@ class TestClassifyRegion:
             else:
                 assert region.startswith("boundary")
 
+    def test_a_rounding_size_delta_ri_is_filed_by_its_sign(self):
+        # RI = RI' = 1/3 on the decimal scores; the float Delta RI is rounding
+        # noise, and its sign, not a boundary, picks the region
+        scores = ((0.65, 0.10), (0.40, 0.60), (0.45, 0.15), (0.75, 0.05))
+        for scale, region in ((lambda x: x, "4"), (lambda x: round(x * 20) * 0.05, "1")):
+            s = summarize_effect(*quad(*({"1": scale(x), "2": scale(y)} for x, y in scores)))
+            assert s.er > 0 and 0 < abs(s.delta_ri) < 1e-15
+            assert s.region == classify_region(s.er, s.delta_ri) == region
+
 
 @settings(max_examples=300, deadline=None)
 @given(lam=st.floats(-3, 3),
@@ -225,19 +241,26 @@ def effect_quads(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(quads=effect_quads())
+@example(quads=[{"0": 0.05, "1": 0.30}, {"0": 0.15, "1": 0.20},
+                {"0": 0.05, "1": 0.05}, {"0": 0.10, "1": 0.10}])
 def test_effect_matches_the_oracle_on_both_settings(quads):
-    try:
-        want = brute_effect(*(list(q.values()) for q in quads))
-    except ZeroDivisionError:  # a zero mean improvement or a zero baseline mean
-        with pytest.raises(UndefinedEffectError):
-            summarize_effect(*map(vector, quads))
-        return
+    want = brute_effect(*(list(q.values()) for q in quads))
     got = summarize_effect(*map(vector, quads))
+    if got.ri == 0.0:
+        # equal float means: the exact mean of the float differences may be rounding
+        # noise, not zero, but there is no improvement to divide by
+        assert got.er is None
+        want.update(er=None, region=None, dist=None)
     for key in ("er", "ri", "ri_prime", "delta_ri", "dist"):
-        assert getattr(got, key) == pytest.approx(float(want[key]), rel=1e-9, abs=1e-9), key
+        if want[key] is None:  # a zero denominator, or a value computed from one
+            assert getattr(got, key) is None, key
+        else:
+            assert getattr(got, key) == pytest.approx(float(want[key]), rel=1e-9, abs=1e-9), key
+    if want["dist"] is None:
+        assert got.region is None
     # ER's sign is exact; a Delta RI within rounding of zero (RI = RI' on the decimal
     # scores) has a sign of noise, and like an exact zero its region is left open
-    if want["region"] is not None and abs(want["delta_ri"]) > 1e-9:
+    elif want["region"] is not None and abs(want["delta_ri"]) > 1e-9:
         assert got.region == want["region"]
 
 
@@ -258,3 +281,13 @@ class TestSummaryAndPlotData:
         # half the improvement: ER 0.5, RI 1.0, RI' 0.5, so Delta RI 0.5
         s = summarize_effect(*quad(b={"1": 0.2}, a={"1": 0.4}, bp={"1": 0.2}, ap={"1": 0.3}))
         assert s.dist == math.hypot(s.er - 1.0, s.delta_ri) == pytest.approx(math.hypot(0.5, 0.5))
+
+    @pytest.mark.parametrize("b, a, bp, ap, want", [
+        # no original improvement: ER, so region and dist
+        ({"1": 0.3}, {"1": 0.3}, {"1": 0.1}, {"1": 0.4}, (None, 0.0, 3.0, -3.0, None, None)),
+        # a zero baseline mean: that RI, so Delta RI, region and dist
+        ({"1": 0.0}, {"1": 0.2}, {"1": 0.1}, {"1": 0.3}, (1.0, None, 2.0, None, None, None)),
+        ({"1": 0.1}, {"1": 0.2}, {"1": 0.0}, {"1": 0.3}, (3.0, 1.0, None, None, None, None)),
+    ], ids=["er", "ri", "ri_prime"])
+    def test_an_undefined_value_is_none_as_is_each_value_computed_from_it(self, b, a, bp, ap, want):
+        assert summarize_effect(*quad(b, a, bp, ap)) == pytest.approx(want)

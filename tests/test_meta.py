@@ -50,6 +50,10 @@ class TestRankRuns:
         ranking = rank_runs("tau", {"good": 0.9, "bad": 0.1})
         assert ranking.run_ids[0] == "good"
 
+    def test_an_undefined_value_ranks_last_by_run_id(self):
+        ranking = rank_runs("er_P@10", {"r4": None, "r3": 1.5, "r1": None, "r2": 1.0})
+        assert ranking == ("er_P@10", ("r2", "r3", "r1", "r4"), (0.0, 0.5, None, None))
+
 
 class TestCorrelationMatrix:
     def _rankings(self, runs=10):
@@ -92,6 +96,20 @@ class TestCorrelationMatrix:
             "rmse_AP@1000,1.0000,,-1.0000",
             "rbo,,1.0000,",
             "rmse_P@10,-1.0000,,1.0000",
+        ]
+        assert [(x, y) for x, y, _, _ in flag_equivalences(mat, ids)] == [("rmse_AP@1000", "rmse_P@10")]
+
+    def test_measure_undefined_for_a_run_is_uncorrelated(self):
+        # like a measure that ties every run: its row and column stay NaN, unflagged
+        a = rank_runs("rmse_AP@1000", {"r1": 0.1, "r2": 0.2, "r3": 0.3})
+        b = rank_runs("p_value_AP@1000", {"r1": 0.5, "r2": None, "r3": 0.1})
+        c = rank_runs("rmse_P@10", {"r1": 0.1, "r2": 0.2, "r3": 0.3})
+        mat = correlation_matrix([a, b, c])
+        ids = ["rmse_AP@1000", "p_value_AP@1000", "rmse_P@10"]
+        assert matrix_to_csv(mat, ids).splitlines()[1:] == [
+            "rmse_AP@1000,1.0000,,1.0000",
+            "p_value_AP@1000,,1.0000,",
+            "rmse_P@10,1.0000,,1.0000",
         ]
         assert [(x, y) for x, y, _, _ in flag_equivalences(mat, ids)] == [("rmse_AP@1000", "rmse_P@10")]
 

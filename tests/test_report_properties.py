@@ -5,12 +5,11 @@ value stays in its range."""
 
 import random
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reprokit.effectiveness import MeasureConfig, parse_measure_spec
 from reprokit.effects import EffectSummary
-from reprokit.errors import UndefinedEffectError
 from reprokit.report import build_replicate_report, build_reproduce_report, emit
 from reprokit.trec_io import Qrels, Run, parse_qrels, parse_run
 
@@ -109,15 +108,27 @@ def test_a_run_replicates_itself_perfectly(seed):
     run = random_run(rng, "run", 4, 15)
     b = random_run(rng, "b", 4, 15)
     qrels = random_qrels(rng, run)
-    try:
-        rep = build_replicate_report(run, run, qrels, MEASURES, baselines=(b, b))
-    except UndefinedEffectError:  # b scores as well as run, or 0, on some measure
-        assume(False)
+    rep = build_replicate_report(run, run, qrels, MEASURES, baselines=(b, b))
     assert rep["ordering"]["tau_union_mean"] == 1.0
     assert rep["ordering"]["tau_intersection_mean"] == 1.0
     for label, block in rep["measures"].items():
         assert (block["delta_arp"], block["rmse"], block["p_value"]) == (0.0, 0.0, 1.0)
-        assert (rep["effects"][label]["er"], rep["effects"][label]["delta_ri"]) == (1.0, 0.0)
+        # where b scores as well as run (no improvement) or 0 (no RI), that value is None
+        effect = rep["effects"][label]
+        assert effect["er"] in (1.0, None) and effect["delta_ri"] in (0.0, None)
+    _assert_each_undefined_effect_is_warned(rep)
+
+
+def _effect_warnings(rep: dict) -> list[str]:
+    return [w for w in rep["warnings"] if " undefined: " in w]
+
+
+def _assert_each_undefined_effect_is_warned(rep: dict) -> None:
+    """A None ER, RI or RI' has its one warning, and a defined one none."""
+    for label, block in rep["effects"].items():
+        for key in ("er", "ri", "ri_prime"):
+            warned = [w for w in _effect_warnings(rep) if w.startswith(f"{label}: {key},")]
+            assert len(warned) == (block[key] is None), (label, key)
 
 
 @settings(max_examples=50, deadline=None)
@@ -150,17 +161,17 @@ def test_effects_do_not_depend_on_topic_order(seed, order):
     label = {str(301 + i): str(301 + j) for i, j in enumerate(order)}
     relabelled = [Run(run.tag, {label[t]: ranking for t, ranking in run.topics.items()}) for run in runs]
 
-    def effects(orig, rpl, b, b_prime, qrels):
-        try:
-            return build_replicate_report(orig, rpl, qrels, MEASURES, baselines=(b, b_prime))["effects"]
-        except UndefinedEffectError:  # a zero baseline mean or improvement
-            assume(False)
+    def report(orig, rpl, b, b_prime, qrels):
+        return build_replicate_report(orig, rpl, qrels, MEASURES, baselines=(b, b_prime))
 
-    expected = effects(*runs, qrels)
-    got = effects(*relabelled, Qrels({label[t]: docs for t, docs in qrels.topics.items()}))
+    expected = report(*runs, qrels)
+    got = report(*relabelled, Qrels({label[t]: docs for t, docs in qrels.topics.items()}))
     # every mean is a math.fsum, exactly rounded whatever the order of its terms, so
-    # each block is equal: er, ri, ri_prime, delta_ri, region and dist
-    assert got == expected
+    # each block is equal: er, ri, ri_prime, delta_ri, region and dist, a None
+    # (a zero baseline mean or improvement) included, and so is its warning
+    assert got["effects"] == expected["effects"]
+    assert _effect_warnings(got) == _effect_warnings(expected)
+    _assert_each_undefined_effect_is_warned(expected)
 
 
 def test_every_effect_block_holds_exactly_the_summary_fields():

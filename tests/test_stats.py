@@ -87,9 +87,9 @@ class TestPairedTTest:
             assert fwd.p_value == pytest.approx(rev.p_value, abs=1e-12)
             assert fwd.t_stat == pytest.approx(-rev.t_stat, abs=1e-12)
 
-    def test_too_few_topics(self):
-        with pytest.raises(ValueError):
-            paired_t_test(vector({"1": 0.1}), vector({"1": 0.2}))
+    def test_one_topic_is_undefined_with_a_warning(self):
+        res = paired_t_test(vector({"1": 0.1}), vector({"1": 0.2}))
+        assert res == (None, 0.0, None, "paired test needs n >= 2 topics, got 1")
 
 
 class TestUnpairedTTest:
@@ -110,6 +110,13 @@ class TestUnpairedTTest:
         res = unpaired_t_test(x, y)
         assert res.dof == 33
         assert 0.0 <= res.p_value <= 1.0
+
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 3), (3, 1)])
+    def test_a_sample_of_one_topic_is_undefined_with_a_warning(self, nx, ny):
+        x = vector({str(i): 0.1 * i for i in range(nx)})
+        y = vector({f"y{i}": 0.2 * i for i in range(ny)})
+        assert unpaired_t_test(x, y) == (None, float(nx + ny - 2), None,
+                                         f"unpaired test needs n >= 2 per sample, got {nx} and {ny}")
 
     def test_pooled_statistic_value(self):
         # hand-computed pooled t for {0,1} vs {2,3}: t = -2 / sqrt(0.5 * 1) = -2.8284
