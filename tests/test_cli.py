@@ -718,6 +718,17 @@ class TestCorrelate:
         assert json.loads(capsys.readouterr().err) == {
             "error": "config", "message": f"manifest {mpath}: not UTF-8 text: byte 0xff (invalid start byte)"}
 
+    def test_a_manifest_that_is_not_json_is_a_config_error_before_any_read(self, tmp_path, capsys,
+                                                                           monkeypatch):
+        mpath = tmp_path / "m.json"
+        mpath.write_text('{"qrels": "q.txt",}')
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads(mpath.read_text())
+        self._refuse_loads(monkeypatch)
+        assert main(["correlate", "--manifest", str(mpath)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "message": f"manifest {mpath}: invalid JSON: {info.value}"}
+
     @pytest.mark.parametrize("lacking, run_b_orig, message", [
         ((), None, "candidate 'cand0.run' has a baseline run and the original lacks one"),
         (("base1",), "b_orig.run", "candidate 'cand1.run' lacks a baseline run and the original has one"),
@@ -808,6 +819,8 @@ class TestCorrelate:
       for v in ("1_0", "\u0663", "+5", "-5", "1.0", "")),
     *(("--phi", v, f"bad --phi {v!r}; expected a number like 0.8")
       for v in ("\uff10.\uff15", "0.5_0", "0.\u0665", "x", "")),
+    ("--measures", ",", "no measures requested"),
+    ("--measures", "P@10,p@10", "measure P@10 requested twice"),
 ])
 def test_rbo_settings_are_checked_before_any_input_is_read(tmp_path, capsys, command,
                                                            flag, value, message):

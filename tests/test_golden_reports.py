@@ -11,6 +11,7 @@ import os
 import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +67,13 @@ def test_reports_are_byte_identical_under_every_cpython(minor):
                               env={**os.environ, "PYTHONPATH": str(root / "src")},
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, f"{exe}:\n{proc.stdout}{proc.stderr}"
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_reports_do_not_depend_on_the_hash_seed(seed):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "tests" / "golden_inputs.py"), "--compare"],
+                          cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src"),
+                                         "PYTHONHASHSEED": seed},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, f"PYTHONHASHSEED={seed}:\n{proc.stdout}{proc.stderr}"

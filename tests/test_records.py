@@ -8,12 +8,12 @@ from array import array
 
 import pytest
 
-from reprokit import stats
+from reprokit import report, stats
 from reprokit.effectiveness import MeasureConfig, TopicScoreVector
 from reprokit.effects import EffectSummary
 from reprokit.errors import ConfigError
 from reprokit.meta import MeasureRanking
-from reprokit.ordering import FullDepth, RboParams
+from reprokit.ordering import FullDepth, RboParams, rbo
 from reprokit.trec_io import Qrels, Ranking, Run, topic_intersection
 
 from conftest import make_qrels, make_run
@@ -109,6 +109,9 @@ def test_defaults():
     (lambda: RboParams(1.5), ConfigError, "phi must be in (0,1), got 1.5"),
     (lambda: RboParams(phi=0.0), ConfigError, "phi must be in (0,1), got 0.0"),
     (lambda: RboParams(depth=0), ConfigError, "depth must be >= 1, got 0"),
+    (lambda: rbo((), ("a",), RboParams()), ValueError, "rankings must be nonempty"),
+    (lambda: report.emit({}, "xml"), ConfigError,
+     "unknown format 'xml'; expected one of ('json', 'csv', 'table')"),
 ])
 def test_invalid_arguments_raise(build, error, message):
     with pytest.raises(error) as info:

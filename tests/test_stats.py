@@ -18,7 +18,7 @@ from conftest import vector
 class TestTCdf:
     def test_center_is_half(self):
         for dof in (1, 2, 5, 49, 1000):
-            assert t_cdf(0.0, dof) == 0.5
+            assert t_cdf(0.0, dof) == t_cdf(-0.0, dof) == 0.5
 
     def test_beta_symmetry_identity(self):
         for a in (0.5, 1.0, 2.5, 10.0):
@@ -160,3 +160,40 @@ _PINNED_T_CDF = [
 @pytest.mark.parametrize("t, dof, cdf, p", _PINNED_T_CDF)
 def test_t_cdf_and_p_are_pinned_to_the_bit(t, dof, cdf, p):
     assert (repr(t_cdf(t, dof)), repr(two_tailed_p(t, dof))) == (cdf, p)
+
+
+# (test, x, y, repr of t_stat, repr of p_value, dof, warning), as the two tests gave them
+# before they shared one Student-t step
+_PINNED_T_TESTS = [
+    # ordinary paired, and unpaired on samples of unequal size
+    (paired_t_test, {"1": 0.31, "2": 0.52, "3": 0.18, "4": 0.77},
+     {"1": 0.25, "2": 0.40, "3": 0.22, "4": 0.61},
+     "1.7244037467885316", "0.18310168529290127", 3.0, None),
+    (unpaired_t_test, {"1": 0.31, "2": 0.52, "3": 0.18},
+     {"a": 0.25, "b": 0.40, "c": 0.22, "d": 0.61, "e": 0.05},
+     "0.2116484758744015", "0.8393874279745006", 6.0, None),
+    # identical vectors
+    (paired_t_test, {"1": 0.2, "2": 0.4, "3": 0.9}, {"1": 0.2, "2": 0.4, "3": 0.9},
+     "0.0", "1.0", 2.0, None),
+    (unpaired_t_test, {"1": 0.2, "2": 0.4, "3": 0.9}, {"1": 0.2, "2": 0.4, "3": 0.9},
+     "0.0", "1.0", 4.0, None),
+    # zero variance with a nonzero mean difference of each sign
+    (paired_t_test, {"1": 0.5, "2": 0.75}, {"1": 0.25, "2": 0.5}, "inf", "0.0", 1.0,
+     "zero variance with nonzero mean difference"),
+    (paired_t_test, {"1": 0.25, "2": 0.5}, {"1": 0.5, "2": 0.75}, "-inf", "0.0", 1.0,
+     "zero variance with nonzero mean difference"),
+    (unpaired_t_test, {"1": 1.0, "2": 1.0}, {"a": 0.0, "b": 0.0, "c": 0.0}, "inf", "0.0", 3.0,
+     "zero variance in both samples with unequal means"),
+    (unpaired_t_test, {"1": 0.0, "2": 0.0, "3": 0.0}, {"a": 1.0, "b": 1.0}, "-inf", "0.0", 3.0,
+     "zero variance in both samples with unequal means"),
+    # t = 0 with nonzero variance: d = (0.1, -0.1), and means equal over spread samples
+    (paired_t_test, {"1": 0.1, "2": 0.0}, {"1": 0.0, "2": 0.1}, "0.0", "1.0", 1.0, None),
+    (unpaired_t_test, {"1": 0.1, "2": 0.3}, {"a": 0.3, "b": 0.1}, "0.0", "1.0", 2.0, None),
+]
+
+
+@pytest.mark.parametrize("test, x, y, t_stat, p_value, dof, warning", _PINNED_T_TESTS,
+                         ids=[f"{case[0].__name__}-{i}" for i, case in enumerate(_PINNED_T_TESTS)])
+def test_t_tests_are_pinned_to_the_bit(test, x, y, t_stat, p_value, dof, warning):
+    res = test(vector(x), vector(y))
+    assert (repr(res.t_stat), repr(res.p_value), res.dof, res.warning) == (t_stat, p_value, dof, warning)
