@@ -9,7 +9,7 @@ for every (measure, cutoff) asked; a single ranking is scored as a one-topic
 run. P@k counts the hits at rank <= k. AP@k reads the running sum of
 precision at each hit at the last hit <= k, the very float a walk stopped at
 k gives. nDCG@k and IDCG@k are the ``math.fsum`` of a prefix slice of the
-gain terms.
+gain terms, built once per topic in the walk.
 """
 
 from __future__ import annotations
@@ -109,7 +109,9 @@ def _topic_scores(ranking: Sequence[str], grades: Mapping[str, int],
     for n_hits, i in enumerate(ranks, start=1):
         total += n_hits / i
         ap_sums.append(total)
-    dcg_terms = ideal_terms = None
+    dcg_terms = [g / math.log2(i + 1) for i, g in hits]
+    ideal = sorted(grades.values(), reverse=True)
+    ideal_terms = [g / math.log2(i + 1) for i, g in enumerate(ideal, start=1)]
     out = []
     for measure, k in cfgs:
         j = bisect_right(ranks, k)  # hits at rank <= k
@@ -120,10 +122,6 @@ def _topic_scores(ranking: Sequence[str], grades: Mapping[str, int],
         elif measure == "AP":
             out.append(ap_sums[j] / n_rel)
         else:
-            if dcg_terms is None:
-                dcg_terms = [g / math.log2(i + 1) for i, g in hits]
-                ideal = sorted(grades.values(), reverse=True)
-                ideal_terms = [g / math.log2(i + 1) for i, g in enumerate(ideal, start=1)]
             out.append(math.fsum(dcg_terms[:j]) / math.fsum(ideal_terms[:k]))
     return out
 

@@ -180,7 +180,8 @@ def build_reproduce_report(sides: Iterable[tuple[Run, Run, Qrels]],
     effect_blocks: dict[str, dict] = {}
     for cfg, (a, b), (a_prime, b_prime) in zip(measures, orig, rpd):
         test_a, test_b = stats.unpaired_t_test(a, a_prime), stats.unpaired_t_test(b, b_prime)
-        warnings.extend(f"{cfg.label}: {test.warning}" for test in (test_a, test_b) if test.warning)
+        warnings.extend(f"{cfg.label}: {which}{test.warning}"
+                        for which, test in (("", test_a), ("baseline runs: ", test_b)) if test.warning)
         measure_blocks[cfg.label] = {
             "arp_orig": a.mean,
             "arp_b_orig": b.mean,
@@ -284,8 +285,6 @@ def _fmt(value, sci_below: float | None = None) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, int):
-        return str(value)
     if sci_below is not None and 0 < abs(value) < sci_below:
         mantissa, _, exp = f"{value:.0E}".partition("E")
         return f"{mantissa}E{int(exp)}"

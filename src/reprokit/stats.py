@@ -5,8 +5,10 @@ function, evaluated by a modified Lentz continued fraction (absolute error
 below 1e-10 over the ranges used here). Paired tests compare two runs on
 the same topic set; the unpaired test uses the pooled-variance Student form,
 which tolerates different sample sizes better than Welch's variant when the
-larger sample also has the larger variance. Neither test raises: below two
-topics (per sample) ``t_stat`` and ``p_value`` are None, with a ``warning``.
+larger sample also has the larger variance. Both end in one Student-t step,
+:func:`_student`, which states the zero-variance rule. Neither test raises:
+below two topics (per sample) ``t_stat`` and ``p_value`` are None, with a
+``warning``.
 """
 
 from __future__ import annotations
@@ -78,8 +80,6 @@ def t_cdf(t: float, dof: float) -> float:
     """Student-t cumulative probability P(T <= t) with dof degrees of freedom."""
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
-    if t == 0.0:
-        return 0.5
     x = dof / (dof + t * t)
     tail = 0.5 * regularized_incomplete_beta(dof / 2.0, 0.5, x)
     return 1.0 - tail if t > 0 else tail
@@ -89,12 +89,19 @@ def two_tailed_p(t: float, dof: float) -> float:
     return 2.0 * (1.0 - t_cdf(abs(t), dof))
 
 
-def paired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
-    """Two-tailed paired test on per-topic differences x_j - y_j.
+def _student(diff: float, var: float, dof: float, warning: str) -> TestResult:
+    """t = diff / sqrt(var) with its two-tailed p. Zero variance: a zero
+    ``diff`` gives t = 0 and p = 1; any other gives t = +-inf, p = 0 and ``warning``."""
+    if var == 0.0:
+        if diff == 0.0:
+            return TestResult(0.0, dof, 1.0)
+        return TestResult(math.copysign(math.inf, diff), dof, 0.0, warning=warning)
+    t = diff / math.sqrt(var)
+    return TestResult(t, dof, two_tailed_p(t, dof))
 
-    Zero-variance differences: identical vectors -> p = 1, constant nonzero
-    shift -> p = 0 with a warning. Fewer than two topics -> undefined.
-    """
+
+def paired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
+    """Two-tailed paired test on per-topic differences x_j - y_j."""
     x.require_aligned(y)
     n = len(x.scores)
     if n < 2:
@@ -102,14 +109,7 @@ def paired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
     d = [a - b for a, b in zip(x.values(), y.values())]
     mean_d = math.fsum(d) / n
     var_d = math.fsum((v - mean_d) ** 2 for v in d) / (n - 1)
-    dof = float(n - 1)
-    if var_d == 0.0:
-        if mean_d == 0.0:
-            return TestResult(0.0, dof, 1.0)
-        return TestResult(math.inf if mean_d > 0 else -math.inf, dof, 0.0,
-                          warning="zero variance with nonzero mean difference")
-    t = mean_d / math.sqrt(var_d / n)
-    return TestResult(t, dof, two_tailed_p(t, dof))
+    return _student(mean_d, var_d / n, float(n - 1), "zero variance with nonzero mean difference")
 
 
 def unpaired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
@@ -125,10 +125,5 @@ def unpaired_t_test(x: TopicScoreVector, y: TopicScoreVector) -> TestResult:
     ssy = math.fsum((v - my) ** 2 for v in yv)
     dof = float(nx + ny - 2)
     pooled = (ssx + ssy) / dof
-    if pooled == 0.0:
-        if mx == my:
-            return TestResult(0.0, dof, 1.0)
-        return TestResult(math.inf if mx > my else -math.inf, dof, 0.0,
-                          warning="zero variance in both samples with unequal means")
-    t = (mx - my) / math.sqrt(pooled * (1.0 / nx + 1.0 / ny))
-    return TestResult(t, dof, two_tailed_p(t, dof))
+    return _student(mx - my, pooled * (1.0 / nx + 1.0 / ny), dof,
+                    "zero variance in both samples with unequal means")

@@ -207,7 +207,6 @@ def parse_qrels(source: TextSource) -> Qrels:
             grade = int(grade_str)
             if grade < 0:
                 warnings.append(f"line {line_no}: negative grade {grade} for doc {doc_id!r}, clamped to 0")
-                grade = 0
             if line_topic != topic:
                 topic = line_topic
                 docs = topics.setdefault(topic, {})

@@ -162,8 +162,7 @@ def test_t_cdf_and_p_are_pinned_to_the_bit(t, dof, cdf, p):
     assert (repr(t_cdf(t, dof)), repr(two_tailed_p(t, dof))) == (cdf, p)
 
 
-# (test, x, y, repr of t_stat, repr of p_value, dof, warning), as the two tests gave them
-# before they shared one Student-t step
+# (test, x, y, repr of t_stat, repr of p_value, dof, warning)
 _PINNED_T_TESTS = [
     # ordinary paired, and unpaired on samples of unequal size
     (paired_t_test, {"1": 0.31, "2": 0.52, "3": 0.18, "4": 0.77},

@@ -126,14 +126,15 @@ TWO_TOPICS = {"a.run": _run_text("a", {"301": ["A", "B", "C"], "302": ["D", "E"]
               "q2.txt": _qrels_text({"301": {"B": 1}, "302": {"E": 1}}),
               "bb.run": _run_text("bb", {"301": ["C", "B"], "302": ["D"]})}
 ZERO = _run_text("z", {"301": ["N"], "302": ["N"]})  # retrieves nothing relevant
+ONE_TOPIC = {"a.run": "301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n",
+             "b.run": "301 Q0 B 1 2.0 b\n301 Q0 A 2 1.0 b\n",
+             "q.txt": "301 0 A 1\n", "q2.txt": "301 0 A 1\n"}
 
 
 @pytest.mark.parametrize("command", ["replicate", "reproduce", "correlate"])
 def test_one_comparable_topic_gives_null_t_tests(tmp_path, capsys, command):
     # a t-test needs two topics: with one, both of its values are null
-    p = _write(tmp_path, {"a.run": "301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n",
-                          "b.run": "301 Q0 B 1 2.0 b\n301 Q0 A 2 1.0 b\n",
-                          "q.txt": "301 0 A 1\n", "q2.txt": "301 0 A 1\n"})
+    p = _write(tmp_path, ONE_TOPIC)
     p["ba.run"], p["bb.run"] = p["b.run"], p["a.run"]
     out = _reports(_argv(command, p, baselines=False), capsys)
     if command == "correlate":
@@ -149,6 +150,31 @@ def test_one_comparable_topic_gives_null_t_tests(tmp_path, capsys, command):
     else:
         warnings = [f"{label}: paired test needs n >= 2 topics, got 1" for label in LABELS]
     _assert_null(out, ("t_stat", "p_value"), warnings)
+
+
+# each run scores the same on both of its topics, and no run as its counterpart on the other side
+CONSTANT = {"a.run": _run_text("a", {"301": ["N", "A"], "302": ["N", "C"]}),
+            "ba.run": _run_text("ba", {"301": ["N", "M"], "302": ["N", "M"]}),
+            "b.run": _run_text("b", {"301": ["B", "D"], "302": ["E", "F"]}),
+            "bb.run": _run_text("bb", {"301": ["B", "N"], "302": ["E", "N"]}),
+            "q.txt": _qrels_text({"301": {"A": 1}, "302": {"C": 1}}),
+            "q2.txt": _qrels_text({"301": {"B": 1, "D": 1}, "302": {"E": 1, "F": 1}})}
+
+
+@pytest.mark.parametrize("files, warning", [
+    ({**ONE_TOPIC, "ba.run": ONE_TOPIC["b.run"], "bb.run": ONE_TOPIC["a.run"]},
+     "unpaired test needs n >= 2 per sample, got 1 and 1"),
+    (CONSTANT, "zero variance in both samples with unequal means"),
+], ids=["one-topic", "constant"])
+def test_reproduce_names_the_test_each_warning_is_about(tmp_path, capsys, files, warning):
+    # the a against a' and the b against b' test of a measure warn alike; the baselines' says so
+    out = _reports(_argv("reproduce", _write(tmp_path, files), baselines=True), capsys)
+    rep = json.loads(out["json"])
+    table = out["table"].splitlines()
+    for label in LABELS:
+        for line in (f"{label}: {warning}", f"{label}: baseline runs: {warning}"):
+            assert rep["warnings"].count(line) == 1, line
+            assert table.count(f"  - {line}") == 1, line
 
 
 @pytest.mark.parametrize("command", ["replicate", "correlate"])
