@@ -135,7 +135,7 @@ def build_replicate_report(
             for k, v in score_agreement.rmse_at_cutoffs(orig, rpl, cfg.measure, cutoffs).items():
                 cutoff_blocks.setdefault(k, {})[cfg.label] = {"rmse": v}
         for k, (t_mean, r_mean) in cutoff_ordering.items():
-            cutoff_blocks[k]["ordering"] = {"tau_union": t_mean, "rbo": r_mean}
+            cutoff_blocks.setdefault(k, {})["ordering"] = {"tau_union": t_mean, "rbo": r_mean}
 
     return {
         "mode": "replicate",

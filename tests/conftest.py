@@ -1,8 +1,15 @@
-"""Shared fixtures: synthetic runs, qrels, and noise injection."""
+"""Shared fixtures: synthetic runs, qrels, and noise injection.
+
+This is the one place that builds test inputs and writes them as TREC text:
+``make_run`` builds a run shaped as the parser shapes it, and ``run_text`` and
+``qrels_text`` write runs and grade maps for the parser and the command line.
+``golden_inputs.py`` keeps its own writers, whose inputs the golden reports pin.
+"""
 
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
@@ -11,16 +18,29 @@ from reprokit.trec_io import Qrels, Ranking, Run
 
 
 def make_run(tag: str, topic_docs: dict[str, list[str]]) -> Run:
-    """Build a canonical Run from ordered doc-id lists (rank 1 first)."""
+    """Build a canonical Run from ordered doc-id lists (rank 1 first), scored
+    n down to 1. It is built directly, not parsed, so a test may repeat a doc id."""
     topics = {}
     for topic, docs in topic_docs.items():
         n = len(docs)
-        topics[topic] = Ranking(tuple(docs), tuple(float(n - i) for i in range(n)))
+        topics[topic] = Ranking(tuple(docs), array("d", [n - i for i in range(n)]))
     return Run(tag=tag, topics=topics)
 
 
 def make_qrels(grades: dict[str, dict[str, int]]) -> Qrels:
     return Qrels(topics={t: dict(d) for t, d in grades.items()})
+
+
+def run_text(run: Run) -> str:
+    """A run as 6-column text, ranks from 1 and each score by its ``repr``."""
+    return "".join(f"{topic} Q0 {doc} {rank} {score!r} {run.tag}\n"
+                   for topic, ranking in run.topics.items()
+                   for rank, (doc, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1))
+
+
+def qrels_text(grades: dict[str, dict[str, int]]) -> str:
+    """A ``{topic: {doc: grade}}`` map, such as ``Qrels.topics``, as 4-column text."""
+    return "".join(f"{topic} 0 {doc} {grade}\n" for topic, docs in grades.items() for doc, grade in docs.items())
 
 
 def score_ranking(ranking: list[str], grades: dict[str, int], measure: str, k: int) -> float:

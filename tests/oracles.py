@@ -14,16 +14,16 @@ from fractions import Fraction
 import numpy as np
 
 
-def brute_precision_at_k(ranking, grades, k, threshold=1):
+def brute_precision_at_k(ranking, grades, k):
     hits = 0
     for doc in ranking[:k]:
-        if grades.get(doc, 0) >= threshold:
+        if grades.get(doc, 0) >= 1:
             hits += 1
     return hits / k
 
 
-def brute_average_precision(ranking, grades, threshold=1, cutoff=None):
-    relevant = {d for d, g in grades.items() if g >= threshold}
+def brute_average_precision(ranking, grades, cutoff=None):
+    relevant = {d for d, g in grades.items() if g >= 1}
     if not relevant:
         raise ValueError("no relevant docs")
     docs = ranking if cutoff is None else ranking[:cutoff]
@@ -35,17 +35,14 @@ def brute_average_precision(ranking, grades, threshold=1, cutoff=None):
     return total / len(relevant)
 
 
-def brute_ndcg_at_k(ranking, grades, k, exponential=False):
-    def gain(g):
-        return 2.0 ** g - 1.0 if exponential else float(g)
-
+def brute_ndcg_at_k(ranking, grades, k):
     dcg = 0.0
     for i, doc in enumerate(ranking[:k], start=1):
-        dcg += gain(grades.get(doc, 0)) / math.log2(i + 1)
+        dcg += grades.get(doc, 0) / math.log2(i + 1)
     ideal = sorted(grades.values(), reverse=True)
     idcg = 0.0
     for i, g in enumerate(ideal[:k], start=1):
-        idcg += gain(g) / math.log2(i + 1)
+        idcg += g / math.log2(i + 1)
     if idcg == 0:
         raise ValueError("no relevant docs")
     return dcg / idcg

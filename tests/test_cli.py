@@ -2,33 +2,20 @@ import gc
 import hashlib
 import json
 import os
-import pathlib
-import random
 import re
-import subprocess
-import sys
 import weakref
 
 import pytest
 
-import reprokit
 from reprokit import cli, meta, ordering
 from reprokit.cli import build_replicate_report, main
 from reprokit.effectiveness import parse_measure_spec, score_run
 from reprokit.errors import ConfigError
-from reprokit.report import CSV_HEADER, build_correlation_report, build_reproduce_report
-from reprokit.trec_io import Run, load_qrels, load_run, topic_intersection
+from reprokit.report import CSV_HEADER, build_correlation_report, build_reproduce_report, emit
+from reprokit.trec_io import load_qrels, load_run, topic_intersection
 
-from conftest import make_qrels, make_run, random_qrels, random_run
+from conftest import make_qrels, make_run, qrels_text, random_qrels, random_run, run_text
 from golden_inputs import strict_json
-
-
-def write_run(path, run: Run):
-    lines = []
-    for topic, ranking in run.topics.items():
-        for rank, (doc_id, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1):
-            lines.append(f"{topic} Q0 {doc_id} {rank} {score:.4f} {run.tag}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 def with_duplicate(path, src_path, tag):
@@ -38,14 +25,6 @@ def with_duplicate(path, src_path, tag):
     topic, _, doc = lines[0].split()[:3]
     path.write_text("\n".join(lines + [f"{topic} Q0 {doc} 99 -1.0 {tag}"]) + "\n")
     return f"line {len(lines) + 1}: duplicate doc {doc!r} in topic {topic}, kept higher score"
-
-
-def write_qrels(path, qrels):
-    lines = []
-    for topic, docs in qrels.topics.items():
-        for doc, grade in docs.items():
-            lines.append(f"{topic} 0 {doc} {grade}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture
@@ -59,10 +38,16 @@ def workspace(tmp_path, rng):
         "rpl": tmp_path / "rpl.run",
         "qrels": tmp_path / "qrels.txt",
     }
-    write_run(paths["orig"], orig)
-    write_run(paths["rpl"], rpl)
-    write_qrels(paths["qrels"], qrels)
+    paths["orig"].write_text(run_text(orig))
+    paths["rpl"].write_text(run_text(rpl))
+    paths["qrels"].write_text(qrels_text(qrels.topics))
     return tmp_path, paths
+
+
+def replicate_argv(paths, *extra):
+    """``replicate`` over the workspace's original run, re-created run and qrels."""
+    return ["replicate", "--run-orig", str(paths["orig"]), "--run-rpl", str(paths["rpl"]),
+            "--qrels", str(paths["qrels"]), *extra]
 
 
 class TestReplicate:
@@ -91,27 +76,14 @@ class TestReplicate:
 
     def test_single_measure_filter(self, workspace, capsys):
         tmp, paths = workspace
-        code = main([
-            "replicate",
-            "--run-orig", str(paths["orig"]),
-            "--run-rpl", str(paths["rpl"]),
-            "--qrels", str(paths["qrels"]),
-            "--measures", "P@10",
-            "--format", "json",
-        ])
+        code = main(replicate_argv(paths, "--measures", "P@10", "--format", "json"))
         assert code == 0
         rep = json.loads(capsys.readouterr().out)
         assert list(rep["measures"]) == ["P@10"]
 
     def test_output_deterministic(self, workspace, capsys):
         tmp, paths = workspace
-        args = [
-            "replicate",
-            "--run-orig", str(paths["orig"]),
-            "--run-rpl", str(paths["rpl"]),
-            "--qrels", str(paths["qrels"]),
-            "--format", "json",
-        ]
+        args = replicate_argv(paths, "--format", "json")
         assert main(args) == 0
         first = capsys.readouterr().out
         assert main(args) == 0
@@ -119,38 +91,19 @@ class TestReplicate:
 
     def test_json_round_trips(self, workspace, capsys):
         tmp, paths = workspace
-        main([
-            "replicate",
-            "--run-orig", str(paths["orig"]),
-            "--run-rpl", str(paths["rpl"]),
-            "--qrels", str(paths["qrels"]),
-            "--format", "json",
-        ])
+        main(replicate_argv(paths, "--format", "json"))
         out = capsys.readouterr().out
         assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
 
     def test_csv_header_fixed(self, workspace, capsys):
-        from reprokit.report import CSV_HEADER
         tmp, paths = workspace
-        main([
-            "replicate",
-            "--run-orig", str(paths["orig"]),
-            "--run-rpl", str(paths["rpl"]),
-            "--qrels", str(paths["qrels"]),
-            "--format", "csv",
-        ])
+        main(replicate_argv(paths, "--format", "csv"))
         out = capsys.readouterr().out
         assert out.splitlines()[0] == CSV_HEADER
 
     def test_table_format_runs(self, workspace, capsys):
         tmp, paths = workspace
-        code = main([
-            "replicate",
-            "--run-orig", str(paths["orig"]),
-            "--run-rpl", str(paths["rpl"]),
-            "--qrels", str(paths["qrels"]),
-            "--cutoffs", "5,10",
-        ])
+        code = main(replicate_argv(paths, "--cutoffs", "5,10"))
         assert code == 0
         assert "measure" in capsys.readouterr().out
 
@@ -158,15 +111,8 @@ class TestReplicate:
         tmp, paths = workspace
         for role in ("b_orig", "b_rpl"):
             (tmp / f"{role}.run").write_bytes(paths["rpl"].read_bytes())
-        argv = [
-            "replicate",
-            "--run-orig", str(paths["orig"]),
-            "--run-rpl", str(paths["rpl"]),
-            "--qrels", str(paths["qrels"]),
-            "--run-b-orig", str(tmp / "b_orig.run"),
-            "--run-b-rpl", str(tmp / "b_rpl.run"),
-            "--format", "json",
-        ]
+        argv = replicate_argv(paths, "--run-b-orig", str(tmp / "b_orig.run"),
+                              "--run-b-rpl", str(tmp / "b_rpl.run"), "--format", "json")
         assert main(argv + ["--provenance"]) == 0
         rep = json.loads(capsys.readouterr().out)
         inputs = rep.pop("provenance")["inputs"]
@@ -183,8 +129,7 @@ class TestReplicate:
     def test_provenance_records_the_argv_given_to_main(self, workspace, tmp_path):
         _, paths = workspace
         out = str(tmp_path / "report.json")
-        argv = ["replicate", "--run-orig", str(paths["orig"]), "--run-rpl", str(paths["rpl"]),
-                "--qrels", str(paths["qrels"]), "--format", "json", "--provenance", "--output", out]
+        argv = replicate_argv(paths, "--format", "json", "--provenance", "--output", out)
         assert main(argv) == 0
         with open(out, encoding="utf-8") as f:
             assert json.load(f)["provenance"]["argv"] == argv
@@ -217,38 +162,19 @@ class TestReplicate:
     def test_baseline_load_warnings_are_reported(self, workspace, capsys):
         tmp, paths = workspace
         dup = with_duplicate(tmp / "b_rpl.run", paths["orig"], "orig")
-        code = main([
-            "replicate",
-            "--run-orig", str(paths["orig"]),
-            "--run-rpl", str(paths["rpl"]),
-            "--qrels", str(paths["qrels"]),
-            "--run-b-orig", str(paths["rpl"]),
-            "--run-b-rpl", str(tmp / "b_rpl.run"),
-            "--format", "json",
-        ])
+        code = main(replicate_argv(paths, "--run-b-orig", str(paths["rpl"]),
+                                   "--run-b-rpl", str(tmp / "b_rpl.run"), "--format", "json"))
         assert code == 0
         assert json.loads(capsys.readouterr().out)["warnings"] == [dup]
 
     def test_baseline_flags_must_pair(self, workspace, capsys):
         tmp, paths = workspace
-        code = main([
-            "replicate",
-            "--run-orig", str(paths["orig"]),
-            "--run-rpl", str(paths["rpl"]),
-            "--qrels", str(paths["qrels"]),
-            "--run-b-orig", str(paths["orig"]),
-        ])
+        code = main(replicate_argv(paths, "--run-b-orig", str(paths["orig"])))
         assert code == 2
 
     def test_non_integer_cutoff_is_a_config_error(self, workspace, capsys):
         tmp, paths = workspace
-        code = main([
-            "replicate",
-            "--run-orig", str(paths["orig"]),
-            "--run-rpl", str(paths["rpl"]),
-            "--qrels", str(paths["qrels"]),
-            "--cutoffs", "10,abc",
-        ])
+        code = main(replicate_argv(paths, "--cutoffs", "10,abc"))
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
@@ -299,8 +225,8 @@ class TestReplicate:
 
     def test_a_null_cutoff_tau_union_is_warned_after_the_full_depth_warnings(self, tmp_path, capsys):
         # at cutoff 1 no topic pairs two documents; at cutoff 2 and at full depth every topic does
-        write_run(tmp_path / "o.run", make_run("o", {"1": ["A", "B", "C"], "2": ["A", "B"]}))
-        write_run(tmp_path / "r.run", make_run("r", {"1": ["B", "A", "C"], "2": ["A", "C"]}))
+        (tmp_path / "o.run").write_text(run_text(make_run("o", {"1": ["A", "B", "C"], "2": ["A", "B"]})))
+        (tmp_path / "r.run").write_text(run_text(make_run("r", {"1": ["B", "A", "C"], "2": ["A", "C"]})))
         (tmp_path / "q.txt").write_text("1 0 A 1\n2 0 B 1\n")
         assert main(["replicate", "--run-orig", str(tmp_path / "o.run"), "--run-rpl", str(tmp_path / "r.run"),
                      "--qrels", str(tmp_path / "q.txt"), "--cutoffs", "1,2", "--measures", "P@2",
@@ -318,6 +244,18 @@ class TestReplicate:
                                  ([2, 2], "cutoff 2 given twice")):
             with pytest.raises(ConfigError, match=message):
                 build_replicate_report(run, run, qrels, [parse_measure_spec("P@2")], cutoffs=cutoffs)
+
+    def test_cutoffs_without_measures_give_an_ordering_only_report(self):
+        # with no measure rows, each cutoff block holds the cutoff's ordering alone
+        orig = make_run("orig", {"1": ["a", "b", "c"], "2": ["p", "q", "r"]})
+        rpl = make_run("rpl", {"1": ["b", "a", "c"], "2": ["p", "q", "r"]})
+        rep = build_replicate_report(orig, rpl, make_qrels({"1": {"a": 1}, "2": {"p": 1}}), [], cutoffs=[1, 2])
+        assert json.loads(emit(rep, "json"))["cutoffs"] == {
+            "1": {"ordering": {"tau_union": None, "rbo": pytest.approx(0.1)}},
+            "2": {"ordering": {"tau_union": 0.0, "rbo": pytest.approx(0.26)}}}
+        assert emit(rep, "csv") == CSV_HEADER + "\n"
+        assert [line.split() for line in emit(rep, "table").splitlines() if "ordering" in line] == [
+            ["1", "ordering", "0.1000"], ["2", "ordering", "0.0000", "0.2600"]]
 
     def test_tau_intersection_kernel_errors_propagate(self, monkeypatch):
         def broken(r_docs, s_docs):
@@ -400,7 +338,7 @@ class TestReproduce:
         other = random_run(rng, "other", 3, 10)
         # remap to topic ids absent from the original qrels
         other.topics = {str(900 + i): docs for i, docs in enumerate(other.topics.values())}
-        write_run(tmp_path / "other.run", other)
+        (tmp_path / "other.run").write_text(run_text(other))
         code = main([
             "reproduce",
             "--run-a-orig", str(paths["orig"]),
@@ -456,7 +394,7 @@ class TestCorrelate:
             # random_run reuses the same topic ids, so candidates align with qrels
             run = random_run(rng, f"cand{i}", 6, 20)
             p = tmp / f"cand{i}.run"
-            write_run(p, run)
+            p.write_text(run_text(run))
             candidates.append(p.name)
         manifest = {
             "qrels": paths["qrels"].name,
@@ -470,14 +408,14 @@ class TestCorrelate:
     def _manifest_with_baselines(self, tmp, paths, rng, lacking=("cand2",)):
         """Four candidates, each with a baseline; the runs named in ``lacking``
         (cand2 by default) lack topic 303."""
-        write_run(tmp / "b_orig.run", random_run(rng, "b_orig", 6, 20))
+        (tmp / "b_orig.run").write_text(run_text(random_run(rng, "b_orig", 6, 20)))
         candidates = []
         for i in range(4):
             for name in (f"cand{i}", f"base{i}"):
                 run = random_run(rng, name, 6, 20)
                 if name in lacking:
                     del run.topics["303"]
-                write_run(tmp / f"{name}.run", run)
+                (tmp / f"{name}.run").write_text(run_text(run))
             candidates.append({"run": f"cand{i}.run", "run_b": f"base{i}.run"})
         mpath = tmp / "manifest.json"
         mpath.write_text(json.dumps({
@@ -614,7 +552,7 @@ class TestCorrelate:
                 top, *rest = orig.topics[topic].doc_ids
                 rng.shuffle(rest)
                 topic_docs[topic] = [top] + rest
-            write_run(tmp / f"cand{i}.run", make_run(f"cand{i}", topic_docs))
+            (tmp / f"cand{i}.run").write_text(run_text(make_run(f"cand{i}", topic_docs)))
             candidates.append(f"cand{i}.run")
         mpath = tmp / "manifest.json"
         mpath.write_text(json.dumps({
@@ -762,7 +700,7 @@ class TestCorrelate:
         for sub in ("a", "b", "sub"):
             (tmp / sub).mkdir()
         for name in ("a/x.run", "b/x.run", "z.run", "sub/cand0.run", "a/z.run"):
-            write_run(tmp / name, random_run(rng, "c", 6, 20))
+            (tmp / name).write_text(run_text(random_run(rng, "c", 6, 20)))
         manifest = json.loads(mpath.read_text())
         mpath.write_text(json.dumps({**manifest, "candidates": entries}))
         self._refuse_loads(monkeypatch)
@@ -845,15 +783,6 @@ def test_a_cutoff_is_ascii_digits(tmp_path, capsys, flag, value):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert repr(value) in err["message"]
-
-
-def test_cli_import_loads_no_numpy():
-    src = str(pathlib.Path(reprokit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, reprokit.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
 
 
 @pytest.mark.parametrize("command", ["replicate", "correlate"])

@@ -13,20 +13,9 @@ from reprokit.effects import EffectSummary
 from reprokit.report import build_replicate_report, build_reproduce_report, emit
 from reprokit.trec_io import Qrels, Run, parse_qrels, parse_run
 
-from conftest import make_run, random_qrels, random_run, swap_noise
+from conftest import make_run, qrels_text, random_qrels, random_run, run_text, swap_noise
 
 MEASURES = [parse_measure_spec(s) for s in ("P@5", "AP@20", "nDCG@20")]
-
-
-def _run_lines(run) -> list[str]:
-    return [f"{topic} Q0 {doc} {rank} {score} {run.tag}"
-            for topic, ranking in run.topics.items()
-            for rank, (doc, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1)]
-
-
-def _qrels_lines(qrels) -> list[str]:
-    return [f"{topic} 0 {doc} {grade}" for topic, docs in qrels.topics.items()
-            for doc, grade in docs.items()]
 
 
 def _replicate_json(orig: list[str], rpl: list[str], qrels: list[str]) -> str:
@@ -40,8 +29,8 @@ def _replicate_json(orig: list[str], rpl: list[str], qrels: list[str]) -> str:
 def test_shuffled_lines_give_the_same_report(seed, shuffler):
     rng = random.Random(seed)
     orig = random_run(rng, "orig", 4, 15)
-    files = [_run_lines(orig), _run_lines(random_run(rng, "rpl", 4, 15)),
-             _qrels_lines(random_qrels(rng, orig))]
+    files = [run_text(orig).splitlines(), run_text(random_run(rng, "rpl", 4, 15)).splitlines(),
+             qrels_text(random_qrels(rng, orig).topics).splitlines()]
     expected = _replicate_json(*files)
     for lines in files:
         shuffler.shuffle(lines)

@@ -24,7 +24,7 @@ from reprokit.trec_io import (
 )
 
 import oracles
-from conftest import make_qrels, make_run
+from conftest import make_qrels, make_run, qrels_text, random_qrels, random_run, run_text, swap_noise
 
 RUN_TEXT = """\
 301 Q0 NYT1 1 12.5 sys
@@ -260,13 +260,6 @@ def test_parse_qrels_matches_brute_force_parser(input_file, text, kind):
     assert (list(qrels.topics.items()), qrels.warnings) == expected
 
 
-def _run_text(run) -> str:
-    """A canonical run as 6-column text, ranks from 1 and each score by its ``repr``."""
-    return "".join(f"{topic} Q0 {doc} {rank} {score!r} {run.tag}\n"
-                   for topic, ranking in run.topics.items()
-                   for rank, (doc, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1))
-
-
 @settings(max_examples=200, deadline=None)
 @given(text=_run_texts(), mode=st.sampled_from(("strict", "lenient")))
 def test_serialize_then_parse_round_trips(text, mode):
@@ -274,7 +267,7 @@ def test_serialize_then_parse_round_trips(text, mode):
         run = parse_run(text, strict=mode == "strict")
     except TrecParseError:
         return
-    serialized = _run_text(run)
+    serialized = run_text(run)
     again = parse_run(serialized)
     assert again.tag == run.tag
     assert list(again.topics) == list(run.topics)
@@ -282,21 +275,21 @@ def test_serialize_then_parse_round_trips(text, mode):
         assert again.topics[topic].doc_ids == ranking.doc_ids
         # repr tells -0.0 from 0.0
         assert list(map(repr, again.topics[topic].scores)) == list(map(repr, ranking.scores))
-    assert _run_text(again) == serialized
+    assert run_text(again) == serialized
 
 
 def test_parse_reads_text_streams():
-    run_text = "302 Q0 A 1 2.0 sys\r\n\r\n301 Q0 B 1 1.0 sys\r\n302 Q0 C 2 3.0 sys\r\n"
-    expected = parse_run(run_text)
-    stream = io.StringIO("\ufeff" + run_text)
+    run_str = "302 Q0 A 1 2.0 sys\r\n\r\n301 Q0 B 1 1.0 sys\r\n302 Q0 C 2 3.0 sys\r\n"
+    expected = parse_run(run_str)
+    stream = io.StringIO("\ufeff" + run_str)
     assert parse_run(stream).topics == expected.topics
     assert not stream.closed
     bad = io.StringIO("301 Q0 A 1 2.0 sys\n301 Q0 B 1 \u00bd sys\n")
     with pytest.raises(TrecParseError, match="line 2: non-numeric score '\u00bd'"):
         parse_run(bad)
     assert not bad.closed
-    qrels_text = "301 0 A 1\r\n\r\n301 0 C 2\n"
-    for source in (io.StringIO("\ufeff" + qrels_text), io.StringIO(qrels_text)):
+    qrels_str = "301 0 A 1\r\n\r\n301 0 C 2\n"
+    for source in (io.StringIO("\ufeff" + qrels_str), io.StringIO(qrels_str)):
         assert parse_qrels(source).topics == {"301": {"A": 1, "C": 2}}
 
 
@@ -314,22 +307,22 @@ def test_bytes_and_binary_streams_are_a_type_error(tmp_path, parse, text):
 
 
 def test_utf8_bom_does_not_split_a_topic(tmp_path):
-    run_text = "301 Q0 A 1 2.0 sys\n301 Q0 B 2 1.0 sys\n"
-    qrels_text = "301 0 A 1\n301 0 B 2\n"
+    run_str = "301 Q0 A 1 2.0 sys\n301 Q0 B 2 1.0 sys\n"
+    qrels_str = "301 0 A 1\n301 0 B 2\n"
     run_path = tmp_path / "run.txt"
     qrels_path = tmp_path / "qrels.txt"
-    run_path.write_bytes(b"\xef\xbb\xbf" + run_text.encode())
-    qrels_path.write_bytes(b"\xef\xbb\xbf" + qrels_text.encode())
-    expected_run = parse_run(run_text)
+    run_path.write_bytes(b"\xef\xbb\xbf" + run_str.encode())
+    qrels_path.write_bytes(b"\xef\xbb\xbf" + qrels_str.encode())
+    expected_run = parse_run(run_str)
     with open(run_path, encoding="utf-8") as text_stream:
         from_text_stream = parse_run(text_stream)
-    for run in (load_run(str(run_path)), parse_run("\ufeff" + run_text),
-                parse_run(io.StringIO("\ufeff" + run_text)), from_text_stream):
+    for run in (load_run(str(run_path)), parse_run("\ufeff" + run_str),
+                parse_run(io.StringIO("\ufeff" + run_str)), from_text_stream):
         assert run.topics == expected_run.topics
     with open(qrels_path, encoding="utf-8") as text_stream:
         from_text_stream = parse_qrels(text_stream)
-    for qrels in (load_qrels(str(qrels_path)), parse_qrels("\ufeff" + qrels_text),
-                  parse_qrels(io.StringIO("\ufeff" + qrels_text)), from_text_stream):
+    for qrels in (load_qrels(str(qrels_path)), parse_qrels("\ufeff" + qrels_str),
+                  parse_qrels(io.StringIO("\ufeff" + qrels_str)), from_text_stream):
         assert qrels.topics == {"301": {"A": 1, "B": 2}}
 
 
@@ -343,10 +336,18 @@ def test_permuting_lines_gives_identical_run(rng):
 
 def test_serialize_round_trip_idempotent():
     run = parse_run("302 Q0 A 5 1.0 sys\n301 Q0 B 1 2.0 sys\n301 Q0 C 2 1.0 sys\n")
-    text = _run_text(run)
+    text = run_text(run)
     again = parse_run(text)
-    assert _run_text(again) == text
+    assert run_text(again) == text
     assert again.topics == run.topics
+
+
+def test_test_inputs_are_built_as_the_parser_builds_them(rng):
+    run = random_run(rng, "r", 4, 15)
+    for built in (run, swap_noise(rng, run, 5, "s"), make_run("m", {"302": ["B", "A"], "10": ["C"]})):
+        assert parse_run(run_text(built)) == built
+    qrels = random_qrels(rng, run)
+    assert parse_qrels(qrels_text(qrels.topics)) == qrels
 
 
 def test_qrels_basic_and_absence():

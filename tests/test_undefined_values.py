@@ -16,17 +16,10 @@ from hypothesis import strategies as st
 from reprokit.cli import main
 from reprokit.effects import EffectSummary
 
+from conftest import make_run, qrels_text, run_text
+
 LABELS = ("P@2", "AP@3")
 MEASURES = ["--measures", ",".join(LABELS)]
-
-
-def _run_text(tag: str, topic_docs: dict[str, list[str]]) -> str:
-    return "".join(f"{topic} Q0 {doc} {rank} {len(docs) - rank + 1}.0 {tag}\n"
-                   for topic, docs in topic_docs.items() for rank, doc in enumerate(docs, start=1))
-
-
-def _qrels_text(grades: dict[str, dict[str, int]]) -> str:
-    return "".join(f"{topic} 0 {doc} {g}\n" for topic, docs in grades.items() for doc, g in docs.items())
 
 
 def _write(tmp: pathlib.Path, files: dict[str, str]) -> dict[str, str]:
@@ -120,12 +113,12 @@ def _assert_blank_measure(out: dict[str, str], measure_id: str, warnings: list[s
         assert f"  - {w}" in out["table"].splitlines()
 
 
-TWO_TOPICS = {"a.run": _run_text("a", {"301": ["A", "B", "C"], "302": ["D", "E"]}),
-              "b.run": _run_text("b", {"301": ["B", "A", "C"], "302": ["E", "D"]}),
-              "q.txt": _qrels_text({"301": {"A": 1, "C": 1}, "302": {"D": 1}}),
-              "q2.txt": _qrels_text({"301": {"B": 1}, "302": {"E": 1}}),
-              "bb.run": _run_text("bb", {"301": ["C", "B"], "302": ["D"]})}
-ZERO = _run_text("z", {"301": ["N"], "302": ["N"]})  # retrieves nothing relevant
+TWO_TOPICS = {"a.run": run_text(make_run("a", {"301": ["A", "B", "C"], "302": ["D", "E"]})),
+              "b.run": run_text(make_run("b", {"301": ["B", "A", "C"], "302": ["E", "D"]})),
+              "q.txt": qrels_text({"301": {"A": 1, "C": 1}, "302": {"D": 1}}),
+              "q2.txt": qrels_text({"301": {"B": 1}, "302": {"E": 1}}),
+              "bb.run": run_text(make_run("bb", {"301": ["C", "B"], "302": ["D"]}))}
+ZERO = run_text(make_run("z", {"301": ["N"], "302": ["N"]}))  # retrieves nothing relevant
 ONE_TOPIC = {"a.run": "301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n",
              "b.run": "301 Q0 B 1 2.0 b\n301 Q0 A 2 1.0 b\n",
              "q.txt": "301 0 A 1\n", "q2.txt": "301 0 A 1\n"}
@@ -153,12 +146,12 @@ def test_one_comparable_topic_gives_null_t_tests(tmp_path, capsys, command):
 
 
 # each run scores the same on both of its topics, and no run as its counterpart on the other side
-CONSTANT = {"a.run": _run_text("a", {"301": ["N", "A"], "302": ["N", "C"]}),
-            "ba.run": _run_text("ba", {"301": ["N", "M"], "302": ["N", "M"]}),
-            "b.run": _run_text("b", {"301": ["B", "D"], "302": ["E", "F"]}),
-            "bb.run": _run_text("bb", {"301": ["B", "N"], "302": ["E", "N"]}),
-            "q.txt": _qrels_text({"301": {"A": 1}, "302": {"C": 1}}),
-            "q2.txt": _qrels_text({"301": {"B": 1, "D": 1}, "302": {"E": 1, "F": 1}})}
+CONSTANT = {"a.run": run_text(make_run("a", {"301": ["N", "A"], "302": ["N", "C"]})),
+            "ba.run": run_text(make_run("ba", {"301": ["N", "M"], "302": ["N", "M"]})),
+            "b.run": run_text(make_run("b", {"301": ["B", "D"], "302": ["E", "F"]})),
+            "bb.run": run_text(make_run("bb", {"301": ["B", "N"], "302": ["E", "N"]})),
+            "q.txt": qrels_text({"301": {"A": 1}, "302": {"C": 1}}),
+            "q2.txt": qrels_text({"301": {"B": 1, "D": 1}, "302": {"E": 1, "F": 1}})}
 
 
 @pytest.mark.parametrize("files, warning", [
@@ -238,11 +231,12 @@ def _side(draw):
     grades = {t: {**{d: draw(st.integers(0, 2)) for d in DOCS}, draw(st.sampled_from(DOCS + ("Z",))): 1}
               for t in topics}
     a, b = run(), run()
-    files = {"a.run": _run_text("a", a), "b.run": _run_text("b", b), "q.txt": _qrels_text(grades)}
+    files = {"a.run": run_text(make_run("a", a)), "b.run": run_text(make_run("b", b)),
+             "q.txt": qrels_text(grades)}
     for name, own in (("ba.run", a), ("bb.run", b)):
         kind = draw(st.sampled_from(["copy", "zero", "drawn"]))
         docs = {t: ["N"] for t in topics} if kind == "zero" else own if kind == "copy" else run()
-        files[name] = _run_text(name[:2], docs)
+        files[name] = run_text(make_run(name[:2], docs))
     return files
 
 
