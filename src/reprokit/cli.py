@@ -146,7 +146,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="comma-separated, e.g. P@10,AP@1000,nDCG@1000")
     p.add_argument("--format", default="table", choices=report.FORMATS)
     p.add_argument("--strict", action="store_true",
-                   help="error on duplicate docs and missing topics")
+                   help="error on duplicate docs and on a run lacking a topic of the reference run")
     p.add_argument("--output", default=None, help="write to file instead of stdout")
     p.add_argument("--provenance", action="store_true",
                    help="include input digests and config echo in the report (json only)")
@@ -230,7 +230,7 @@ def _cmd_reproduce(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:
                                     (args.run_a_rpd, args.run_b_rpd, args.qrels_rpd)):
             yield load_run(run_a, args.strict), load_run(run_b, args.strict), load_qrels(qrels)
 
-    return build_reproduce_report(sides(), measures), _arg_paths(args)
+    return build_reproduce_report(sides(), measures, args.strict), _arg_paths(args)
 
 
 def _cmd_correlate(args, measures: list[MeasureConfig]) -> tuple[dict, dict]:

@@ -17,14 +17,15 @@ class TrecParseError(ReprokitError, ValueError):
 
 
 class TopicMismatchError(ReprokitError, ValueError):
-    """Two per-topic vectors do not cover the same topics."""
+    """Under ``strict``, a run lacks a topic its reference run is compared on; or two
+    per-topic vectors do not cover the same topics."""
 
     category = "topic-mismatch"
     exit_code = 4
 
 
 class NoComparableTopicsError(ReprokitError, ValueError):
-    """Topic intersection of two runs (restricted to relevant topics) is empty."""
+    """The reference run of a comparison holds no topic judged relevant."""
 
     category = "no-comparable-topics"
     exit_code = 4

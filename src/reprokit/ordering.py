@@ -148,11 +148,10 @@ def rbo(r_docs: Sequence[str], s_docs: Sequence[str], params: RboParams) -> floa
     Evaluated to d = min(depth, max(|r|, |s|)) with no extrapolation, so the
     neglected tail is at most phi**d: up to 0.8**100 (about 2.0e-10) on
     100-document lists, and two identical 5-document lists score 1 - 0.8**5
-    (about 0.672), not 1. The sum to depth k reads only the two depth-k
-    prefixes, so RBO at a cutoff k is ``rbo(r_docs[:k], s_docs[:k], params)``.
+    (about 0.672), not 1. An empty list shares nothing, so its RBO is 0. The sum
+    to depth k reads only the two depth-k prefixes, so RBO at a cutoff k is
+    ``rbo(r_docs[:k], s_docs[:k], params)``.
     """
-    if not r_docs or not s_docs:
-        raise ValueError("rankings must be nonempty")
     rank = _ranks(r_docs, s_docs)
     n = max(len(r_docs), len(s_docs))
     joins = [0] * (n + 1)
@@ -179,8 +178,9 @@ def mean_over_topics(per_topic: Mapping[str, float | None]) -> tuple[float | Non
 
 
 def _doc_lists(r: Run, s: Run, topics: tuple[str, ...]):
+    """Both doc lists of each topic of the reference run ``r``; ``()`` where ``s`` lacks it."""
     for topic in topics:
-        yield topic, r.topics[topic].doc_ids, s.topics[topic].doc_ids
+        yield topic, r.topics[topic].doc_ids, s.topics[topic].doc_ids if topic in s.topics else ()
 
 
 def tau_union_over_topics(r: Run, s: Run, topics: tuple[str, ...]) -> dict[str, float | None]:

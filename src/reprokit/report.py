@@ -17,7 +17,7 @@ from typing import Iterable
 
 from . import effects, meta, ordering, score_agreement, stats
 from .effectiveness import MeasureConfig, TopicScoreVector, score_run
-from .errors import ConfigError
+from .errors import ConfigError, TopicMismatchError
 from .ordering import RboParams
 from .trec_io import Qrels, Run, topic_intersection
 
@@ -53,15 +53,32 @@ def _paired_block(label: str, v_orig: TopicScoreVector, v_rpl: TopicScoreVector,
     }
 
 
-def _ordering_means(full: ordering.FullDepth, warnings: list[str]) -> tuple[float | None, float]:
-    """Mean tau-union (None when undefined on every topic) and mean RBO of
-    :func:`ordering.full_depth`'s values."""
-    tau_mean, excluded = ordering.mean_over_topics(full.tau)
-    if tau_mean is None:
-        warnings.append("tau-union unavailable on every topic")
-    elif excluded:
-        warnings.append(f"tau degenerate on {excluded} topic(s), excluded from mean")
-    return tau_mean, ordering.mean_over_topics(full.rbo)[0]
+def _ordering_means(full: ordering.FullDepth, run: Run, warnings: list[str],
+                    intersection: bool = True) -> dict:
+    """The ``ordering`` block of :func:`ordering.full_depth`'s values, tau-intersection
+    and overlap only if ``intersection``, with a warning for each topic a tau mean
+    leaves out; the topics that the compared ``run`` lacks get their own."""
+    missing = sum(topic not in run.topics for topic in full.docs)
+    if missing:
+        warnings.append(f"tau undefined on {missing} topic(s) run {run.tag!r} lacks, excluded from mean")
+
+    def mean(per_topic: dict, name: str, excluded_as: str) -> float | None:
+        value, excluded = ordering.mean_over_topics(per_topic)
+        if value is None:
+            warnings.append(f"{name} unavailable on every topic")
+        elif excluded > missing:
+            warnings.append(f"{excluded_as} on {excluded - missing} topic(s), excluded from mean")
+        return value
+
+    block = {"tau_union_mean": mean(full.tau, "tau-union", "tau degenerate"),
+             "rbo_mean": ordering.mean_over_topics(full.rbo)[0]}
+    if intersection:
+        inter = {topic: ordering.tau_intersection(*docs) for topic, docs in full.docs.items()}
+        block["tau_intersection_mean"] = mean({t: tau for t, (tau, _) in inter.items()},
+                                              "tau-intersection", "tau-intersection unavailable")
+        overlaps = [ov for tau, ov in inter.values() if tau is not None]  # of the topics in the mean
+        block["mean_overlap"] = sum(overlaps) / len(overlaps) if overlaps else None
+    return block
 
 
 def _effect_block(label: str, b: TopicScoreVector, a: TopicScoreVector, b_prime: TopicScoreVector,
@@ -101,30 +118,21 @@ def build_replicate_report(
     """Compare a re-created run with the original; ``baselines``, the original
     and the re-created baseline run, add the effect block of each measure."""
     warnings = _load_warnings(run_orig, run_rpl, qrels, *baselines or ())
-    topics = topic_intersection(run_orig, run_rpl, qrels)
+    topics = topic_intersection(run_orig, qrels)
 
     full = ordering.full_depth(run_orig, run_rpl, topics, params)
     cutoff_ordering = ordering.ordering_at_cutoffs(full, cutoffs or ())  # a bad cutoff raises here
-    tau_mean, rbo_mean = _ordering_means(full, warnings)
-    inter = {topic: ordering.tau_intersection(*docs) for topic, docs in full.docs.items()}
-    tau_inter_mean, inter_excluded = ordering.mean_over_topics({t: tau for t, (tau, _) in inter.items()})
-    overlaps = [ov for tau, ov in inter.values() if tau is not None]  # of the topics in the mean
-    mean_overlap = sum(overlaps) / len(overlaps) if overlaps else None
-    if tau_inter_mean is None:
-        warnings.append("tau-intersection unavailable on every topic")
-    elif inter_excluded:
-        warnings.append(f"tau-intersection unavailable on {inter_excluded} topic(s), excluded from mean")
+    ordering_block = _ordering_means(full, run_rpl, warnings)
     # at k >= 2 a topic lacks tau exactly where it does at full depth, so only k = 1 can be null unsaid
     warnings.extend(f"tau-union unavailable on every topic at cutoff {k}"
                     for k, (t_mean, _) in cutoff_ordering.items() if t_mean is None)
 
     # the measures first, then each at every cutoff: each run is walked once;
-    # topics are in both runs, so neither can warn or, under strict, fail
+    # each run's missing topics are listed once, before the per-measure warnings
     cfgs = tuple(dict.fromkeys([*measures, *(MeasureConfig(c.measure, k)
                                              for k in cutoffs or () for c in measures)]))
     orig = dict(zip(cfgs, score_run(run_orig, qrels, topics, cfgs)))
-    rpl = dict(zip(cfgs, score_run(run_rpl, qrels, topics, cfgs)))
-    # each baseline's missing topics are listed once, before the per-measure warnings
+    rpl = dict(zip(cfgs, score_run(run_rpl, qrels, topics, cfgs, strict=strict, warnings=warnings)))
     b, b_prime = (score_run(run, qrels, topics, tuple(measures), strict=strict, warnings=warnings)
                   for run in baselines) if baselines else (None, None)
     measure_blocks, effect_blocks = _measure_blocks(
@@ -142,12 +150,7 @@ def build_replicate_report(
         "runs": {"orig": run_orig.tag, "rpl": run_rpl.tag},
         "topics": len(topics),
         "config": {"phi": params.phi, "depth": params.depth, "measures": [c.label for c in measures]},
-        "ordering": {
-            "tau_union_mean": tau_mean,
-            "tau_intersection_mean": tau_inter_mean,
-            "mean_overlap": mean_overlap,
-            "rbo_mean": rbo_mean,
-        },
+        "ordering": ordering_block,
         "measures": measure_blocks,
         "effects": effect_blocks or None,
         "cutoffs": cutoff_blocks or None,
@@ -156,8 +159,9 @@ def build_replicate_report(
 
 
 def build_reproduce_report(sides: Iterable[tuple[Run, Run, Qrels]],
-                           measures: list[MeasureConfig]) -> dict:
-    """Compare exactly two ``(run_a, run_b, qrels)`` sides, the original collection first.
+                           measures: list[MeasureConfig], strict: bool = False) -> dict:
+    """Compare exactly two ``(run_a, run_b, qrels)`` sides, the original collection first;
+    each side is compared on the topics of its ``run_a``.
 
     Each side is scored for every measure and dropped before the next is read,
     so only one side's runs and qrels are held at a time.
@@ -166,11 +170,10 @@ def build_reproduce_report(sides: Iterable[tuple[Run, Run, Qrels]],
     done = []  # per side: tag a, tag b, topic count, (vector a, vector b) per measure
     for run_a, run_b, qrels in sides:
         warnings.extend(_load_warnings(run_a, run_b, qrels))
-        topics = topic_intersection(run_a, run_b, qrels)
-        # topics are in both runs, so neither call finds a missing topic
+        topics = topic_intersection(run_a, qrels)
         done.append((run_a.tag, run_b.tag, len(topics), list(zip(
             score_run(run_a, qrels, topics, tuple(measures)),
-            score_run(run_b, qrels, topics, tuple(measures))))))
+            score_run(run_b, qrels, topics, tuple(measures), strict=strict, warnings=warnings)))))
         del run_a, run_b, qrels  # hold no side while the next one loads
     if len(done) != 2:
         raise ConfigError(f"reproduce compares two sides, got {len(done)}")
@@ -219,39 +222,39 @@ def build_correlation_report(run_orig: Run, qrels: Qrels,
                              baseline_orig: Run | None = None, strict: bool = False) -> dict:
     """Rank the candidates, ``(run_id, run, baseline or None)`` read once, by each value
     :func:`build_replicate_report` gives for them, and correlate those rankings.
-    Baselines are all or none (see :func:`check_baselines`).
+    Every run is scored on the original's topics, which are scored once; baselines
+    are all or none (see :func:`check_baselines`).
 
-    ``warnings`` holds, for each candidate, the warnings replicate gives on it
-    (except those on tau-intersection, which is not ranked), prefixed with its id.
+    ``warnings`` holds, for each candidate, the warnings replicate gives on it (except
+    those on tau-intersection, which is not ranked), prefixed with its id, as is the
+    error under ``strict`` on a topic the candidate's run or baseline lacks.
     """
     raw: dict[str, dict[str, float | None]] = {"tau": {}, "rbo": {}}  # measure_id -> run_id -> raw value
     raw_er: dict[str, dict[str, float | None]] = {}  # listed after the others, as in replicate
     warnings: list[str] = []
     cfgs = tuple(measures)
-    # per topic set: the vectors of the original and of its baseline, and the
-    # baseline's warnings, which are replayed for each candidate
-    orig_scores: dict[tuple[str, ...], tuple] = {}
+    topics = topic_intersection(run_orig, qrels)
+    orig = score_run(run_orig, qrels, topics, cfgs)
+    b_found: list[str] = []  # the original baseline's missing topics, listed for each candidate
+    b_orig = None if baseline_orig is None else score_run(
+        baseline_orig, qrels, topics, cfgs, strict=strict, warnings=b_found)
     for run_id, run_rpl, baseline_rpl in candidates:
         check_baselines(run_id, baseline_orig is not None, baseline_rpl is not None)
         if run_id in raw["tau"]:
             raise ConfigError(f"candidate id {run_id!r} given twice")
         found = _load_warnings(run_orig, run_rpl, qrels, baseline_orig, baseline_rpl)
-        topics = topic_intersection(run_orig, run_rpl, qrels)
         # not bound to a name: the record holds the candidate's doc lists
-        raw["tau"][run_id], raw["rbo"][run_id] = _ordering_means(
-            ordering.full_depth(run_orig, run_rpl, topics, params), found)
-        if topics not in orig_scores:
-            b_found: list[str] = []
-            b_orig = None if baseline_orig is None else score_run(
-                baseline_orig, qrels, topics, cfgs, strict=strict, warnings=b_found)
-            # topics are in both runs, so neither the original nor a candidate can warn or fail
-            orig_scores[topics] = (score_run(run_orig, qrels, topics, cfgs), b_orig, b_found)
-        orig, b_orig, b_found = orig_scores[topics]
-        found += b_found  # each baseline's missing topics once, before the per-measure warnings
-        b_rpl = None if baseline_rpl is None else score_run(
-            baseline_rpl, qrels, topics, cfgs, strict=strict, warnings=found)
-        measure_blocks, effect_blocks = _measure_blocks(
-            measures, orig, score_run(run_rpl, qrels, topics, cfgs), b_orig, b_rpl, found)
+        means = _ordering_means(ordering.full_depth(run_orig, run_rpl, topics, params), run_rpl, found,
+                                intersection=False)
+        raw["tau"][run_id], raw["rbo"][run_id] = means["tau_union_mean"], means["rbo_mean"]
+        try:  # each run's missing topics once, before the per-measure warnings
+            rpl = score_run(run_rpl, qrels, topics, cfgs, strict=strict, warnings=found)
+            found += b_found
+            b_rpl = None if baseline_rpl is None else score_run(
+                baseline_rpl, qrels, topics, cfgs, strict=strict, warnings=found)
+        except TopicMismatchError as e:
+            raise TopicMismatchError(f"{run_id}: {e}") from None
+        measure_blocks, effect_blocks = _measure_blocks(measures, orig, rpl, b_orig, b_rpl, found)
         for label, block in measure_blocks.items():
             for key in ("delta_arp", "rmse", "p_value"):
                 raw.setdefault(f"{key}_{label}", {})[run_id] = block[key]
@@ -314,23 +317,23 @@ _ORDERING_COLUMNS = {"tau_union": "tau_union_mean", "tau_intersection": "tau_int
                      "overlap": "mean_overlap", "rbo": "rbo_mean"}
 
 
-def _row_values(report: dict, label: str) -> dict:
-    """The CSV_HEADER columns of one measure: its score block, its effects and
-    the report's ordering values; None where the report has no such value."""
+def _rows(report: dict) -> list[dict]:
+    """The CSV_HEADER columns of each measure: its score block, its effects and the
+    report's ordering values, None where the report has no such value. A report
+    with ordering values and no measure has one row, with an empty measure cell."""
     ordering_block = report.get("ordering") or {}
-    row = {**report["measures"][label], **(report.get("effects") or {}).get(label, {}),
-           **{col: ordering_block.get(key) for col, key in _ORDERING_COLUMNS.items()}, "measure": label}
-    return {col: row.get(col) for col in CSV_HEADER.split(",")}
+    rows = []
+    for label in report["measures"] or ([""] if ordering_block else []):
+        row = {**report["measures"].get(label, {}), **(report.get("effects") or {}).get(label, {}),
+               **{col: ordering_block.get(key) for col, key in _ORDERING_COLUMNS.items()}, "measure": label}
+        rows.append({col: row.get(col) for col in CSV_HEADER.split(",")})
+    return rows
 
 
 def emit_csv(report: dict) -> str:
     if report["mode"] == "correlate":
         return report["matrix_csv"]
-    lines = [CSV_HEADER]
-    for label in report["measures"]:
-        row = _row_values(report, label)
-        lines.append(",".join(_fmt(row[col]) for col in CSV_HEADER.split(",")))
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *(",".join(map(_fmt, row.values())) for row in _rows(report))]) + "\n"
 
 
 def _warning_lines(report: dict) -> list[str]:
@@ -343,19 +346,14 @@ def emit_table(report: dict) -> str:
     if report["mode"] == "correlate":
         flags = [f"{f['a']} vs {f['b']}: tau={f['tau']:.4f} ({f['label']})" for f in report["flags"]]
         return report["matrix_csv"] + "\n" + "\n".join(flags + _warning_lines(report)) + "\n"
-    lines = []
-    runs = report["runs"]
-    lines.append(f"mode: {report['mode']}    topics: {report['topics']}")
-    lines.append("runs: " + ", ".join(f"{role}={tag}" for role, tag in runs.items()))
-    lines.append("")
     header = f"{'measure':<12}{'ARP orig':>10}{'ARP rpl':>10}{'dARP':>8} | {'tau':>8}{'RBO':>8} | {'RMSE':>8} | {'p-value':>10}"
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [f"mode: {report['mode']}    topics: {report['topics']}",
+             "runs: " + ", ".join(f"{role}={tag}" for role, tag in report["runs"].items()),
+             "", header, "-" * len(header)]
     order_block = report.get("ordering") or {}
-    for label in report["measures"]:
-        row = _row_values(report, label)
+    for row in _rows(report):
         lines.append(
-            f"{label:<12}"
+            f"{row['measure']:<12}"
             f"{_fmt(row['arp_orig']):>10}{_fmt(row['arp_rpl']):>10}{_fmt(row['delta_arp']):>8}"
             f" | {_fmt(row['tau_union']):>8}{_fmt(row['rbo']):>8}"
             f" | {_fmt(row['rmse']):>8}"

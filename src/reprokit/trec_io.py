@@ -235,13 +235,13 @@ def load_qrels(path: str) -> Qrels:
     return _load(path, parse_qrels)
 
 
-def topic_intersection(a: Run, b: Run, qrels: Qrels) -> tuple[str, ...]:
-    """Topic ids present in both runs and holding >= 1 relevant document, in report order.
+def topic_intersection(run: Run, qrels: Qrels) -> tuple[str, ...]:
+    """The reference run's topics holding >= 1 relevant document, in report order:
+    the one topic set on which every other run of a comparison is scored.
 
-    Topics without any relevant document are dropped, matching how such
-    topics are excluded from TREC-style evaluation.
+    Topics without any relevant document are dropped, as TREC-style evaluation drops them.
     """
-    shared = set(a.topics) & set(b.topics) & {t for t, docs in qrels.topics.items() if docs}
+    shared = set(run.topics) & {t for t, docs in qrels.topics.items() if docs}
     if not shared:
-        raise NoComparableTopicsError("no comparable topics between runs and qrels")
+        raise NoComparableTopicsError(f"run {run.tag!r} has no topic judged relevant in the qrels")
     return tuple(sorted(shared, key=_topic_sort_key))

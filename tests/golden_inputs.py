@@ -10,7 +10,9 @@ take the branches a report can show:
   tau-intersection is unavailable;
 - ``b_orig.run`` lacks topic 2 and ``b_rpl.run`` and ``cand1_b.run`` lack
   topic 3, so a report (in ``correlate``, each candidate) warns ``missing
-  topic ..., scored 0`` once for each, in the order the baselines are scored.
+  topic ..., scored 0`` once for each, in the order the baselines are scored;
+  ``reproduce`` scores ``b_orig.run`` on the topics of ``orig.run``, its
+  reference run, so it warns on topic 2 too.
 
 To regenerate the committed reports (only when a report is meant to change)::
 

@@ -215,7 +215,7 @@ def test_criterion_7_dataset_fixtures():
 
     a = load_run(paths["WCrobust0405"], strict=False)
     a_rpl = load_run(paths["rpl_wcr0405_tf_1"], strict=False)
-    topics = topic_intersection(orig, a, qrels)
+    topics = topic_intersection(a, qrels)
     cfg = MeasureConfig("AP", 1000)
     b, a, b_prime, a_prime = (score_run(run, qrels, topics, (cfg,))[0] for run in (orig, a, rpl, a_rpl))
     assert effect_ratio(b, a, b_prime, a_prime) == pytest.approx(1.0330, abs=1e-3)

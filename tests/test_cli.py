@@ -246,16 +246,21 @@ class TestReplicate:
                 build_replicate_report(run, run, qrels, [parse_measure_spec("P@2")], cutoffs=cutoffs)
 
     def test_cutoffs_without_measures_give_an_ordering_only_report(self):
-        # with no measure rows, each cutoff block holds the cutoff's ordering alone
+        # with no measure rows, each cutoff block holds the cutoff's ordering alone, and
+        # CSV and table give the full-depth ordering in one row with an empty measure cell
         orig = make_run("orig", {"1": ["a", "b", "c"], "2": ["p", "q", "r"]})
         rpl = make_run("rpl", {"1": ["b", "a", "c"], "2": ["p", "q", "r"]})
         rep = build_replicate_report(orig, rpl, make_qrels({"1": {"a": 1}, "2": {"p": 1}}), [], cutoffs=[1, 2])
         assert json.loads(emit(rep, "json"))["cutoffs"] == {
             "1": {"ordering": {"tau_union": None, "rbo": pytest.approx(0.1)}},
             "2": {"ordering": {"tau_union": 0.0, "rbo": pytest.approx(0.26)}}}
-        assert emit(rep, "csv") == CSV_HEADER + "\n"
-        assert [line.split() for line in emit(rep, "table").splitlines() if "ordering" in line] == [
+        assert rep["ordering"] == {"tau_union_mean": pytest.approx(2 / 3), "tau_intersection_mean": pytest.approx(2 / 3),
+                                   "mean_overlap": 3.0, "rbo_mean": pytest.approx(0.388)}
+        assert emit(rep, "csv") == CSV_HEADER + "\n,,,,,0.6667,0.6667,3.0000,0.3880,,,,,,,,,\n"
+        table = emit(rep, "table").splitlines()
+        assert [line.split() for line in table if "ordering" in line] == [
             ["1", "ordering", "0.1000"], ["2", "ordering", "0.0000", "0.2600"]]
+        assert table[5].split() == ["|", "0.6667", "0.3880", "|", "|"]  # below the header and its rule
 
     def test_tau_intersection_kernel_errors_propagate(self, monkeypatch):
         def broken(r_docs, s_docs):
@@ -321,7 +326,7 @@ class TestReproduce:
         rep = json.loads(capsys.readouterr().out)
         orig, rpl = load_run(str(paths["orig"])), load_run(str(paths["rpl"]))
         qrels = load_qrels(str(paths["qrels"]))
-        topics = topic_intersection(orig, rpl, qrels)
+        topics = topic_intersection(orig, qrels)
         for label, block in rep["measures"].items():
             cfg = parse_measure_spec(label)
             assert block["arp_orig"] == score_run(orig, qrels, topics, (cfg,))[0].mean
@@ -458,7 +463,7 @@ class TestCorrelate:
                 values[f"er_{label}"] = r["effects"][label]["er"]
             for mid, value in values.items():
                 raw.setdefault(mid, {})[cand["run"]] = value
-        assert topic_counts == [6, 6, 5, 6]
+        assert topic_counts == [6, 6, 6, 6]  # the original's topics, which cand2 lacks one of
         for mid in rep["measure_ids"]:
             got = dict(zip(rep["rankings"][mid]["runs"], rep["rankings"][mid]["badness"]))
             assert got == {run: meta.consistency_transform(mid, v) for run, v in raw[mid].items()}
@@ -468,9 +473,12 @@ class TestCorrelate:
 
         assert main(argv + ["--format", "csv"]) == 0
         assert capsys.readouterr().out == rep["matrix_csv"]
+        assert rep["warnings"] == ["cand2.run: tau undefined on 1 topic(s) run 'cand2' lacks, excluded from mean",
+                                   "cand2.run: run 'cand2' missing topic 303, scored 0"]
         assert main(argv) == 0
         flags = [f"{f['a']} vs {f['b']}: tau={f['tau']:.4f} ({f['label']})" for f in rep["flags"]]
-        assert capsys.readouterr().out == rep["matrix_csv"] + "\n" + "\n".join(flags) + "\n"
+        assert capsys.readouterr().out == rep["matrix_csv"] + "\n" + "\n".join(
+            flags + ["", "warnings:", *(f"  - {w}" for w in rep["warnings"])]) + "\n"
 
     def test_warnings_are_replicates_per_candidate(self, workspace, rng, capsys):
         # base2 lacks topic 303, which cand2 has: replicate scores it 0 and says so

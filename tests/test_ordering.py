@@ -240,6 +240,11 @@ class TestRbo:
     def test_disjoint_lists(self):
         assert rbo(["a", "b"], ["x", "y"], RboParams(0.8, 10)) == 0.0
 
+    @pytest.mark.parametrize("r_docs, s_docs", [((), ("a",)), ((), ()), (("a", "b"), ())])
+    def test_an_empty_list_shares_nothing(self, r_docs, s_docs):
+        # a topic the compared run lacks is an empty list: its RBO is 0
+        assert rbo(r_docs, s_docs, RboParams()) == 0.0
+
     def test_swapped_pair(self):
         assert rbo(["a", "b"], ["b", "a"], RboParams(0.8, 2)) == pytest.approx(0.16)
 

@@ -55,7 +55,7 @@ def test_rbo_is_recomputed_only_where_a_list_is_truncated(runs, monkeypatch):
 
 def test_tau_union_is_reused_where_no_list_is_truncated(runs, monkeypatch):
     orig, rpl, qrels, _, _ = runs
-    topics = topic_intersection(orig, rpl, qrels)
+    topics = topic_intersection(orig, qrels)
     full = full_depth(orig, rpl, topics, RboParams())
     calls = counting(monkeypatch, ordering, "tau_union")
     ordering_at_cutoffs(full, [12, 50])
@@ -72,6 +72,6 @@ def test_a_cutoff_beyond_both_lists_gives_the_full_depth_means(runs, phi, depth)
     for k in (12, 100):
         assert rep["cutoffs"][k]["ordering"] == {"tau_union": rep["ordering"]["tau_union_mean"],
                                                  "rbo": rep["ordering"]["rbo_mean"]}
-    topics = topic_intersection(orig, rpl, qrels)
+    topics = topic_intersection(orig, qrels)
     assert ordering_at_cutoffs(full_depth(orig, rpl, topics, params), [100])[100] == (
         rep["ordering"]["tau_union_mean"], rep["ordering"]["rbo_mean"])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -154,12 +155,24 @@ _PINNED_T_CDF = [
     (-2.58, 999, "0.005010937490830963", "0.010021874981661849"),
     (-12.0, 999, "2.1715519538585192e-31", "0.0"),
     (-39.5, 999, "1.3767728523593917e-206", "0.0"),
+    # x = dof / (dof + t^2) is 0: the x == 0.0 return of regularized_incomplete_beta
+    (math.inf, 5, "1.0", "0.0"),
+    (-math.inf, 5, "0.0", "0.0"),
 ]
 
 
 @pytest.mark.parametrize("t, dof, cdf, p", _PINNED_T_CDF)
 def test_t_cdf_and_p_are_pinned_to_the_bit(t, dof, cdf, p):
     assert (repr(t_cdf(t, dof)), repr(two_tailed_p(t, dof))) == (cdf, p)
+
+
+@pytest.mark.parametrize("t, dof, message", [
+    (math.nan, 5, "x must be in [0,1], got nan"),  # NaN fails the x range check
+    (1.0, 0.5, "dof must be >= 1, got 0.5"),
+])
+def test_t_cdf_rejects_nan_and_dof_below_one(t, dof, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        t_cdf(t, dof)
 
 
 # (test, x, y, repr of t_stat, repr of p_value, dof, warning)

@@ -410,7 +410,7 @@ def test_qrels_hold_only_relevant_documents():
     for qrels in (parse_qrels(text), Qrels(judged, list(warnings))):
         assert list(qrels.topics.items()) == [("301", {"A": 2}), ("302", {})]
         assert qrels.warnings == warnings
-        assert topic_intersection(run, run, qrels) == ("301",)
+        assert topic_intersection(run, qrels) == ("301",)
     assert judged["301"] == {"A": 2, "B": 0, "C": -1, "D": 0}  # the caller's maps are not changed
 
 
@@ -461,29 +461,28 @@ def test_canonical_ranking_matches_placement_oracle(scores):
 
 def test_topic_intersection_requires_relevant_docs():
     a = make_run("a", {"301": ["d1"], "302": ["d2"]})
-    b = make_run("b", {"301": ["d1"], "302": ["d2"]})
     q = make_qrels({"301": {"d1": 1}, "302": {"d2": 0}})
-    assert topic_intersection(a, b, q) == ("301",)
+    assert topic_intersection(a, q) == ("301",)
 
 
-def test_topic_intersection_identity():
+def test_topic_intersection_is_the_reference_runs_relevant_topics():
+    # 303 is judged but not retrieved, 304 retrieved but not judged
+    a = make_run("a", {"301": ["d1"], "302": ["d2"], "304": ["d4"]})
+    q = make_qrels({"301": {"d1": 1}, "302": {"d2": 1}, "303": {"d3": 1}})
+    assert topic_intersection(a, q) == ("301", "302")
+
+
+def test_topic_intersection_without_a_relevant_topic_errors_naming_the_run():
     a = make_run("a", {"301": ["d1"], "302": ["d2"]})
-    q = make_qrels({"301": {"d1": 1}, "302": {"d2": 1}})
-    assert topic_intersection(a, a, q) == ("301", "302")
-
-
-def test_topic_intersection_disjoint_errors():
-    a = make_run("a", {"301": ["d1"]})
-    b = make_run("b", {"302": ["d2"]})
-    q = make_qrels({"301": {"d1": 1}, "302": {"d2": 1}})
-    with pytest.raises(NoComparableTopicsError):
-        topic_intersection(a, b, q)
+    q = make_qrels({"301": {"d1": 0}, "303": {"d3": 1}})
+    with pytest.raises(NoComparableTopicsError, match="^run 'a' has no topic judged relevant in the qrels$"):
+        topic_intersection(a, q)
 
 
 def test_topic_order_numeric_ascending():
     a = make_run("a", {"10": ["d"], "2": ["d"], "301": ["d"]})
     q = make_qrels({t: {"d": 1} for t in ("10", "2", "301")})
-    assert topic_intersection(a, a, q) == ("2", "10", "301")
+    assert topic_intersection(a, q) == ("2", "10", "301")
 
 
 def test_non_decimal_digit_topic_sorts_after_numeric_ones():
@@ -497,7 +496,7 @@ def test_topic_ids_equal_as_numbers_sort_by_id_under_every_hash_seed():
             "ids = ['001', '1', '01', '2', '02', 'x', '10']\n"
             "run = parse_run(''.join(f'{t} Q0 d 1 1 s\\n' for t in ids))\n"
             "qrels = parse_qrels(''.join(f'{t} 0 d 1\\n' for t in ids))\n"
-            "print(list(run.topics), list(qrels.topics), topic_intersection(run, run, qrels))")
+            "print(list(run.topics), list(qrels.topics), topic_intersection(run, qrels))")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     orders = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}).stdout
