@@ -1,20 +1,31 @@
 """Shared fixtures: synthetic runs, qrels, and noise injection.
 
-This is the one place that builds test inputs and writes them as TREC text:
-``make_run`` builds a run shaped as the parser shapes it, and ``run_text`` and
-``qrels_text`` write runs and grade maps for the parser and the command line.
-``golden_inputs.py`` keeps its own writers, whose inputs the golden reports pin.
+This is the one place that builds test inputs, writes them as TREC text and
+runs the command line on them: ``make_run`` builds a run shaped as the parser
+shapes it, and ``run_text`` and ``qrels_text`` write runs and grade maps for the
+parser and the command line. ``write_files`` writes a test's input files,
+``cli_argv`` spells a subcommand's input options from their dests (the roles of
+the provenance block), and ``run_cli`` runs ``main``, checks its exit code and
+decodes what it wrote. ``golden_inputs.py`` keeps its own writers, whose inputs
+the golden reports pin: the golden comparison runs it without pytest.
 """
 
 from __future__ import annotations
 
+import io
+import json
+import pathlib
 import random
 from array import array
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from reprokit.cli import main
 from reprokit.effectiveness import MeasureConfig, TopicScoreVector, score_run
 from reprokit.trec_io import Qrels, Ranking, Run
+
+from golden_inputs import strict_json
 
 
 def make_run(tag: str, topic_docs: dict[str, list[str]]) -> Run:
@@ -41,6 +52,51 @@ def run_text(run: Run) -> str:
 def qrels_text(grades: dict[str, dict[str, int]]) -> str:
     """A ``{topic: {doc: grade}}`` map, such as ``Qrels.topics``, as 4-column text."""
     return "".join(f"{topic} 0 {doc} {grade}\n" for topic, docs in grades.items() for doc, grade in docs.items())
+
+
+def write_files(tmp: pathlib.Path, files: dict[str, object]) -> dict[str, pathlib.Path]:
+    """Write each named file under ``tmp`` and return its path by name: a Run as
+    ``run_text``, a Qrels as ``qrels_text``, text or bytes as given, and anything
+    else (a correlate manifest) as JSON."""
+    for name, content in files.items():
+        if isinstance(content, Run):
+            content = run_text(content)
+        elif isinstance(content, Qrels):
+            content = qrels_text(content.topics)
+        elif not isinstance(content, (str, bytes)):
+            content = json.dumps(content)
+        (tmp / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp / name).write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    return {name: tmp / name for name in files}
+
+
+# each subcommand's input options by dest, in the order the parser declares them
+ROLES = {
+    "replicate": ("run_orig", "run_rpl", "qrels", "run_b_orig", "run_b_rpl"),
+    "reproduce": ("run_a_orig", "run_b_orig", "qrels_orig", "run_a_rpd", "run_b_rpd", "qrels_rpd"),
+    "correlate": ("manifest",),
+}
+
+
+def cli_argv(command: str, inputs: dict[str, object], *extra: str) -> list[str]:
+    """``command``'s argv: the option of each role in ``inputs`` with its path, then ``extra``."""
+    assert set(inputs) <= set(ROLES[command]), sorted(set(inputs) - set(ROLES[command]))
+    return [command, *(arg for role in ROLES[command] if role in inputs
+                       for arg in ("--" + role.replace("_", "-"), str(inputs[role]))), *extra]
+
+
+def run_cli(argv: list[str], code: int = 0, text: bool = False):
+    """Run ``main`` on ``argv`` and check that it exits ``code``. On exit 0, return the
+    report (stdout, or the ``--output`` file), decoded as strict JSON when it is JSON
+    unless ``text`` asks for it as written; on any other exit, the stderr error record."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv) == code, err.getvalue()
+    if code:
+        return json.loads(err.getvalue())
+    options = dict(zip(argv, argv[1:]))
+    report = pathlib.Path(options["--output"]).read_text(encoding="utf-8") if "--output" in options else out.getvalue()
+    return report if text or options.get("--format") != "json" else strict_json(report)
 
 
 def score_ranking(ranking: list[str], grades: dict[str, int], measure: str, k: int) -> float:

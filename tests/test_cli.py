@@ -8,14 +8,13 @@ import weakref
 import pytest
 
 from reprokit import cli, meta, ordering
-from reprokit.cli import build_replicate_report, main
+from reprokit.cli import build_replicate_report
 from reprokit.effectiveness import parse_measure_spec, score_run
 from reprokit.errors import ConfigError
 from reprokit.report import CSV_HEADER, build_correlation_report, build_reproduce_report, emit
 from reprokit.trec_io import load_qrels, load_run, topic_intersection
 
-from conftest import make_qrels, make_run, qrels_text, random_qrels, random_run, run_text
-from golden_inputs import strict_json
+from conftest import ROLES, cli_argv, make_qrels, make_run, random_qrels, random_run, run_cli, write_files
 
 
 def with_duplicate(path, src_path, tag):
@@ -28,42 +27,19 @@ def with_duplicate(path, src_path, tag):
 
 
 @pytest.fixture
-def workspace(tmp_path, rng):
+def paths(tmp_path, rng):
+    """orig.run, rpl.run on its topics, and qrels.txt, by their ``replicate`` roles."""
     orig = random_run(rng, "orig", 6, 20)
     rpl = random_run(rng, "rpl", 6, 20)
     rpl.topics = {t: rpl.topics[t] for t in orig.topics}  # align topic ids
-    qrels = random_qrels(rng, orig)
-    paths = {
-        "orig": tmp_path / "orig.run",
-        "rpl": tmp_path / "rpl.run",
-        "qrels": tmp_path / "qrels.txt",
-    }
-    paths["orig"].write_text(run_text(orig))
-    paths["rpl"].write_text(run_text(rpl))
-    paths["qrels"].write_text(qrels_text(qrels.topics))
-    return tmp_path, paths
-
-
-def replicate_argv(paths, *extra):
-    """``replicate`` over the workspace's original run, re-created run and qrels."""
-    return ["replicate", "--run-orig", str(paths["orig"]), "--run-rpl", str(paths["rpl"]),
-            "--qrels", str(paths["qrels"]), *extra]
+    p = write_files(tmp_path, {"orig.run": orig, "rpl.run": rpl, "qrels.txt": random_qrels(rng, orig)})
+    return {"run_orig": p["orig.run"], "run_rpl": p["rpl.run"], "qrels": p["qrels.txt"]}
 
 
 class TestReplicate:
-    def test_self_comparison(self, workspace, capsys):
-        tmp, paths = workspace
-        code = main([
-            "replicate",
-            "--run-orig", str(paths["orig"]),
-            "--run-rpl", str(paths["orig"]),
-            "--qrels", str(paths["qrels"]),
-            "--run-b-orig", str(paths["rpl"]),
-            "--run-b-rpl", str(paths["rpl"]),
-            "--format", "json",
-        ])
-        assert code == 0
-        rep = json.loads(capsys.readouterr().out)
+    def test_self_comparison(self, paths):
+        rep = run_cli(cli_argv("replicate", {**paths, "run_rpl": paths["run_orig"], "run_b_orig": paths["run_rpl"],
+                                             "run_b_rpl": paths["run_rpl"]}, "--format", "json"))
         assert rep["ordering"]["tau_union_mean"] == 1.0
         assert rep["ordering"]["rbo_mean"] == pytest.approx(1 - 0.8 ** 20, abs=1e-12)
         for block in rep["measures"].values():
@@ -74,47 +50,31 @@ class TestReplicate:
             assert eff["er"] == pytest.approx(1.0)
             assert eff["delta_ri"] == pytest.approx(0.0)
 
-    def test_single_measure_filter(self, workspace, capsys):
-        tmp, paths = workspace
-        code = main(replicate_argv(paths, "--measures", "P@10", "--format", "json"))
-        assert code == 0
-        rep = json.loads(capsys.readouterr().out)
+    def test_single_measure_filter(self, paths):
+        rep = run_cli(cli_argv("replicate", paths, "--measures", "P@10", "--format", "json"))
         assert list(rep["measures"]) == ["P@10"]
 
-    def test_output_deterministic(self, workspace, capsys):
-        tmp, paths = workspace
-        args = replicate_argv(paths, "--format", "json")
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args) == 0
-        assert capsys.readouterr().out == first
+    def test_output_deterministic(self, paths):
+        args = cli_argv("replicate", paths, "--format", "json")
+        first = run_cli(args, text=True)
+        assert run_cli(args, text=True) == first
 
-    def test_json_round_trips(self, workspace, capsys):
-        tmp, paths = workspace
-        main(replicate_argv(paths, "--format", "json"))
-        out = capsys.readouterr().out
+    def test_json_round_trips(self, paths):
+        out = run_cli(cli_argv("replicate", paths, "--format", "json"), text=True)
         assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
 
-    def test_csv_header_fixed(self, workspace, capsys):
-        tmp, paths = workspace
-        main(replicate_argv(paths, "--format", "csv"))
-        out = capsys.readouterr().out
+    def test_csv_header_fixed(self, paths):
+        out = run_cli(cli_argv("replicate", paths, "--format", "csv"))
         assert out.splitlines()[0] == CSV_HEADER
 
-    def test_table_format_runs(self, workspace, capsys):
-        tmp, paths = workspace
-        code = main(replicate_argv(paths, "--cutoffs", "5,10"))
-        assert code == 0
-        assert "measure" in capsys.readouterr().out
+    def test_table_format_runs(self, paths):
+        assert "measure" in run_cli(cli_argv("replicate", paths, "--cutoffs", "5,10"))
 
-    def test_provenance_digests_every_input(self, workspace, capsys):
-        tmp, paths = workspace
-        for role in ("b_orig", "b_rpl"):
-            (tmp / f"{role}.run").write_bytes(paths["rpl"].read_bytes())
-        argv = replicate_argv(paths, "--run-b-orig", str(tmp / "b_orig.run"),
-                              "--run-b-rpl", str(tmp / "b_rpl.run"), "--format", "json")
-        assert main(argv + ["--provenance"]) == 0
-        rep = json.loads(capsys.readouterr().out)
+    def test_provenance_digests_every_input(self, paths, tmp_path):
+        base = write_files(tmp_path, dict.fromkeys(("b_orig.run", "b_rpl.run"), paths["run_rpl"].read_bytes()))
+        argv = cli_argv("replicate", {**paths, "run_b_orig": base["b_orig.run"], "run_b_rpl": base["b_rpl.run"]},
+                        "--format", "json")
+        rep = run_cli(argv + ["--provenance"])
         inputs = rep.pop("provenance")["inputs"]
         assert {role: os.path.basename(v["path"]) for role, v in inputs.items()} == {
             "run_orig": "orig.run", "run_rpl": "rpl.run", "qrels": "qrels.txt",
@@ -123,95 +83,47 @@ class TestReplicate:
         for v in inputs.values():
             with open(v["path"], "rb") as f:
                 assert v["sha256"] == hashlib.sha256(f.read()).hexdigest()
-        assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out) == rep
+        assert run_cli(argv) == rep
 
-    def test_provenance_records_the_argv_given_to_main(self, workspace, tmp_path):
-        _, paths = workspace
-        out = str(tmp_path / "report.json")
-        argv = replicate_argv(paths, "--format", "json", "--provenance", "--output", out)
-        assert main(argv) == 0
-        with open(out, encoding="utf-8") as f:
-            assert json.load(f)["provenance"]["argv"] == argv
+    def test_provenance_records_the_argv_given_to_main(self, paths, tmp_path):
+        argv = cli_argv("replicate", paths, "--format", "json", "--provenance",
+                        "--output", str(tmp_path / "report.json"))
+        assert run_cli(argv)["provenance"]["argv"] == argv
 
-    def test_missing_file_nonzero_exit(self, tmp_path, capsys):
-        code = main([
-            "replicate",
-            "--run-orig", str(tmp_path / "nope.run"),
-            "--run-rpl", str(tmp_path / "nope.run"),
-            "--qrels", str(tmp_path / "nope.qrels"),
-        ])
-        assert code != 0
-        err = json.loads(capsys.readouterr().err)
-        assert "error" in err
+    def test_missing_file_nonzero_exit(self, tmp_path):
+        err = run_cli(cli_argv("replicate", dict.fromkeys(("run_orig", "run_rpl", "qrels"), tmp_path / "nope.run")), 5)
+        assert err["error"] == "io"
 
-    def test_nan_score_is_a_parse_error(self, workspace, capsys):
-        tmp, paths = workspace
-        bad = tmp / "nan.run"
-        bad.write_text("301 Q0 A 1 2.0 sys\n301 Q0 Z 2 nan sys\n")
-        code = main([
-            "replicate",
-            "--run-orig", str(paths["orig"]),
-            "--run-rpl", str(bad),
-            "--qrels", str(paths["qrels"]),
-        ])
-        assert code == 3
-        err = json.loads(capsys.readouterr().err)
+    def test_nan_score_is_a_parse_error(self, paths, tmp_path):
+        bad = write_files(tmp_path, {"nan.run": "301 Q0 A 1 2.0 sys\n301 Q0 Z 2 nan sys\n"})["nan.run"]
+        err = run_cli(cli_argv("replicate", {**paths, "run_rpl": bad}), 3)
         assert err == {"error": "parse", "message": f"{bad}: line 2: non-numeric score 'nan'"}
 
-    def test_baseline_load_warnings_are_reported(self, workspace, capsys):
-        tmp, paths = workspace
-        dup = with_duplicate(tmp / "b_rpl.run", paths["orig"], "orig")
-        code = main(replicate_argv(paths, "--run-b-orig", str(paths["rpl"]),
-                                   "--run-b-rpl", str(tmp / "b_rpl.run"), "--format", "json"))
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["warnings"] == [dup]
+    def test_baseline_load_warnings_are_reported(self, paths, tmp_path):
+        dup = with_duplicate(tmp_path / "b_rpl.run", paths["run_orig"], "orig")
+        rep = run_cli(cli_argv("replicate", {**paths, "run_b_orig": paths["run_rpl"],
+                                             "run_b_rpl": tmp_path / "b_rpl.run"}, "--format", "json"))
+        assert rep["warnings"] == [dup]
 
-    def test_baseline_flags_must_pair(self, workspace, capsys):
-        tmp, paths = workspace
-        code = main(replicate_argv(paths, "--run-b-orig", str(paths["orig"])))
-        assert code == 2
-
-    def test_non_integer_cutoff_is_a_config_error(self, workspace, capsys):
-        tmp, paths = workspace
-        code = main(replicate_argv(paths, "--cutoffs", "10,abc"))
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "config"
-        assert "10,abc" in err["message"]
+    def test_baseline_flags_must_pair(self, paths):
+        run_cli(cli_argv("replicate", {**paths, "run_b_orig": paths["run_orig"]}), 2)
 
     @pytest.mark.parametrize("cutoffs, message", [
         ("10,5", "cutoffs must be ascending"),
         ("0,10", "cutoff must be >= 1, got 0"),
         ("2,2", "cutoff 2 given twice"),
     ])
-    def test_cutoffs_are_checked_before_any_input_is_read(self, tmp_path, capsys, cutoffs, message):
-        code = main([
-            "replicate",
-            "--run-orig", str(tmp_path / "nope.run"),
-            "--run-rpl", str(tmp_path / "nope.run"),
-            "--qrels", str(tmp_path / "nope.qrels"),
-            "--cutoffs", cutoffs,
-        ])
-        assert code == 2
-        assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+    def test_cutoffs_are_checked_before_any_input_is_read(self, tmp_path, cutoffs, message):
+        argv = cli_argv("replicate", dict.fromkeys(ROLES["replicate"], tmp_path / "nope.run"), "--cutoffs", cutoffs)
+        assert run_cli(argv, 2) == {"error": "config", "message": message}
 
-    def test_non_decimal_digit_topic_is_compared(self, tmp_path, capsys):
+    def test_non_decimal_digit_topic_is_compared(self, tmp_path):
         # '\u00b2'.isdigit() is true but int() rejects it: it must sort as a name
-        (tmp_path / "a.run").write_text(
-            "\u00b2 Q0 A 1 2.0 a\n\u00b2 Q0 B 2 1.0 a\n301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n",
-            encoding="utf-8")
-        (tmp_path / "q.txt").write_text("\u00b2 0 A 1\n301 0 B 1\n", encoding="utf-8")
-        code = main([
-            "replicate",
-            "--run-orig", str(tmp_path / "a.run"),
-            "--run-rpl", str(tmp_path / "a.run"),
-            "--qrels", str(tmp_path / "q.txt"),
-            "--measures", "P@2",
-            "--format", "json",
-        ])
-        assert code == 0
-        rep = json.loads(capsys.readouterr().out)
+        p = write_files(tmp_path, {
+            "a.run": "\u00b2 Q0 A 1 2.0 a\n\u00b2 Q0 B 2 1.0 a\n301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n",
+            "q.txt": "\u00b2 0 A 1\n301 0 B 1\n"})
+        rep = run_cli(cli_argv("replicate", {"run_orig": p["a.run"], "run_rpl": p["a.run"], "qrels": p["q.txt"]},
+                               "--measures", "P@2", "--format", "json"))
         assert rep["topics"] == 2
         assert rep["measures"]["P@2"]["arp_orig"] == 0.5
 
@@ -223,15 +135,13 @@ class TestReplicate:
         assert rep["ordering"]["tau_intersection_mean"] == -1.0
         assert any("tau-intersection unavailable on 1 topic" in w for w in rep["warnings"])
 
-    def test_a_null_cutoff_tau_union_is_warned_after_the_full_depth_warnings(self, tmp_path, capsys):
+    def test_a_null_cutoff_tau_union_is_warned_after_the_full_depth_warnings(self, tmp_path):
         # at cutoff 1 no topic pairs two documents; at cutoff 2 and at full depth every topic does
-        (tmp_path / "o.run").write_text(run_text(make_run("o", {"1": ["A", "B", "C"], "2": ["A", "B"]})))
-        (tmp_path / "r.run").write_text(run_text(make_run("r", {"1": ["B", "A", "C"], "2": ["A", "C"]})))
-        (tmp_path / "q.txt").write_text("1 0 A 1\n2 0 B 1\n")
-        assert main(["replicate", "--run-orig", str(tmp_path / "o.run"), "--run-rpl", str(tmp_path / "r.run"),
-                     "--qrels", str(tmp_path / "q.txt"), "--cutoffs", "1,2", "--measures", "P@2",
-                     "--format", "json"]) == 0
-        rep = json.loads(capsys.readouterr().out)
+        p = write_files(tmp_path, {"o.run": make_run("o", {"1": ["A", "B", "C"], "2": ["A", "B"]}),
+                                   "r.run": make_run("r", {"1": ["B", "A", "C"], "2": ["A", "C"]}),
+                                   "q.txt": "1 0 A 1\n2 0 B 1\n"})
+        rep = run_cli(cli_argv("replicate", {"run_orig": p["o.run"], "run_rpl": p["r.run"], "qrels": p["q.txt"]},
+                               "--cutoffs", "1,2", "--measures", "P@2", "--format", "json"))
         assert [rep["cutoffs"][k]["ordering"]["tau_union"] is None for k in ("1", "2")] == [True, False]
         assert rep["warnings"] == ["tau-intersection unavailable on 1 topic(s), excluded from mean",
                                    "tau-union unavailable on every topic at cutoff 1"]
@@ -287,20 +197,11 @@ class TestReplicate:
 
 
 class TestReproduce:
-    def test_degenerate_reuse(self, workspace, capsys):
-        tmp, paths = workspace
-        code = main([
-            "reproduce",
-            "--run-a-orig", str(paths["orig"]),
-            "--run-b-orig", str(paths["rpl"]),
-            "--qrels-orig", str(paths["qrels"]),
-            "--run-a-rpd", str(paths["orig"]),
-            "--run-b-rpd", str(paths["rpl"]),
-            "--qrels-rpd", str(paths["qrels"]),
-            "--format", "json",
-        ])
-        assert code == 0
-        rep = json.loads(capsys.readouterr().out)
+    def test_degenerate_reuse(self, paths):
+        orig, rpl, qrels = paths.values()
+        rep = run_cli(cli_argv("reproduce", {"run_a_orig": orig, "run_b_orig": rpl, "qrels_orig": qrels,
+                                             "run_a_rpd": orig, "run_b_rpd": rpl, "qrels_rpd": qrels},
+                               "--format", "json"))
         for eff in rep["effects"].values():
             assert eff["er"] == pytest.approx(1.0)
             assert eff["delta_ri"] == pytest.approx(0.0)
@@ -311,66 +212,41 @@ class TestReproduce:
         for block in rep["measures"].values():
             assert "rmse" not in block
 
-    def test_arp_on_each_side(self, workspace, capsys):
-        tmp, paths = workspace
-        argv = [
-            "reproduce",
-            "--run-a-orig", str(paths["orig"]),
-            "--run-b-orig", str(paths["rpl"]),
-            "--qrels-orig", str(paths["qrels"]),
-            "--run-a-rpd", str(paths["rpl"]),
-            "--run-b-rpd", str(paths["orig"]),
-            "--qrels-rpd", str(paths["qrels"]),
-        ]
-        assert main(argv + ["--format", "json"]) == 0
-        rep = json.loads(capsys.readouterr().out)
-        orig, rpl = load_run(str(paths["orig"])), load_run(str(paths["rpl"]))
-        qrels = load_qrels(str(paths["qrels"]))
+    def test_arp_on_each_side(self, paths):
+        orig_path, rpl_path, qrels_path = paths.values()
+        argv = cli_argv("reproduce", {"run_a_orig": orig_path, "run_b_orig": rpl_path, "qrels_orig": qrels_path,
+                                      "run_a_rpd": rpl_path, "run_b_rpd": orig_path, "qrels_rpd": qrels_path})
+        rep = run_cli(argv + ["--format", "json"])
+        orig, rpl = load_run(str(orig_path)), load_run(str(rpl_path))
+        qrels = load_qrels(str(qrels_path))
         topics = topic_intersection(orig, qrels)
         for label, block in rep["measures"].items():
             cfg = parse_measure_spec(label)
             assert block["arp_orig"] == score_run(orig, qrels, topics, (cfg,))[0].mean
             assert block["arp_b_orig"] == score_run(rpl, qrels, topics, (cfg,))[0].mean
             assert block["arp_rpl"] == block["arp_b_orig"]
-        assert main(argv + ["--format", "csv"]) == 0
-        header, *rows = capsys.readouterr().out.splitlines()
+        header, *rows = run_cli(argv + ["--format", "csv"]).splitlines()
         col = header.split(",").index("arp_orig")
         assert {row.split(",")[0]: row.split(",")[col] for row in rows} == {
             label: f"{block['arp_orig']:.4f}" for label, block in rep["measures"].items()}
 
-    def test_mismatched_collections_error(self, workspace, tmp_path, rng, capsys):
-        tmp, paths = workspace
+    def test_mismatched_collections_error(self, paths, tmp_path, rng):
         other = random_run(rng, "other", 3, 10)
         # remap to topic ids absent from the original qrels
         other.topics = {str(900 + i): docs for i, docs in enumerate(other.topics.values())}
-        (tmp_path / "other.run").write_text(run_text(other))
-        code = main([
-            "reproduce",
-            "--run-a-orig", str(paths["orig"]),
-            "--run-b-orig", str(paths["rpl"]),
-            "--qrels-orig", str(paths["qrels"]),
-            "--run-a-rpd", str(tmp_path / "other.run"),
-            "--run-b-rpd", str(tmp_path / "other.run"),
-            "--qrels-rpd", str(paths["qrels"]),
-        ])
-        assert code == 4
+        other_path = write_files(tmp_path, {"other.run": other})["other.run"]
+        run_cli(cli_argv("reproduce", {"run_a_orig": paths["run_orig"], "run_b_orig": paths["run_rpl"],
+                                       "qrels_orig": paths["qrels"], "run_a_rpd": other_path,
+                                       "run_b_rpd": other_path, "qrels_rpd": paths["qrels"]}), 4)
 
-    def test_load_warnings_of_each_side_are_reported(self, workspace, capsys):
-        tmp, paths = workspace
-        dup_orig = with_duplicate(tmp / "b_orig.run", paths["rpl"], "rpl")
-        dup_rpd = with_duplicate(tmp / "a_rpd.run", paths["orig"], "orig")
-        code = main([
-            "reproduce",
-            "--run-a-orig", str(paths["orig"]),
-            "--run-b-orig", str(tmp / "b_orig.run"),
-            "--qrels-orig", str(paths["qrels"]),
-            "--run-a-rpd", str(tmp / "a_rpd.run"),
-            "--run-b-rpd", str(paths["rpl"]),
-            "--qrels-rpd", str(paths["qrels"]),
-            "--format", "json",
-        ])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["warnings"] == [dup_orig, dup_rpd]
+    def test_load_warnings_of_each_side_are_reported(self, paths, tmp_path):
+        dup_orig = with_duplicate(tmp_path / "b_orig.run", paths["run_rpl"], "rpl")
+        dup_rpd = with_duplicate(tmp_path / "a_rpd.run", paths["run_orig"], "orig")
+        rep = run_cli(cli_argv("reproduce", {"run_a_orig": paths["run_orig"], "run_b_orig": tmp_path / "b_orig.run",
+                                             "qrels_orig": paths["qrels"], "run_a_rpd": tmp_path / "a_rpd.run",
+                                             "run_b_rpd": paths["run_rpl"], "qrels_rpd": paths["qrels"]},
+                               "--format", "json"))
+        assert rep["warnings"] == [dup_orig, dup_rpd]
 
     def test_one_side_is_held_at_a_time(self, rng):
         held = []
@@ -394,49 +270,32 @@ class TestReproduce:
 
 class TestCorrelate:
     def _manifest(self, tmp, paths, rng, n_candidates=3):
-        candidates = []
-        for i in range(n_candidates):
-            # random_run reuses the same topic ids, so candidates align with qrels
-            run = random_run(rng, f"cand{i}", 6, 20)
-            p = tmp / f"cand{i}.run"
-            p.write_text(run_text(run))
-            candidates.append(p.name)
-        manifest = {
-            "qrels": paths["qrels"].name,
-            "run_orig": paths["orig"].name,
-            "candidates": candidates,
-        }
-        mpath = tmp / "manifest.json"
-        mpath.write_text(json.dumps(manifest))
-        return mpath
+        # random_run reuses the same topic ids, so candidates align with qrels
+        runs = {f"cand{i}.run": random_run(rng, f"cand{i}", 6, 20) for i in range(n_candidates)}
+        return write_files(tmp, {**runs, "manifest.json": {
+            "qrels": paths["qrels"].name, "run_orig": paths["run_orig"].name, "candidates": list(runs),
+        }})["manifest.json"]
 
     def _manifest_with_baselines(self, tmp, paths, rng, lacking=("cand2",)):
         """Four candidates, each with a baseline; the runs named in ``lacking``
         (cand2 by default) lack topic 303."""
-        (tmp / "b_orig.run").write_text(run_text(random_run(rng, "b_orig", 6, 20)))
+        runs = {"b_orig.run": random_run(rng, "b_orig", 6, 20)}
         candidates = []
         for i in range(4):
             for name in (f"cand{i}", f"base{i}"):
-                run = random_run(rng, name, 6, 20)
+                runs[f"{name}.run"] = run = random_run(rng, name, 6, 20)
                 if name in lacking:
                     del run.topics["303"]
-                (tmp / f"{name}.run").write_text(run_text(run))
             candidates.append({"run": f"cand{i}.run", "run_b": f"base{i}.run"})
-        mpath = tmp / "manifest.json"
-        mpath.write_text(json.dumps({
-            "qrels": paths["qrels"].name,
-            "run_orig": paths["orig"].name,
-            "run_b_orig": "b_orig.run",
+        return write_files(tmp, {**runs, "manifest.json": {
+            "qrels": paths["qrels"].name, "run_orig": paths["run_orig"].name, "run_b_orig": "b_orig.run",
             "candidates": candidates,
-        }))
-        return mpath, candidates
+        }})["manifest.json"], candidates
 
-    def test_values_match_replicate_per_candidate(self, workspace, rng, capsys):
-        tmp, paths = workspace
-        mpath, candidates = self._manifest_with_baselines(tmp, paths, rng)
-        argv = ["correlate", "--manifest", str(mpath)]
-        assert main(argv + ["--format", "json"]) == 0
-        rep = json.loads(capsys.readouterr().out)
+    def test_values_match_replicate_per_candidate(self, paths, tmp_path, rng):
+        mpath, candidates = self._manifest_with_baselines(tmp_path, paths, rng)
+        argv = cli_argv("correlate", {"manifest": mpath})
+        rep = run_cli(argv + ["--format", "json"])
         labels = ["P@10", "AP@1000", "nDCG@1000"]
         assert rep["measure_ids"] == (
             ["tau", "rbo"]
@@ -445,9 +304,9 @@ class TestCorrelate:
         )
 
         def load(name):
-            return load_run(str(tmp / name), strict=False)
+            return load_run(str(tmp_path / name), strict=False)
 
-        orig, b_orig = load(paths["orig"].name), load("b_orig.run")
+        orig, b_orig = load(paths["run_orig"].name), load("b_orig.run")
         qrels = load_qrels(str(paths["qrels"]))
         raw, topic_counts = {}, []
         for cand in candidates:
@@ -471,27 +330,23 @@ class TestCorrelate:
         assert rep["matrix_csv"] == meta.matrix_to_csv(
             meta.correlation_matrix(rankings), rep["measure_ids"])
 
-        assert main(argv + ["--format", "csv"]) == 0
-        assert capsys.readouterr().out == rep["matrix_csv"]
+        assert run_cli(argv + ["--format", "csv"]) == rep["matrix_csv"]
         assert rep["warnings"] == ["cand2.run: tau undefined on 1 topic(s) run 'cand2' lacks, excluded from mean",
                                    "cand2.run: run 'cand2' missing topic 303, scored 0"]
-        assert main(argv) == 0
         flags = [f"{f['a']} vs {f['b']}: tau={f['tau']:.4f} ({f['label']})" for f in rep["flags"]]
-        assert capsys.readouterr().out == rep["matrix_csv"] + "\n" + "\n".join(
+        assert run_cli(argv) == rep["matrix_csv"] + "\n" + "\n".join(
             flags + ["", "warnings:", *(f"  - {w}" for w in rep["warnings"])]) + "\n"
 
-    def test_warnings_are_replicates_per_candidate(self, workspace, rng, capsys):
+    def test_warnings_are_replicates_per_candidate(self, paths, tmp_path, rng):
         # base2 lacks topic 303, which cand2 has: replicate scores it 0 and says so
-        tmp, paths = workspace
-        mpath, candidates = self._manifest_with_baselines(tmp, paths, rng, lacking=("base2",))
-        argv = ["correlate", "--manifest", str(mpath)]
-        assert main(argv + ["--format", "json"]) == 0
-        rep = json.loads(capsys.readouterr().out)
+        mpath, candidates = self._manifest_with_baselines(tmp_path, paths, rng, lacking=("base2",))
+        argv = cli_argv("correlate", {"manifest": mpath})
+        rep = run_cli(argv + ["--format", "json"])
 
         def load(name):
-            return load_run(str(tmp / name), strict=False)
+            return load_run(str(tmp_path / name), strict=False)
 
-        orig, b_orig = load(paths["orig"].name), load("b_orig.run")
+        orig, b_orig = load(paths["run_orig"].name), load("b_orig.run")
         qrels = load_qrels(str(paths["qrels"]))
         measures = [parse_measure_spec(x) for x in ("P@10", "AP@1000", "nDCG@1000")]
         expected = []
@@ -503,28 +358,22 @@ class TestCorrelate:
         assert rep["warnings"] == expected
         assert [w for w in expected if "missing" in w] == [
             "cand2.run: run 'base2' missing topic 303, scored 0"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out.endswith(
-            "\nwarnings:\n" + "".join(f"  - {w}\n" for w in expected))
+        assert run_cli(argv).endswith("\nwarnings:\n" + "".join(f"  - {w}\n" for w in expected))
 
-    def test_baseline_load_warnings_are_reported(self, workspace, rng, capsys):
-        tmp, paths = workspace
-        mpath, _ = self._manifest_with_baselines(tmp, paths, rng)
-        dup_orig = with_duplicate(tmp / "b_orig.run", tmp / "b_orig.run", "b_orig")
-        dup_base = with_duplicate(tmp / "base1.run", tmp / "base1.run", "base1")
-        assert main(["correlate", "--manifest", str(mpath), "--format", "json"]) == 0
-        warnings = json.loads(capsys.readouterr().out)["warnings"]
+    def test_baseline_load_warnings_are_reported(self, paths, tmp_path, rng):
+        mpath, _ = self._manifest_with_baselines(tmp_path, paths, rng)
+        dup_orig = with_duplicate(tmp_path / "b_orig.run", tmp_path / "b_orig.run", "b_orig")
+        dup_base = with_duplicate(tmp_path / "base1.run", tmp_path / "base1.run", "base1")
+        warnings = run_cli(cli_argv("correlate", {"manifest": mpath}, "--format", "json"))["warnings"]
         # each candidate's block lists the original baseline's, then its own baseline's
         assert [w for w in warnings if "duplicate" in w] == [
             "cand0.run: " + dup_orig, "cand1.run: " + dup_orig, "cand1.run: " + dup_base,
             "cand2.run: " + dup_orig, "cand3.run: " + dup_orig]
 
-    def test_provenance_digests_every_input(self, workspace, rng, capsys):
-        tmp, paths = workspace
-        mpath, _ = self._manifest_with_baselines(tmp, paths, rng)
-        argv = ["correlate", "--manifest", str(mpath), "--format", "json"]
-        assert main(argv + ["--provenance"]) == 0
-        rep = json.loads(capsys.readouterr().out)
+    def test_provenance_digests_every_input(self, paths, tmp_path, rng):
+        mpath, _ = self._manifest_with_baselines(tmp_path, paths, rng)
+        argv = cli_argv("correlate", {"manifest": mpath}, "--format", "json")
+        rep = run_cli(argv + ["--provenance"])
         inputs = rep.pop("provenance")["inputs"]
         assert {role: os.path.basename(v["path"]) for role, v in inputs.items()} == {
             "manifest": "manifest.json", "qrels": "qrels.txt", "run_orig": "orig.run",
@@ -535,40 +384,31 @@ class TestCorrelate:
         for v in inputs.values():
             with open(v["path"], "rb") as f:
                 assert v["sha256"] == hashlib.sha256(f.read()).hexdigest()
-        assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out) == rep
+        assert run_cli(argv) == rep
 
-    def test_two_candidates_matrix(self, workspace, rng, capsys):
-        tmp, paths = workspace
-        mpath = self._manifest(tmp, paths, rng)
-        code = main(["correlate", "--manifest", str(mpath), "--format", "json",
-                     "--measures", "AP@1000,P@10"])
-        assert code == 0
-        rep = json.loads(capsys.readouterr().out)
+    def test_two_candidates_matrix(self, paths, tmp_path, rng):
+        mpath = self._manifest(tmp_path, paths, rng)
+        rep = run_cli(cli_argv("correlate", {"manifest": mpath}, "--format", "json", "--measures", "AP@1000,P@10"))
         assert rep["matrix_csv"].startswith("measure,")
         assert rep["flags"]
 
-    def test_measure_with_equal_badness_leaves_its_cells_blank(self, workspace, rng, capsys):
+    def test_measure_with_equal_badness_leaves_its_cells_blank(self, paths, tmp_path, rng):
         # both candidates keep the original top document of every topic, so at
         # depth 1 their RBO is equal and tau against the RBO ranking is undefined
-        tmp, paths = workspace
-        orig = load_run(str(paths["orig"]))
-        candidates = []
+        orig = load_run(str(paths["run_orig"]))
+        runs = {}
         for i in range(2):
             topic_docs = {}
             for topic in orig.topics:
                 top, *rest = orig.topics[topic].doc_ids
                 rng.shuffle(rest)
                 topic_docs[topic] = [top] + rest
-            (tmp / f"cand{i}.run").write_text(run_text(make_run(f"cand{i}", topic_docs)))
-            candidates.append(f"cand{i}.run")
-        mpath = tmp / "manifest.json"
-        mpath.write_text(json.dumps({
-            "qrels": paths["qrels"].name, "run_orig": paths["orig"].name, "candidates": candidates,
-        }))
-        argv = ["correlate", "--manifest", str(mpath), "--depth", "1", "--measures", "AP@1000,P@10"]
-        assert main(argv + ["--format", "json"]) == 0
-        rep = json.loads(capsys.readouterr().out)
+            runs[f"cand{i}.run"] = make_run(f"cand{i}", topic_docs)
+        mpath = write_files(tmp_path, {**runs, "manifest.json": {
+            "qrels": paths["qrels"].name, "run_orig": paths["run_orig"].name, "candidates": list(runs),
+        }})["manifest.json"]
+        argv = cli_argv("correlate", {"manifest": mpath}, "--depth", "1", "--measures", "AP@1000,P@10")
+        rep = run_cli(argv + ["--format", "json"])
         ids = rep["measure_ids"]
         constant = {mid for mid in ids if len(set(rep["rankings"][mid]["badness"])) == 1}
         assert "rbo" in constant and constant != set(ids)
@@ -583,31 +423,19 @@ class TestCorrelate:
         assert {(f["a"], f["b"]) for f in rep["flags"]} == {
             (a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
             if a not in constant and b not in constant}
-        assert main(argv) == 0
-        assert capsys.readouterr().out.startswith(rep["matrix_csv"])
+        assert run_cli(argv).startswith(rep["matrix_csv"])
 
-    def test_missing_candidate_errors(self, workspace, capsys):
-        tmp, paths = workspace
-        mpath = tmp / "manifest.json"
-        mpath.write_text(json.dumps({
-            "qrels": paths["qrels"].name,
-            "run_orig": paths["orig"].name,
-            "candidates": ["ghost.run", "ghost2.run"],
-        }))
-        code = main(["correlate", "--manifest", str(mpath)])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert "ghost.run" in err["message"]
+    def test_missing_candidate_errors(self, paths, tmp_path):
+        mpath = write_files(tmp_path, {"manifest.json": {
+            "qrels": paths["qrels"].name, "run_orig": paths["run_orig"].name, "candidates": ["ghost.run", "ghost2.run"],
+        }})["manifest.json"]
+        assert "ghost.run" in run_cli(cli_argv("correlate", {"manifest": mpath}), 2)["message"]
 
-    def test_too_few_candidates(self, workspace, capsys):
-        tmp, paths = workspace
-        mpath = tmp / "manifest.json"
-        mpath.write_text(json.dumps({
-            "qrels": paths["qrels"].name,
-            "run_orig": paths["orig"].name,
-            "candidates": [paths["rpl"].name],
-        }))
-        assert main(["correlate", "--manifest", str(mpath)]) == 2
+    def test_too_few_candidates(self, paths, tmp_path):
+        mpath = write_files(tmp_path, {"manifest.json": {
+            "qrels": paths["qrels"].name, "run_orig": paths["run_orig"].name, "candidates": [paths["run_rpl"].name],
+        }})["manifest.json"]
+        run_cli(cli_argv("correlate", {"manifest": mpath}), 2)
 
     @staticmethod
     def _refuse_loads(monkeypatch):
@@ -642,37 +470,30 @@ class TestCorrelate:
          "candidates[1]: unknown key 'run_bb'; expected run or run_b"),
     ])
     def test_a_malformed_manifest_is_a_config_error_before_any_read(
-            self, workspace, rng, capsys, monkeypatch, manifest, message):
-        tmp, paths = workspace
-        mpath = self._manifest(tmp, paths, rng, n_candidates=2)
+            self, paths, tmp_path, rng, monkeypatch, manifest, message):
+        mpath = self._manifest(tmp_path, paths, rng, n_candidates=2)
         if isinstance(manifest, dict):
             manifest = {key: value for key, value in {**json.loads(mpath.read_text()), **manifest}.items()
                         if value is not ...}
-        mpath.write_text(json.dumps(manifest))
+        write_files(tmp_path, {mpath.name: manifest})
         self._refuse_loads(monkeypatch)
-        assert main(["correlate", "--manifest", str(mpath)]) == 2
-        err = json.loads(capsys.readouterr().err)
+        err = run_cli(cli_argv("correlate", {"manifest": mpath}), 2)
         assert err["error"] == "config"
         assert err["message"].startswith(f"manifest {mpath}: ")
         assert message in err["message"]
 
-    def test_a_manifest_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, monkeypatch):
-        mpath = tmp_path / "m.json"
-        mpath.write_bytes(b'{"qrels": "q\xff.txt"}')
+    def test_a_manifest_that_is_not_utf8_is_a_config_error(self, tmp_path, monkeypatch):
+        mpath = write_files(tmp_path, {"m.json": b'{"qrels": "q\xff.txt"}'})["m.json"]
         self._refuse_loads(monkeypatch)
-        assert main(["correlate", "--manifest", str(mpath)]) == 2
-        assert json.loads(capsys.readouterr().err) == {
+        assert run_cli(cli_argv("correlate", {"manifest": mpath}), 2) == {
             "error": "config", "message": f"manifest {mpath}: not UTF-8 text: byte 0xff (invalid start byte)"}
 
-    def test_a_manifest_that_is_not_json_is_a_config_error_before_any_read(self, tmp_path, capsys,
-                                                                           monkeypatch):
-        mpath = tmp_path / "m.json"
-        mpath.write_text('{"qrels": "q.txt",}')
+    def test_a_manifest_that_is_not_json_is_a_config_error_before_any_read(self, tmp_path, monkeypatch):
+        mpath = write_files(tmp_path, {"m.json": '{"qrels": "q.txt",}'})["m.json"]
         with pytest.raises(json.JSONDecodeError) as info:
             json.loads(mpath.read_text())
         self._refuse_loads(monkeypatch)
-        assert main(["correlate", "--manifest", str(mpath)]) == 2
-        assert json.loads(capsys.readouterr().err) == {
+        assert run_cli(cli_argv("correlate", {"manifest": mpath}), 2) == {
             "error": "config", "message": f"manifest {mpath}: invalid JSON: {info.value}"}
 
     @pytest.mark.parametrize("lacking, run_b_orig, message", [
@@ -681,18 +502,15 @@ class TestCorrelate:
         (("base0", "base1", "base2", "base3"), "b_orig.run",
          "candidate 'cand0.run' lacks a baseline run and the original has one"),
     ])
-    def test_baselines_are_all_or_none(self, workspace, rng, capsys, monkeypatch,
-                                       lacking, run_b_orig, message):
+    def test_baselines_are_all_or_none(self, paths, tmp_path, rng, monkeypatch, lacking, run_b_orig, message):
         # an orphaned candidate baseline was ignored; a mixed set failed after every load
-        tmp, paths = workspace
-        mpath, candidates = self._manifest_with_baselines(tmp, paths, rng)
+        mpath, candidates = self._manifest_with_baselines(tmp_path, paths, rng)
         manifest = json.loads(mpath.read_text())
         manifest["run_b_orig"] = run_b_orig
         manifest["candidates"] = [c["run"] if c["run_b"][:-4] in lacking else c for c in candidates]
-        mpath.write_text(json.dumps(manifest))
+        write_files(tmp_path, {mpath.name: manifest})
         self._refuse_loads(monkeypatch)
-        assert main(["correlate", "--manifest", str(mpath)]) == 2
-        assert json.loads(capsys.readouterr().err) == {
+        assert run_cli(cli_argv("correlate", {"manifest": mpath}), 2) == {
             "error": "config", "message": f"{message}; give baselines for all or none"}
 
     @pytest.mark.parametrize("entries, message", [
@@ -701,19 +519,14 @@ class TestCorrelate:
         (["cand0.run", "sub/cand0.run"], "candidates[0] and candidates[1] have the same id 'cand0.run'"),
         (["z.run", "cand0.run", {"run": "a/z.run"}], "candidates[0] and candidates[2] have the same id 'z.run'"),
     ])
-    def test_candidate_ids_are_distinct(self, workspace, rng, capsys, monkeypatch, entries, message):
+    def test_candidate_ids_are_distinct(self, paths, tmp_path, rng, monkeypatch, entries, message):
         # the id is the file name: a repeated one silently dropped a candidate
-        tmp, paths = workspace
-        mpath = self._manifest(tmp, paths, rng, n_candidates=1)
-        for sub in ("a", "b", "sub"):
-            (tmp / sub).mkdir()
-        for name in ("a/x.run", "b/x.run", "z.run", "sub/cand0.run", "a/z.run"):
-            (tmp / name).write_text(run_text(random_run(rng, "c", 6, 20)))
-        manifest = json.loads(mpath.read_text())
-        mpath.write_text(json.dumps({**manifest, "candidates": entries}))
+        mpath = self._manifest(tmp_path, paths, rng, n_candidates=1)
+        write_files(tmp_path, {name: random_run(rng, "c", 6, 20)
+                               for name in ("a/x.run", "b/x.run", "z.run", "sub/cand0.run", "a/z.run")})
+        write_files(tmp_path, {mpath.name: {**json.loads(mpath.read_text()), "candidates": entries}})
         self._refuse_loads(monkeypatch)
-        assert main(["correlate", "--manifest", str(mpath)]) == 2
-        err = json.loads(capsys.readouterr().err)
+        err = run_cli(cli_argv("correlate", {"manifest": mpath}), 2)
         assert err["error"] == "config"
         assert err["message"].startswith(f"manifest {mpath}: {message}; ")
 
@@ -768,78 +581,60 @@ class TestCorrelate:
     ("--measures", ",", "no measures requested"),
     ("--measures", "P@10,p@10", "measure P@10 requested twice"),
 ])
-def test_rbo_settings_are_checked_before_any_input_is_read(tmp_path, capsys, command,
-                                                           flag, value, message):
-    missing = str(tmp_path / "nope.run")
-    argv = {
-        "replicate": ["--run-orig", missing, "--run-rpl", missing, "--qrels", missing],
-        "correlate": ["--manifest", str(tmp_path / "nope.json")],
-    }[command]
-    assert main([command, *argv, flag, value]) == 2
-    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+def test_rbo_settings_are_checked_before_any_input_is_read(tmp_path, command, flag, value, message):
+    argv = cli_argv(command, dict.fromkeys(ROLES[command], tmp_path / "nope"), flag, value)
+    assert run_cli(argv, 2) == {"error": "config", "message": message}
 
 
 @pytest.mark.parametrize("flag, value", [
     *(("--measures", spec) for spec in ("P@", "AP@", "nDCG@", "P@1_0", "P@+5", "P@ 5", "P@\u0663", "P@-5")),
-    *(("--cutoffs", spec) for spec in ("1_0", "+5", "\u0663", "5,\u00b2", "-5", "5,,1e1")),
+    *(("--cutoffs", spec) for spec in ("1_0", "+5", "\u0663", "5,\u00b2", "-5", "5,,1e1", "10,abc")),
 ])
-def test_a_cutoff_is_ascii_digits(tmp_path, capsys, flag, value):
+def test_a_cutoff_is_ascii_digits(tmp_path, flag, value):
     # an empty cutoff was read as the default; int() takes 1_0, +5, a space and non-ASCII digits
-    missing = str(tmp_path / "nope.run")
-    assert main(["replicate", "--run-orig", missing, "--run-rpl", missing, "--qrels", missing,
-                 flag, value]) == 2
-    err = json.loads(capsys.readouterr().err)
+    err = run_cli(cli_argv("replicate", dict.fromkeys(ROLES["replicate"], tmp_path / "nope.run"), flag, value), 2)
     assert err["error"] == "config"
     assert repr(value) in err["message"]
 
 
 @pytest.mark.parametrize("command", ["replicate", "correlate"])
-def test_strict_baseline_without_the_one_comparable_topic_is_a_topic_mismatch(tmp_path, capsys, command):
+def test_strict_baseline_without_the_one_comparable_topic_is_a_topic_mismatch(tmp_path, command):
     # baselines are scored with their run pair: under --strict the missing topic
     # is the error; leniently it is scored 0, and the one-topic t-test is null
-    (tmp_path / "a.run").write_text("301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n")
-    (tmp_path / "b.run").write_text("301 Q0 B 1 2.0 b\n301 Q0 A 2 1.0 b\n")
-    (tmp_path / "c.run").write_text("302 Q0 A 1 2.0 c\n302 Q0 B 2 1.0 c\n")
-    (tmp_path / "q.txt").write_text("301 0 A 1\n")
-    (tmp_path / "m.json").write_text(json.dumps(
-        {"qrels": "q.txt", "run_orig": "a.run", "run_b_orig": "c.run",
-         "candidates": [{"run": "b.run", "run_b": "a.run"}, {"run": "a.run", "run_b": "a.run"}]}))
-    a, b, c, q = (str(tmp_path / name) for name in ("a.run", "b.run", "c.run", "q.txt"))
-    argv = {
-        "replicate": ["--run-orig", a, "--run-rpl", b, "--qrels", q, "--run-b-orig", c, "--run-b-rpl", a],
-        "correlate": ["--manifest", str(tmp_path / "m.json")],
-    }[command]
-    assert main([command, *argv, "--strict"]) == 4
-    err = json.loads(capsys.readouterr().err)
+    p = write_files(tmp_path, {
+        "a.run": "301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n", "b.run": "301 Q0 B 1 2.0 b\n301 Q0 A 2 1.0 b\n",
+        "c.run": "302 Q0 A 1 2.0 c\n302 Q0 B 2 1.0 c\n", "q.txt": "301 0 A 1\n",
+        "m.json": {"qrels": "q.txt", "run_orig": "a.run", "run_b_orig": "c.run",
+                   "candidates": [{"run": "b.run", "run_b": "a.run"}, {"run": "a.run", "run_b": "a.run"}]}})
+    inputs = {"replicate": {"run_orig": p["a.run"], "run_rpl": p["b.run"], "qrels": p["q.txt"],
+                            "run_b_orig": p["c.run"], "run_b_rpl": p["a.run"]},
+              "correlate": {"manifest": p["m.json"]}}[command]
+    err = run_cli(cli_argv(command, inputs, "--strict"), 4)
     assert err["error"] == "topic-mismatch"
     assert "301" in err["message"]
-    assert main([command, *argv, "--format", "json"]) == 0
-    warnings = json.loads(capsys.readouterr().out)["warnings"]
+    warnings = run_cli(cli_argv(command, inputs, "--format", "json"))["warnings"]
     prefixes = [""] if command == "replicate" else ["b.run: ", "a.run: "]  # one per candidate
     assert [w for w in warnings if "301" in w] == [f"{p}run 'c' missing topic 301, scored 0" for p in prefixes]
     assert all(f"{p}P@10: paired test needs n >= 2 topics, got 1" in warnings for p in prefixes)
 
 
 @pytest.mark.parametrize("command", ["replicate", "reproduce"])
-def test_infinite_t_stat_is_null_in_json_and_inf_elsewhere(tmp_path, capsys, command):
+def test_infinite_t_stat_is_null_in_json_and_inf_elsewhere(tmp_path, command):
     # on each of 3 topics a.run has P@2 = 1 and b.run P@2 = 0.5: the paired differences
     # (replicate) and both samples (reproduce, a.run against b.run) have zero variance
     # and a nonzero mean difference, so t = inf with p = 0
     topics = ("301", "302", "303")
-    (tmp_path / "a.run").write_text("".join(f"{t} Q0 R1 1 2.0 a\n{t} Q0 R2 2 1.0 a\n" for t in topics))
-    (tmp_path / "b.run").write_text("".join(f"{t} Q0 R1 1 2.0 b\n{t} Q0 N 2 1.0 b\n" for t in topics))
-    (tmp_path / "q.txt").write_text("".join(f"{t} 0 R1 1\n{t} 0 R2 1\n" for t in topics))
-    a, b, q = (str(tmp_path / name) for name in ("a.run", "b.run", "q.txt"))
-    argv = {
-        "replicate": ["--run-orig", a, "--run-rpl", b, "--qrels", q],
-        "reproduce": ["--run-a-orig", a, "--run-b-orig", b, "--qrels-orig", q,
-                      "--run-a-rpd", b, "--run-b-rpd", b, "--qrels-rpd", q],
-    }[command]
-    assert main([command, *argv, "--measures", "P@2", "--format", "json"]) == 0
-    rep = strict_json(capsys.readouterr().out)
+    p = write_files(tmp_path, {"a.run": "".join(f"{t} Q0 R1 1 2.0 a\n{t} Q0 R2 2 1.0 a\n" for t in topics),
+                               "b.run": "".join(f"{t} Q0 R1 1 2.0 b\n{t} Q0 N 2 1.0 b\n" for t in topics),
+                               "q.txt": "".join(f"{t} 0 R1 1\n{t} 0 R2 1\n" for t in topics)})
+    a, b, q = p["a.run"], p["b.run"], p["q.txt"]
+    inputs = {"replicate": {"run_orig": a, "run_rpl": b, "qrels": q},
+              "reproduce": {"run_a_orig": a, "run_b_orig": b, "qrels_orig": q,
+                            "run_a_rpd": b, "run_b_rpd": b, "qrels_rpd": q}}[command]
+    rep = run_cli(cli_argv(command, inputs, "--measures", "P@2", "--format", "json"))
     block = rep["measures"]["P@2"]
     assert (block["t_stat"], block["p_value"]) == (None, 0.0)
     assert any("zero variance" in w for w in rep["warnings"])
-    assert main([command, *argv, "--measures", "P@2", "--format", "csv"]) == 0
-    row = dict(zip(CSV_HEADER.split(","), capsys.readouterr().out.splitlines()[1].split(",")))
+    csv = run_cli(cli_argv(command, inputs, "--measures", "P@2", "--format", "csv"))
+    row = dict(zip(CSV_HEADER.split(","), csv.splitlines()[1].split(",")))
     assert (row["t_stat"], row["p_value"]) == ("inf", "0.0000")

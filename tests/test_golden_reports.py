@@ -15,8 +15,7 @@ import sys
 
 import pytest
 
-from reprokit.cli import main
-
+from conftest import run_cli
 from golden_inputs import COMMANDS, FORMATS, GOLDEN, golden_name, strict_json, write_inputs
 
 
@@ -29,7 +28,7 @@ def argvs(tmp_path_factory):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_report_is_byte_identical(argvs, tmp_path, command, fmt):
     out = tmp_path / golden_name(command, fmt)
-    assert main(argvs[command] + ["--format", fmt, "--output", str(out)]) == 0
+    run_cli(argvs[command] + ["--format", fmt, "--output", str(out)])
     assert out.read_bytes() == (GOLDEN / golden_name(command, fmt)).read_bytes()
 
 

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import cli_argv, write_files
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("dataclasses", "inspect", "hashlib", "_hashlib")
 
@@ -41,16 +43,14 @@ def test_importing_the_cli_loads_only_the_standard_library():
 
 
 def test_provenance_digests_equal_hashlib(tmp_path):
-    run = tmp_path / "run.txt"
-    run.write_text("1 Q0 A 1 2.0 x\n1 Q0 B 2 1.0 x\n2 Q0 A 1 1.0 x\n2 Q0 C 2 0.5 x\n")
-    rpl = tmp_path / "rpl.txt"
-    rpl.write_text("1 Q0 B 1 2.0 y\n1 Q0 A 2 1.0 y\n2 Q0 A 1 1.0 y\n2 Q0 C 2 0.5 y\n")
-    qrels = tmp_path / "qrels.txt"
-    qrels.write_bytes(b"1 0 A 1\r\n2 0 C 2\r\n" * 5000)  # longer than one read chunk
-    report = _fresh_python("-m", "reprokit.cli", "replicate", "--run-orig", str(run),
-                           "--run-rpl", str(rpl), "--qrels", str(qrels), "--measures", "P@2",
-                           "--provenance", "--format", "json")
-    inputs = json.loads(report)["provenance"]["inputs"]
+    run, rpl, qrels = write_files(tmp_path, {
+        "run.txt": "1 Q0 A 1 2.0 x\n1 Q0 B 2 1.0 x\n2 Q0 A 1 1.0 x\n2 Q0 C 2 0.5 x\n",
+        "rpl.txt": "1 Q0 B 1 2.0 y\n1 Q0 A 2 1.0 y\n2 Q0 A 1 1.0 y\n2 Q0 C 2 0.5 y\n",
+        "qrels.txt": b"1 0 A 1\r\n2 0 C 2\r\n" * 5000,  # longer than one read chunk
+    }).values()
+    argv = cli_argv("replicate", {"run_orig": run, "run_rpl": rpl, "qrels": qrels},
+                    "--measures", "P@2", "--provenance", "--format", "json")
+    inputs = json.loads(_fresh_python("-m", "reprokit.cli", *argv))["provenance"]["inputs"]
     assert {i["path"] for i in inputs.values()} == {str(run), str(rpl), str(qrels)}
     for entry in inputs.values():
         assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()

@@ -175,6 +175,13 @@ def test_t_cdf_rejects_nan_and_dof_below_one(t, dof, message):
         t_cdf(t, dof)
 
 
+def test_incomplete_beta_that_does_not_converge_raises():
+    # at a = b = 1e7 the continued fraction needs far more than its iteration cap
+    message = "incomplete beta continued fraction did not converge (a=10000000.0, b=10000000.0, x=0.5)"
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        regularized_incomplete_beta(1e7, 1e7, 0.5)
+
+
 # (test, x, y, repr of t_stat, repr of p_value, dof, warning)
 _PINNED_T_TESTS = [
     # ordinary paired, and unpaired on samples of unequal size

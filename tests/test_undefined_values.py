@@ -5,7 +5,6 @@ value starting with the measure's label."""
 
 import csv
 import io
-import json
 import pathlib
 import tempfile
 
@@ -13,47 +12,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reprokit.cli import main
 from reprokit.effects import EffectSummary
 
-from conftest import make_run, qrels_text, run_text
+from conftest import cli_argv, make_run, qrels_text, run_cli, write_files
 
 LABELS = ("P@2", "AP@3")
 MEASURES = ["--measures", ",".join(LABELS)]
 
 
-def _write(tmp: pathlib.Path, files: dict[str, str]) -> dict[str, str]:
-    """Write each file and return its path by name."""
-    for name, text in files.items():
-        (tmp / name).write_text(text)
-    return {name: str(tmp / name) for name in files}
-
-
-def _argv(command: str, p: dict[str, str], baselines: bool) -> list[str]:
-    """``command``'s arguments over the files a.run (original), b.run (re-created),
-    q.txt and, with ``baselines``, ba.run and bb.run; reproduce takes a.run and
-    ba.run on q.txt as the original side and b.run and bb.run on q2.txt as the new one."""
-    if command == "replicate":
-        extra = ["--run-b-orig", p["ba.run"], "--run-b-rpl", p["bb.run"]] if baselines else []
-        return ["replicate", "--run-orig", p["a.run"], "--run-rpl", p["b.run"], "--qrels", p["q.txt"], *extra]
-    if command == "reproduce":
-        return ["reproduce", "--run-a-orig", p["a.run"], "--run-b-orig", p["ba.run"], "--qrels-orig", p["q.txt"],
-                "--run-a-rpd", p["b.run"], "--run-b-rpd", p["bb.run"], "--qrels-rpd", p["q2.txt"]]
-    manifest = pathlib.Path(p["a.run"]).with_name("m.json")
-    candidates = [{"run": "b.run", "run_b": "bb.run"}, {"run": "a.run", "run_b": "ba.run"}]
-    manifest.write_text(json.dumps({"qrels": "q.txt", "run_orig": "a.run",
-                                    **({"run_b_orig": "ba.run"} if baselines else {}),
-                                    "candidates": candidates if baselines else ["b.run", "a.run"]}))
-    return ["correlate", "--manifest", str(manifest)]
-
-
-def _reports(argv: list[str], capsys) -> dict[str, str]:
-    """The report in each format, each exiting 0."""
-    out = {}
-    for fmt in ("json", "csv", "table"):
-        assert main([*argv, *MEASURES, "--format", fmt]) == 0
-        out[fmt] = capsys.readouterr().out
-    return out
+def _reports(tmp: pathlib.Path, command: str, files: dict[str, object], baselines: bool) -> dict:
+    """Write ``files`` and run ``command`` on them in each format, each exiting 0. The
+    inputs are a.run (original), b.run (re-created), q.txt and, with ``baselines``, ba.run
+    and bb.run; reproduce takes a.run and ba.run on q.txt as the original side and b.run
+    and bb.run on q2.txt as the new one."""
+    manifest = {"qrels": "q.txt", "run_orig": "a.run", "candidates": ["b.run", "a.run"]}
+    inputs = {"replicate": {"run_orig": "a.run", "run_rpl": "b.run", "qrels": "q.txt"},
+              "reproduce": {"run_a_orig": "a.run", "run_b_orig": "ba.run", "qrels_orig": "q.txt",
+                            "run_a_rpd": "b.run", "run_b_rpd": "bb.run", "qrels_rpd": "q2.txt"},
+              "correlate": {"manifest": "m.json"}}[command]
+    if baselines:
+        manifest.update(run_b_orig="ba.run",
+                        candidates=[{"run": "b.run", "run_b": "bb.run"}, {"run": "a.run", "run_b": "ba.run"}])
+        if command == "replicate":
+            inputs.update(run_b_orig="ba.run", run_b_rpl="bb.run")
+    p = write_files(tmp, {**files, "m.json": manifest})
+    argv = cli_argv(command, {role: p[name] for role, name in inputs.items()}, *MEASURES)
+    return {fmt: run_cli([*argv, "--format", fmt]) for fmt in ("json", "csv", "table")}
 
 
 def _json_value(rep: dict, label: str, column: str):
@@ -79,7 +63,7 @@ def _table_cells(table: str, label: str) -> dict[str, str]:
 def _assert_null(out: dict[str, str], columns: tuple[str, ...], warnings: list[str]) -> None:
     """Each column is null in JSON and an empty cell in CSV and table, for every
     measure, and each warning is in the report."""
-    rep = json.loads(out["json"])
+    rep = out["json"]
     rows = {row["measure"]: row for row in csv.DictReader(io.StringIO(out["csv"]))}
     for label in LABELS:
         cells = _table_cells(out["table"], label)
@@ -96,7 +80,7 @@ def _assert_null(out: dict[str, str], columns: tuple[str, ...], warnings: list[s
 def _assert_blank_measure(out: dict[str, str], measure_id: str, warnings: list[str]) -> None:
     """In a correlate report, every candidate has badness null under ``measure_id``,
     whose row and column of the matrix are blank off the diagonal and unflagged."""
-    rep = json.loads(out["json"])
+    rep = out["json"]
     assert rep["rankings"][measure_id]["badness"] == [None, None]
     assert not [f for f in rep["flags"] if measure_id in (f["a"], f["b"])]
     assert out["csv"] == rep["matrix_csv"] and out["table"].startswith(rep["matrix_csv"])
@@ -113,30 +97,29 @@ def _assert_blank_measure(out: dict[str, str], measure_id: str, warnings: list[s
         assert f"  - {w}" in out["table"].splitlines()
 
 
-TWO_TOPICS = {"a.run": run_text(make_run("a", {"301": ["A", "B", "C"], "302": ["D", "E"]})),
-              "b.run": run_text(make_run("b", {"301": ["B", "A", "C"], "302": ["E", "D"]})),
+TWO_TOPICS = {"a.run": make_run("a", {"301": ["A", "B", "C"], "302": ["D", "E"]}),
+              "b.run": make_run("b", {"301": ["B", "A", "C"], "302": ["E", "D"]}),
               "q.txt": qrels_text({"301": {"A": 1, "C": 1}, "302": {"D": 1}}),
               "q2.txt": qrels_text({"301": {"B": 1}, "302": {"E": 1}}),
-              "bb.run": run_text(make_run("bb", {"301": ["C", "B"], "302": ["D"]}))}
-ZERO = run_text(make_run("z", {"301": ["N"], "302": ["N"]}))  # retrieves nothing relevant
+              "bb.run": make_run("bb", {"301": ["C", "B"], "302": ["D"]})}
+ZERO = make_run("z", {"301": ["N"], "302": ["N"]})  # retrieves nothing relevant
 ONE_TOPIC = {"a.run": "301 Q0 A 1 2.0 a\n301 Q0 B 2 1.0 a\n",
              "b.run": "301 Q0 B 1 2.0 b\n301 Q0 A 2 1.0 b\n",
              "q.txt": "301 0 A 1\n", "q2.txt": "301 0 A 1\n"}
 
 
 @pytest.mark.parametrize("command", ["replicate", "reproduce", "correlate"])
-def test_one_comparable_topic_gives_null_t_tests(tmp_path, capsys, command):
+def test_one_comparable_topic_gives_null_t_tests(tmp_path, command):
     # a t-test needs two topics: with one, both of its values are null
-    p = _write(tmp_path, ONE_TOPIC)
-    p["ba.run"], p["bb.run"] = p["b.run"], p["a.run"]
-    out = _reports(_argv(command, p, baselines=False), capsys)
+    files = {**ONE_TOPIC, "ba.run": ONE_TOPIC["b.run"], "bb.run": ONE_TOPIC["a.run"]}
+    out = _reports(tmp_path, command, files, baselines=False)
     if command == "correlate":
         for label in LABELS:
             _assert_blank_measure(out, f"p_value_{label}", [
                 f"{run}: {label}: paired test needs n >= 2 topics, got 1" for run in ("a.run", "b.run")])
         return
     if command == "reproduce":
-        rep = json.loads(out["json"])
+        rep = out["json"]
         for label in LABELS:
             assert rep["measures"][label]["t_stat_baseline"] is rep["measures"][label]["p_value_baseline"] is None
         warnings = [f"{label}: unpaired test needs n >= 2 per sample, got 1 and 1" for label in LABELS]
@@ -146,10 +129,10 @@ def test_one_comparable_topic_gives_null_t_tests(tmp_path, capsys, command):
 
 
 # each run scores the same on both of its topics, and no run as its counterpart on the other side
-CONSTANT = {"a.run": run_text(make_run("a", {"301": ["N", "A"], "302": ["N", "C"]})),
-            "ba.run": run_text(make_run("ba", {"301": ["N", "M"], "302": ["N", "M"]})),
-            "b.run": run_text(make_run("b", {"301": ["B", "D"], "302": ["E", "F"]})),
-            "bb.run": run_text(make_run("bb", {"301": ["B", "N"], "302": ["E", "N"]})),
+CONSTANT = {"a.run": make_run("a", {"301": ["N", "A"], "302": ["N", "C"]}),
+            "ba.run": make_run("ba", {"301": ["N", "M"], "302": ["N", "M"]}),
+            "b.run": make_run("b", {"301": ["B", "D"], "302": ["E", "F"]}),
+            "bb.run": make_run("bb", {"301": ["B", "N"], "302": ["E", "N"]}),
             "q.txt": qrels_text({"301": {"A": 1}, "302": {"C": 1}}),
             "q2.txt": qrels_text({"301": {"B": 1, "D": 1}, "302": {"E": 1, "F": 1}})}
 
@@ -159,10 +142,10 @@ CONSTANT = {"a.run": run_text(make_run("a", {"301": ["N", "A"], "302": ["N", "C"
      "unpaired test needs n >= 2 per sample, got 1 and 1"),
     (CONSTANT, "zero variance in both samples with unequal means"),
 ], ids=["one-topic", "constant"])
-def test_reproduce_names_the_test_each_warning_is_about(tmp_path, capsys, files, warning):
+def test_reproduce_names_the_test_each_warning_is_about(tmp_path, files, warning):
     # the a against a' and the b against b' test of a measure warn alike; the baselines' says so
-    out = _reports(_argv("reproduce", _write(tmp_path, files), baselines=True), capsys)
-    rep = json.loads(out["json"])
+    out = _reports(tmp_path, "reproduce", files, baselines=True)
+    rep = out["json"]
     table = out["table"].splitlines()
     for label in LABELS:
         for line in (f"{label}: {warning}", f"{label}: baseline runs: {warning}"):
@@ -171,12 +154,11 @@ def test_reproduce_names_the_test_each_warning_is_about(tmp_path, capsys, files,
 
 
 @pytest.mark.parametrize("command", ["replicate", "correlate"])
-def test_tau_union_undefined_on_every_topic_is_a_null_mean(tmp_path, capsys, command):
+def test_tau_union_undefined_on_every_topic_is_a_null_mean(tmp_path, command):
     # one document per topic pairs no two positions, so no topic has a tau-union
-    p = _write(tmp_path, {"a.run": "301 Q0 A 1 2.0 a\n302 Q0 C 1 2.0 a\n",
-                          "b.run": "301 Q0 B 1 2.0 b\n302 Q0 C 1 2.0 b\n",
-                          "q.txt": "301 0 A 1\n302 0 C 1\n"})
-    out = _reports(_argv(command, p, baselines=False), capsys)
+    out = _reports(tmp_path, command, {"a.run": "301 Q0 A 1 2.0 a\n302 Q0 C 1 2.0 a\n",
+                                       "b.run": "301 Q0 B 1 2.0 b\n302 Q0 C 1 2.0 b\n",
+                                       "q.txt": "301 0 A 1\n302 0 C 1\n"}, baselines=False)
     if command == "correlate":
         _assert_blank_measure(out, "tau", [f"{run}: tau-union unavailable on every topic"
                                            for run in ("a.run", "b.run")])
@@ -185,10 +167,9 @@ def test_tau_union_undefined_on_every_topic_is_a_null_mean(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize("command", ["replicate", "reproduce", "correlate"])
-def test_zero_original_improvement_is_a_null_er(tmp_path, capsys, command):
+def test_zero_original_improvement_is_a_null_er(tmp_path, command):
     # the original baseline is the original run, so there is no improvement to re-create
-    p = _write(tmp_path, {**TWO_TOPICS, "ba.run": TWO_TOPICS["a.run"]})
-    out = _reports(_argv(command, p, baselines=True), capsys)
+    out = _reports(tmp_path, command, {**TWO_TOPICS, "ba.run": TWO_TOPICS["a.run"]}, baselines=True)
     if command == "correlate":
         for label in LABELS:
             _assert_blank_measure(out, f"er_{label}", [
@@ -201,10 +182,9 @@ def test_zero_original_improvement_is_a_null_er(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["replicate", "reproduce"])
-def test_zero_baseline_mean_is_a_null_ri(tmp_path, capsys, command):
-    p = _write(tmp_path, {**TWO_TOPICS, "ba.run": ZERO})
-    out = _reports(_argv(command, p, baselines=True), capsys)
-    rep = json.loads(out["json"])
+def test_zero_baseline_mean_is_a_null_ri(tmp_path, command):
+    out = _reports(tmp_path, command, {**TWO_TOPICS, "ba.run": ZERO}, baselines=True)
+    rep = out["json"]
     assert all(rep["effects"][label]["er"] is not None for label in LABELS)
     _assert_null(out, ("ri", "delta_ri", "region", "dist"), [
         f"{label}: ri, delta_ri, region and dist undefined: baseline run 'z' has zero mean score"
@@ -219,7 +199,7 @@ TOPICS = ("301", "302", "303")
 
 @st.composite
 def _side(draw):
-    """Run texts a and b, a baseline for each, and qrels, on 1-3 topics of 1-3
+    """Runs a and b, a baseline for each, and qrels, on 1-3 topics of 1-3
     documents; a baseline is a copy of its run, retrieves nothing relevant, or is drawn."""
     topics = draw(st.lists(st.sampled_from(TOPICS), min_size=1, max_size=3, unique=True))
     ranking = st.lists(st.sampled_from(DOCS), min_size=1, max_size=3, unique=True)
@@ -231,12 +211,11 @@ def _side(draw):
     grades = {t: {**{d: draw(st.integers(0, 2)) for d in DOCS}, draw(st.sampled_from(DOCS + ("Z",))): 1}
               for t in topics}
     a, b = run(), run()
-    files = {"a.run": run_text(make_run("a", a)), "b.run": run_text(make_run("b", b)),
-             "q.txt": qrels_text(grades)}
+    files = {"a.run": make_run("a", a), "b.run": make_run("b", b), "q.txt": qrels_text(grades)}
     for name, own in (("ba.run", a), ("bb.run", b)):
         kind = draw(st.sampled_from(["copy", "zero", "drawn"]))
         docs = {t: ["N"] for t in topics} if kind == "zero" else own if kind == "copy" else run()
-        files[name] = run_text(make_run(name[:2], docs))
+        files[name] = make_run(name[:2], docs)
     return files
 
 
@@ -264,13 +243,7 @@ def _assert_each_null_is_explained(rep: dict) -> None:
 @settings(max_examples=40, deadline=None)
 @given(side=_side(), other=_side(), baselines=st.booleans())
 def test_no_undefined_value_aborts_a_report(command, side, other, baselines):
+    if command == "reproduce":  # the new side is a side of its own
+        side = {**side, "b.run": other["a.run"], "bb.run": other["ba.run"], "q2.txt": other["q.txt"]}
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = pathlib.Path(tmp)
-        if command == "reproduce":  # the new side is a side of its own
-            side = {**side, "b.run": other["a.run"], "bb.run": other["ba.run"], "q2.txt": other["q.txt"]}
-        elif command == "correlate" and not baselines:
-            side = {name: text for name, text in side.items() if name not in ("ba.run", "bb.run")}
-        p = _write(tmp, side)
-        assert main([*_argv(command, p, baselines), *MEASURES, "--format", "json",
-                     "--output", str(tmp / "out.json")]) == 0
-        _assert_each_null_is_explained(json.loads((tmp / "out.json").read_text()))
+        _assert_each_null_is_explained(_reports(pathlib.Path(tmp), command, side, baselines)["json"])
